@@ -21,7 +21,8 @@ smoke:
 # cold solve), the
 # kernel-equivalence gate (pure vs bitset verdicts must be identical),
 # and the incremental gate (single-std-edit deltas >= 10x faster than a
-# cold solve, with incremental == cold equivalence under both kernels)
+# cold solve, with incremental == cold equivalence with each kernel pinned
+# in turn; kernel selection itself depends on input size alone)
 bench-smoke: smoke
 	$(PYTHON) benchmarks/bench_fig1_parallel.py --smoke
 	$(PYTHON) benchmarks/bench_obs.py --smoke

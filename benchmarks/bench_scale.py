@@ -2,7 +2,8 @@
 
 Two ladders, each run under **both** kernels (``pure`` and ``bitset``,
 pinned via :func:`repro.kernel.force_kernel` so the automatic size
-cutover does not blur the comparison):
+cutover does not blur the comparison), plus the sweep that sets that
+cutover:
 
 * **document ladder** — trees of 10^3..10^6 nodes; per size, one
   mapping-membership decision (``is_solution`` over flat documents) and
@@ -10,7 +11,12 @@ cutover does not blur the comparison):
   ``find_matches`` + a sequence-existence query);
 * **F1.1 ladder** — the EXPTIME consistency family ``n = 1..6`` with a
   fresh compilation cache per kernel, journaling the bitset speedup at
-  the top of the ladder (acceptance bar: >= 5x at ``n = 6``).
+  the top of the ladder (acceptance bar: >= 5x at ``n = 6``);
+* **engine-size sweep** — ``PatternEngine`` vs ``CompactPatternEngine``,
+  both built directly, on documents of 1..10^4 nodes; the smallest size
+  from which the compact engine is faster is the pattern-engine cutover
+  in :mod:`repro.kernel`, journaled under ``_meta.engine-cutover``.
+  ``--cutover`` runs and journals only this sweep.
 
 ``--smoke`` runs a reduced ladder and doubles as the **kernel
 equivalence gate**: membership verdicts, match relations and
@@ -21,6 +27,7 @@ consistency witnesses must certify.  Exits non-zero on any mismatch.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -37,7 +44,8 @@ from repro.consistency import is_consistent_automata
 from repro.engine import CompilationCache, ExecutionContext
 from repro.kernel import BITSET, PURE, force_kernel
 from repro.mappings.membership import is_solution
-from repro.patterns.matching import engine_for
+from repro.patterns.compact import CompactPatternEngine
+from repro.patterns.matching import PatternEngine, engine_for
 from repro.patterns.parser import parse_pattern
 from repro.workloads.families import (
     cons_arbitrary_family,
@@ -59,6 +67,13 @@ SMOKE_CHOICES = range(1, 4)
 
 #: Acceptance bar for the bitset kernel at the top of the F1.1 ladder.
 SPEEDUP_BAR = 5.0
+
+#: Engine-size sweep: document sizes (nodes), interleaved samples per
+#: engine and size, and the least wall time one sample spans (small
+#: documents repeat the operation until it does).
+CUTOVER_SIZES = [1, 2, 4, 8, 16, 64, 256, 1_024, 10_000]
+CUTOVER_SAMPLES = 21
+CUTOVER_SAMPLE_SECONDS = 0.005
 
 #: Selective pattern (constant access path) and sequence-existence
 #: pattern for the document ladder; see :func:`grouped_document`.
@@ -198,6 +213,82 @@ def materialization_record(sizes) -> dict:
                 "algebra + per-row dict conversion",
         "pattern": ENUM_PATTERN,
         "points": points,
+    }
+
+
+def engine_size_sweep(sizes=CUTOVER_SIZES, samples=CUTOVER_SAMPLES) -> dict:
+    """Object vs compact pattern engine per document size.
+
+    One operation builds an engine by direct construction over a source
+    and a target document of *n* nodes each (the flat documents of
+    ``membership_mapping``) and runs the ``membership_mapping(2)`` std
+    patterns through ``exists_at_root`` and ``find_matches`` — the
+    membership call pattern.  Samples alternate between the engines so
+    drift hits both alike; each point journals the median and IQR of the
+    per-operation time.  The compact engine *wins* a size when its median
+    is lower by more than the larger IQR (a tie keeps the object engine);
+    the crossover is the smallest size from which it wins at every size.
+    """
+    mapping = membership_mapping(2)
+    queries = [
+        (flat_document, [std.source for std in mapping.stds]),
+        (target_document, [std.target for std in mapping.stds]),
+    ]
+    engines = {"object": PatternEngine, "compact": CompactPatternEngine}
+    points = []
+    for n in sizes:
+        documents = [(make(n - 1), patterns) for make, patterns in queries]
+
+        def operation(engine_class, documents=documents):
+            for root, patterns in documents:
+                engine = engine_class(root)
+                for pattern in patterns:
+                    engine.exists_at_root(pattern)
+                    engine.find_matches(pattern)
+
+        started = time.perf_counter()
+        operation(PatternEngine)
+        seconds = time.perf_counter() - started
+        repeats = max(1, int(CUTOVER_SAMPLE_SECONDS / max(seconds, 1e-9)))
+        times: dict[str, list[float]] = {name: [] for name in engines}
+        for __ in range(samples):
+            for name, engine_class in engines.items():
+                started = time.perf_counter()
+                for __ in range(repeats):
+                    operation(engine_class)
+                times[name].append((time.perf_counter() - started) / repeats)
+        point: dict = {"n": n, "samples": samples, "repeats": repeats}
+        for name, values in times.items():
+            q1, median, q3 = statistics.quantiles(values, n=4)
+            point[name] = {"median_us": median * 1e6, "iqr_us": (q3 - q1) * 1e6}
+        slow, fast = point["object"], point["compact"]
+        point["compact_speedup"] = slow["median_us"] / fast["median_us"]
+        point["compact_wins"] = (
+            slow["median_us"] - fast["median_us"] > max(slow["iqr_us"], fast["iqr_us"])
+        )
+        points.append(point)
+        print(
+            f"[scale-cutover] n={n:>6}: object {slow['median_us']:10.1f}us "
+            f"compact {fast['median_us']:10.1f}us "
+            f"({point['compact_speedup']:.2f}x, {samples} samples x {repeats})"
+        )
+    crossover = None
+    for point in reversed(points):
+        if not point["compact_wins"]:
+            break
+        crossover = point["n"]
+    print(f"[scale-cutover] crossover: {crossover} nodes")
+    return {
+        "claim": "pattern-engine cutover: smallest size from which "
+                 "CompactPatternEngine beats PatternEngine by more than "
+                 "the larger IQR at every size",
+        "operation": "direct engine build over a source and a target document "
+                     "of n nodes + exists_at_root and find_matches of the "
+                     "membership_mapping(2) std patterns",
+        "statistic": "median and IQR of per-operation microseconds over "
+                     "interleaved samples",
+        "points": points,
+        "crossover": crossover,
     }
 
 
@@ -358,7 +449,18 @@ def main(argv=None) -> int:
         action="store_true",
         help="reduced ladder plus the kernel-equivalence gate (CI)",
     )
+    parser.add_argument(
+        "--cutover",
+        action="store_true",
+        help="run and journal only the engine-size sweep",
+    )
     args = parser.parse_args(argv)
+
+    if args.cutover:
+        emit_json("scale", None, None, meta={
+            "kernels": list(KERNELS), "engine-cutover": engine_size_sweep()
+        })
+        return 0
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     choices = SMOKE_CHOICES if args.smoke else FULL_CHOICES
@@ -366,8 +468,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     records, speedup = run_ladders(sizes, choices)
     if not args.smoke:  # smoke gates only — never clobber the full ladder
+        meta = {"kernels": list(KERNELS), "engine-cutover": engine_size_sweep()}
         for experiment, payload in records.items():
-            emit_json("scale", experiment, payload, meta={"kernels": list(KERNELS)})
+            emit_json("scale", experiment, payload, meta=meta)
         print(f"\n[scale] journaled {len(records)} records to BENCH_scale.json "
               f"in {time.perf_counter() - started:.1f}s")
 

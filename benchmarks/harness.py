@@ -208,12 +208,13 @@ def span_breakdown_of(result: object) -> dict[str, float] | None:
 
 
 def emit_json(
-    figure: str, experiment: str, payload: dict, meta: dict | None = None
+    figure: str, experiment: str | None, payload: dict | None, meta: dict | None = None
 ) -> Path:
     """Merge one experiment's record into the repo-root trajectory file.
 
     ``figure`` is ``"fig1"`` or ``"fig2"``; the record lands under
-    *experiment* (e.g. ``"F1.1"``) in ``BENCH_<figure>.json``.  Several
+    *experiment* (e.g. ``"F1.1"``) in ``BENCH_<figure>.json`` (with
+    *experiment* None, only ``_meta`` is rewritten).  Several
     benchmark modules contribute to one file, so writes read-merge-write;
     an unreadable file is rebuilt from scratch rather than crashing the
     benchmark run.  Every write refreshes the ``_meta`` block
@@ -228,10 +229,11 @@ def emit_json(
             data = {}
     except (OSError, ValueError):
         data = {}
-    data[experiment] = payload
+    if experiment is not None:
+        data[experiment] = payload
     data["_meta"] = {
         "schema_version": SCHEMA_VERSION,
-        "environment": run_environment(jobs=payload.get("jobs")),
+        "environment": run_environment(jobs=(payload or {}).get("jobs")),
     }
     if meta:
         data["_meta"].update(meta)

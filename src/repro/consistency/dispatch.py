@@ -27,11 +27,6 @@ from repro.engine.verdicts import Verdict, WitnessPair
 from repro.mappings.mapping import SchemaMapping
 from repro.xmlmodel.tree import TreeNode
 
-#: Deprecated aliases — the canonical defaults live in ``Budget.default()``.
-DEFAULT_MAX_SOURCE_SIZE = Budget.default().max_source_size
-DEFAULT_MAX_TARGET_SIZE = Budget.default().max_target_size
-
-
 def _uses_constants(mapping: SchemaMapping) -> bool:
     return uses_constants(mapping)
 

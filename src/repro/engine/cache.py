@@ -525,8 +525,8 @@ def achievable_sets(
     caching it is the big win on repeated-DTD sweeps, since the reachability
     pass *is* the exponential part.
 
-    The automata kernel (pure vs bitset, chosen by problem size or the
-    ``REPRO_KERNEL`` override) is part of the cache key: the table's
+    The automata kernel (pure vs bitset, chosen by problem size alone)
+    is part of the cache key: the table's
     *content* is kernel-independent, but witnesses may legitimately
     differ between kernels, so artifacts are never reused across them.
     """

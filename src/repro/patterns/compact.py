@@ -1,12 +1,13 @@
-"""The compact pattern engine: array-backed evaluation on large documents.
+"""The compact pattern engine: array-backed evaluation of patterns.
 
 This is the pattern-engine half of the bitset kernel
-(:mod:`repro.kernel`).  It evaluates exactly the same relation
-``(T, v) |= pi(a)`` as :class:`~repro.patterns.matching.PatternEngine` —
-same hash joins, same semi-join projection, same memoization contract —
+(:mod:`repro.kernel`), used for every tree of 8 nodes or more.  It
+evaluates exactly the same relation ``(T, v) |= pi(a)`` as
+:class:`~repro.patterns.matching.PatternEngine` — it inherits the same
+evaluator, hash joins, semi-join projection and memoization contract —
 but every node is a *preorder position* into the contiguous arrays of a
 :class:`~repro.patterns.index.CompactTreeIndex` instead of a linked
-``TreeNode``:
+``TreeNode``.  This module holds only what depends on that layout:
 
 * memo keys are ``(position, pattern, keep)`` — small ints, no object
   identity;
@@ -25,7 +26,6 @@ engines happens in :func:`repro.patterns.matching.engine_for`.
 
 from __future__ import annotations
 
-from repro.errors import XsmError
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
 from repro.patterns.index import CompactTreeIndex, EngineStats
 from repro.patterns.matching import (
@@ -33,29 +33,30 @@ from repro.patterns.matching import (
     _EMPTY_VALUATION,
     _MISSING,
     _TRUE_REL,
-    _PatternInfo,
-    hash_join,
+    _Evaluator,
+    bind_terms,
+    join_sequence,
+    pattern_info,
 )
-from repro.values import Const, SkolemTerm, Var
+from repro.values import Const, Var
 from repro.xmlmodel.tree import TreeNode
 
 
-class CompactPatternEngine:
+class CompactPatternEngine(_Evaluator):
     """Evaluates patterns over one fixed tree via its compact index.
 
-    Public surface mirrors :class:`~repro.patterns.matching.PatternEngine`
+    Public surface is :class:`~repro.patterns.matching.PatternEngine`'s
     (``relation_at_root`` / ``find_matches`` / ``match_anywhere`` /
-    ``exists_at_root`` / ``exists_anywhere`` / ``stats``); the positional
-    evaluator is internal.
+    ``exists_at_root`` / ``exists_anywhere`` / ``stats``); handles are
+    preorder positions, the root's being 0.
     """
 
     def __init__(self, root: TreeNode):
         self.root = root
+        self._top = 0
         self.index = CompactTreeIndex(root)
         self.stats = EngineStats()
-        self._info: dict[Pattern, _PatternInfo] = {}
-        self._mask: dict[Pattern, int | None] = {}
-        self._join_vars: dict[Pattern, frozenset[Var]] = {}
+        self._mask = {}
         #: pattern -> interned label id; None = wildcard, -1 = label absent
         self._label_id: dict[Pattern, int | None] = {}
         # (position, pattern, keep) -> relation matched AT the position
@@ -65,19 +66,7 @@ class CompactPatternEngine:
         # (leaf pattern, keep) -> compiled position matcher
         self._leaf: dict[tuple, object] = {}
 
-    # -- static pattern analysis -------------------------------------------
-
-    def info(self, pattern: Pattern) -> _PatternInfo:
-        cached = self._info.get(pattern)
-        if cached is None:
-            cached = self._info[pattern] = _PatternInfo(pattern)
-        return cached
-
-    def mask(self, pattern: Pattern) -> int | None:
-        """Label bitmask of *pattern* against this tree; None = unmatchable."""
-        if pattern not in self._mask:
-            self._mask[pattern] = self.index.labels_mask(pattern.labels_used())
-        return self._mask[pattern]
+    # -- array-layout lookups ------------------------------------------------
 
     def label_id(self, pattern: Pattern) -> int | None:
         """Interned id of the pattern's label (None = wildcard, -1 = absent)."""
@@ -90,25 +79,7 @@ class CompactPatternEngine:
             self._label_id[pattern] = cached
         return cached
 
-    def join_variables(self, pattern: Pattern) -> frozenset[Var]:
-        """Variables occurring in >= 2 term positions (the join variables)."""
-        from repro.patterns.ast import _term_vars
-
-        cached = self._join_vars.get(pattern)
-        if cached is None:
-            counts: dict[Var, int] = {}
-            for term in pattern.terms():
-                for var in _term_vars(term):
-                    counts[var] = counts.get(var, 0) + 1
-            cached = frozenset(v for v, c in counts.items() if c > 1)
-            self._join_vars[pattern] = cached
-        return cached
-
     # -- public evaluation --------------------------------------------------
-
-    def relation_at_root(self, pattern: Pattern) -> frozenset:
-        """The full valuation set of *pattern* at the root."""
-        return self.match_at(0, pattern)
 
     def find_matches(self, pattern: Pattern) -> list[dict[Var, object]]:
         """All valuations of ``(T, root) |= pattern``, as dicts.
@@ -127,7 +98,7 @@ class CompactPatternEngine:
         fast = self._enumerate_fast(pattern)
         if fast is not None:
             return fast
-        return list(map(dict, self.match_at(0, pattern)))
+        return super().find_matches(pattern)
 
     def _enumerate_fast(
         self, pattern: Pattern
@@ -174,7 +145,7 @@ class CompactPatternEngine:
         kept = tuple(first.items())  # (var, first position) per variable
         label = None if leaf.label == WILDCARD else leaf.label
         attr_index = (
-            self.info(leaf).const_attrs if label is not None else None
+            pattern_info(leaf).const_attrs if label is not None else None
         )
         attrs = self.index.attrs
         stats = self.stats
@@ -192,21 +163,6 @@ class CompactPatternEngine:
             add(tuple(values[i] for __, i in kept))
         variables = tuple(var for var, __ in kept)
         return [dict(zip(variables, row)) for row in rows]
-
-    def match_anywhere(self, pattern: Pattern) -> frozenset:
-        """Valuations of *pattern* matched at the root or any descendant."""
-        return self.match_at(0, pattern) | self.match_strictly_below(0, pattern)
-
-    def exists_at_root(self, pattern: Pattern) -> bool:
-        """``T |= pattern`` for some valuation (semi-join mode)."""
-        return bool(self.match_at(0, pattern, self.join_variables(pattern)))
-
-    def exists_anywhere(self, pattern: Pattern) -> bool:
-        """Does *pattern* match at the root or at any descendant?"""
-        keep = self.join_variables(pattern)
-        return bool(self.match_at(0, pattern, keep)) or bool(
-            self.match_strictly_below(0, pattern, keep)
-        )
 
     # -- the evaluator (positions, not nodes) --------------------------------
 
@@ -308,68 +264,14 @@ class CompactPatternEngine:
 
         return matcher
 
-    def _match_at(
-        self, pos: int, pattern: Pattern, keep: frozenset | None
-    ) -> frozenset:
-        mask = self.mask(pattern)
-        if mask is None or not self.index.subtree_covers(pos, mask):
-            self.stats.index_prunes += 1
-            return _EMPTY_REL
-        self.stats.nodes_visited += 1
-        base = self._match_node_formula(pos, pattern)
-        if base is None:
-            return _EMPTY_REL
-        info = self.info(pattern)
-        if keep is None:
-            acc_vars = info.formula_vars
-        else:
-            if base:
-                base = frozenset(p for p in base if p[0] in keep)
-            acc_vars = info.formula_vars & keep
-        valuations = frozenset((base,))
-        for item, full_item_vars in zip(pattern.items, info.item_vars):
-            if isinstance(item, Descendant):
-                rel = self.match_strictly_below(pos, item.pattern, keep)
-            else:
-                rel = self._match_sequence(pos, item, keep)
-            if not rel:
-                return _EMPTY_REL
-            item_vars = full_item_vars if keep is None else full_item_vars & keep
-            valuations = hash_join(valuations, acc_vars, rel, item_vars, self.stats)
-            if not valuations:
-                return _EMPTY_REL
-            acc_vars |= item_vars
-        return valuations
-
-    def _match_node_formula(self, pos: int, pattern: Pattern):
+    def _match_node_formula(self, pos: int, pattern: Pattern) -> frozenset | None:
         """Match label id and attribute tuple; return the induced valuation."""
         label_id = self.label_id(pattern)
         if label_id is not None and label_id != self.index.label_id[pos]:
             return None
         if pattern.vars is None:
             return _EMPTY_VALUATION
-        attrs = self.index.attrs[pos]
-        if len(pattern.vars) != len(attrs):
-            return None
-        binding: dict[Var, object] = {}
-        for term, value in zip(pattern.vars, attrs):
-            if isinstance(term, Var):
-                bound = binding.get(term, _MISSING)
-                if bound is _MISSING:
-                    binding[term] = value
-                elif bound != value:
-                    return None
-            elif isinstance(term, Const):
-                if term.value != value:
-                    return None
-            elif isinstance(term, SkolemTerm):
-                raise XsmError(
-                    "Skolem terms cannot be matched directly; instantiate the "
-                    "pattern through repro.mappings.skolem first"
-                )
-            else:
-                raise TypeError(f"unexpected term {term!r}")
-        return frozenset(binding.items())
+        return bind_terms(pattern.vars, self.index.attrs[pos])
 
     def match_strictly_below(
         self, pos: int, pattern: Pattern, keep: frozenset | None = None
@@ -384,38 +286,15 @@ class CompactPatternEngine:
         self._below[key] = result
         return result
 
-    def _match_below(
-        self, pos: int, pattern: Pattern, keep: frozenset | None
-    ) -> frozenset:
-        mask = self.mask(pattern)
-        if mask is None or not self.index.below_covers(pos, mask):
-            self.stats.index_prunes += 1
-            return _EMPTY_REL
-        info = self.info(pattern)
-        existence_only = keep is not None and not (info.all_vars & keep)
-        label = None if pattern.label == WILDCARD else pattern.label
-        attrs = info.const_attrs if label is not None else None
-        out: set = set()
-        for candidate in self.index.candidates(pos, label, attrs):
-            self.stats.candidates_scanned += 1
-            rel = self.match_at(candidate, pattern, keep)
-            if rel:
-                if existence_only:
-                    return _TRUE_REL
-                out |= rel
-        return frozenset(out) if out else _EMPTY_REL
-
     def _match_sequence(
         self, pos: int, sequence: Sequence, keep: frozenset | None
     ) -> frozenset:
         """Relation under which the sequence matches among the children of *pos*."""
         children = list(self.index.children(pos))
-        n = len(children)
-        if n == 0:
+        if not children:
             return _EMPTY_REL
-        elements = sequence.elements
         rows = []
-        for element in elements:
+        for element in sequence.elements:
             if element.items:
                 rows.append(
                     [self.match_at(child, element, keep) for child in children]
@@ -423,36 +302,4 @@ class CompactPatternEngine:
             else:  # hoist the compiled matcher out of the child loop
                 matcher = self._leaf_matcher(element, keep)
                 rows.append([matcher(child) for child in children])
-        evars = [
-            self.info(e).all_vars if keep is None else self.info(e).all_vars & keep
-            for e in elements
-        ]
-        # suffix[p]: relation of elements[i:] with element i at position p;
-        # built right to left so each (connector, position) joins once.
-        suffix = rows[-1]
-        suffix_vars = evars[-1]
-        for i in range(len(elements) - 2, -1, -1):
-            here = rows[i]
-            if sequence.connectors[i] == "next":
-                nxt = suffix[1:] + [_EMPTY_REL]
-            else:  # following-sibling: any strictly later position
-                nxt = [_EMPTY_REL] * n
-                acc: frozenset = _EMPTY_REL
-                for p in range(n - 2, -1, -1):
-                    later = suffix[p + 1]
-                    if later:
-                        acc = acc | later
-                    nxt[p] = acc
-            suffix = [
-                hash_join(here[p], evars[i], nxt[p], suffix_vars, self.stats)
-                if here[p] and nxt[p]
-                else _EMPTY_REL
-                for p in range(n)
-            ]
-            suffix_vars = evars[i] | suffix_vars
-        parts = [rel for rel in suffix if rel]
-        if not parts:
-            return _EMPTY_REL
-        if len(parts) == 1:
-            return parts[0]
-        return frozenset().union(*parts)
+        return join_sequence(sequence, rows, keep, self.stats)

@@ -356,19 +356,3 @@ class CompactTreeIndex:
         for i in range(lo, hi):
             yield positions[i]
 
-
-def index_for(root: TreeNode) -> TreeIndex:
-    """The cached :class:`TreeIndex` of *root* (built on first use).
-
-    The index is stored on the root node itself, so repeated queries
-    against the same tree object share one index, while temporary trees
-    release theirs with the tree.  Trees are immutable, so a cached
-    index never goes stale.
-    """
-    engine = getattr(root, "_engine", None)
-    index = getattr(engine, "index", None)
-    if isinstance(index, TreeIndex):
-        return index
-    # no engine yet, or a compact engine whose index speaks positions —
-    # either way the caller asked for the node-object view
-    return TreeIndex(root)

@@ -28,12 +28,17 @@ time, bounded searches one candidate at a time) reuse both the index and
 the memo tables.  The memo key is ``(node identity, subpattern,
 projection)``, keeping repeated subtrees and descendant recursion
 polynomial for a fixed pattern — matching the paper's DLOGSPACE/PTIME
-data-complexity results in spirit.
+data-complexity results in spirit.  The evaluator (:class:`_Evaluator`)
+is shared with the array-backed
+:class:`~repro.patterns.compact.CompactPatternEngine`; per-pattern
+analysis depends on the pattern alone and is memoized once, module-wide.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
+from typing import Any
 
 from repro.errors import XsmError
 from repro.obs import REGISTRY, trace
@@ -74,10 +79,15 @@ _TRUE_REL: frozenset = frozenset((_EMPTY_VALUATION,))
 _MISSING = object()
 
 
-class _PatternInfo:
-    """Static, per-engine analysis of one pattern node."""
+#: Distinct patterns whose static analysis :func:`pattern_info` keeps.
+#: Analyses depend on the pattern alone, so every engine shares them.
+PATTERN_MEMO_SIZE = 4096
 
-    __slots__ = ("formula_vars", "item_vars", "all_vars", "const_attrs")
+
+class PatternInfo:
+    """Static analysis of one pattern node (independent of any tree)."""
+
+    __slots__ = ("formula_vars", "item_vars", "all_vars", "const_attrs", "join_vars")
 
     def __init__(self, pattern: Pattern):
         formula: set[Var] = set()
@@ -103,38 +113,101 @@ class _PatternInfo:
             self.const_attrs: tuple | None = tuple(t.value for t in pattern.vars)
         else:
             self.const_attrs = None
+        #: variables occurring in >= 2 term positions (see join_variables)
+        counts: dict[Var, int] = {}
+        for term in pattern.terms():
+            for var in _term_vars(term):
+                counts[var] = counts.get(var, 0) + 1
+        self.join_vars = frozenset(v for v, c in counts.items() if c > 1)
 
 
-class PatternEngine:
-    """Evaluates patterns over one fixed tree; index, memo and counters.
+@lru_cache(maxsize=PATTERN_MEMO_SIZE)
+def pattern_info(pattern: Pattern) -> PatternInfo:
+    """The (memoized) static analysis of *pattern*."""
+    return PatternInfo(pattern)
 
-    One engine per tree root, obtained via :func:`engine_for`.  All
-    methods take an optional *keep* projection: ``None`` computes full
-    valuation sets (over all pattern variables); a frozenset of variables
-    runs the semi-join mode, projecting intermediate sets onto ``keep``
-    (which must contain every variable shared between two term
-    positions — see :meth:`join_variables`).
+
+def join_variables(pattern: Pattern) -> frozenset[Var]:
+    """Variables occurring in >= 2 term positions (the join variables).
+
+    Projecting valuation sets onto this set preserves joins exactly:
+    any variable shared between two subpattern relations occurs twice,
+    so it is kept; a variable occurring once constrains nothing beyond
+    its own node formula and may be dropped after binding.
+    """
+    return pattern_info(pattern).join_vars
+
+
+def bind_terms(terms: tuple, values: tuple) -> Valuation | None:
+    """The valuation binding *terms* to the attribute tuple *values*.
+
+    None when the arity differs, a constant mismatches or a repeated
+    variable meets two different values.
+    """
+    if len(terms) != len(values):
+        return None
+    binding: dict[Var, object] = {}
+    for term, value in zip(terms, values):
+        if isinstance(term, Var):
+            bound = binding.get(term, _MISSING)
+            if bound is _MISSING:
+                binding[term] = value
+            elif bound != value:
+                return None
+        elif isinstance(term, Const):
+            if term.value != value:
+                return None
+        elif isinstance(term, SkolemTerm):
+            raise XsmError(
+                "Skolem terms cannot be matched directly; instantiate the "
+                "pattern through repro.mappings.skolem first"
+            )
+        else:
+            raise TypeError(f"unexpected term {term!r}")
+    return frozenset(binding.items())
+
+
+class _Evaluator:
+    """The evaluator both pattern engines share.
+
+    A *handle* names a node of the engine's tree: the ``TreeNode``
+    itself in :class:`PatternEngine`, a preorder position in
+    :class:`~repro.patterns.compact.CompactPatternEngine`.  Subclasses
+    set ``stats``, ``index`` (whose structural tests and candidate
+    enumeration take handles), ``_mask`` and ``_top`` (the root's
+    handle), and supply the handle-dependent steps: the memoized
+    :meth:`match_at` / :meth:`match_strictly_below`, the node formula
+    and the children of a node.
+
+    Every evaluation method takes an optional *keep* projection: ``None``
+    computes full valuation sets (over all pattern variables); a
+    frozenset of variables runs the semi-join mode, projecting
+    intermediate sets onto ``keep`` (which must contain every variable
+    shared between two term positions — see :func:`join_variables`).
     """
 
-    def __init__(self, root: TreeNode):
-        self.root = root
-        self.index = TreeIndex(root)
-        self.stats = EngineStats()
-        self._info: dict[Pattern, _PatternInfo] = {}
-        self._mask: dict[Pattern, int | None] = {}
-        self._join_vars: dict[Pattern, frozenset[Var]] = {}
-        # (id(node), pattern, keep) -> relation matched AT the node
-        self._at: dict[tuple, frozenset] = {}
-        # (id(node), pattern, keep) -> relation matched strictly below
-        self._below: dict[tuple, frozenset] = {}
+    stats: EngineStats
+    index: Any  # TreeIndex / CompactTreeIndex: both speak handles
+    _mask: dict[Pattern, int | None]
+    _top: Any
 
-    # -- static pattern analysis -------------------------------------------
+    def match_at(
+        self, node: Any, pattern: Pattern, keep: frozenset | None = None
+    ) -> frozenset:
+        raise NotImplementedError
 
-    def info(self, pattern: Pattern) -> _PatternInfo:
-        cached = self._info.get(pattern)
-        if cached is None:
-            cached = self._info[pattern] = _PatternInfo(pattern)
-        return cached
+    def match_strictly_below(
+        self, node: Any, pattern: Pattern, keep: frozenset | None = None
+    ) -> frozenset:
+        raise NotImplementedError
+
+    def _match_node_formula(self, node: Any, pattern: Pattern) -> Valuation | None:
+        raise NotImplementedError
+
+    def _match_sequence(
+        self, node: Any, sequence: Sequence, keep: frozenset | None
+    ) -> frozenset:
+        raise NotImplementedError
 
     def mask(self, pattern: Pattern) -> int | None:
         """Label bitmask of *pattern* against this tree; None = unmatchable."""
@@ -142,71 +215,36 @@ class PatternEngine:
             self._mask[pattern] = self.index.labels_mask(pattern.labels_used())
         return self._mask[pattern]
 
-    def join_variables(self, pattern: Pattern) -> frozenset[Var]:
-        """Variables occurring in >= 2 term positions (the join variables).
-
-        Projecting valuation sets onto this set preserves joins exactly:
-        any variable shared between two subpattern relations occurs twice,
-        so it is kept; a variable occurring once constrains nothing beyond
-        its own node formula and may be dropped after binding.
-        """
-        cached = self._join_vars.get(pattern)
-        if cached is None:
-            counts: dict[Var, int] = {}
-            for term in pattern.terms():
-                for var in _term_vars(term):
-                    counts[var] = counts.get(var, 0) + 1
-            cached = frozenset(v for v, c in counts.items() if c > 1)
-            self._join_vars[pattern] = cached
-        return cached
-
     # -- public evaluation --------------------------------------------------
 
     def relation_at_root(self, pattern: Pattern) -> frozenset:
         """The full valuation set of *pattern* at the root."""
-        return self.match_at(self.root, pattern)
+        return self.match_at(self._top, pattern)
 
     def find_matches(self, pattern: Pattern) -> list[dict[Var, object]]:
         """All valuations of ``(T, root) |= pattern``, as dicts."""
-        return [dict(v) for v in self.match_at(self.root, pattern)]
+        return list(map(dict, self.match_at(self._top, pattern)))
 
     def match_anywhere(self, pattern: Pattern) -> frozenset:
         """Valuations of *pattern* matched at the root or any descendant."""
-        return self.match_at(self.root, pattern) | self.match_strictly_below(
-            self.root, pattern
+        return self.match_at(self._top, pattern) | self.match_strictly_below(
+            self._top, pattern
         )
 
     def exists_at_root(self, pattern: Pattern) -> bool:
         """``T |= pattern`` for some valuation (semi-join mode)."""
-        return bool(
-            self.match_at(self.root, pattern, self.join_variables(pattern))
-        )
+        return bool(self.match_at(self._top, pattern, join_variables(pattern)))
 
     def exists_anywhere(self, pattern: Pattern) -> bool:
         """Does *pattern* match at the root or at any descendant?"""
-        keep = self.join_variables(pattern)
-        return bool(self.match_at(self.root, pattern, keep)) or bool(
-            self.match_strictly_below(self.root, pattern, keep)
+        keep = join_variables(pattern)
+        return bool(self.match_at(self._top, pattern, keep)) or bool(
+            self.match_strictly_below(self._top, pattern, keep)
         )
 
     # -- the evaluator ------------------------------------------------------
 
-    def match_at(
-        self, node: TreeNode, pattern: Pattern, keep: frozenset | None = None
-    ) -> frozenset:
-        """Relation of valuations under which *pattern* matches AT *node*."""
-        key = (id(node), pattern, keep)
-        cached = self._at.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        result = self._match_at(node, pattern, keep)
-        self._at[key] = result
-        return result
-
-    def _match_at(
-        self, node: TreeNode, pattern: Pattern, keep: frozenset | None
-    ) -> frozenset:
+    def _match_at(self, node: Any, pattern: Pattern, keep: frozenset | None) -> frozenset:
         mask = self.mask(pattern)
         if mask is None or not self.index.subtree_covers(node, mask):
             self.stats.index_prunes += 1
@@ -215,7 +253,7 @@ class PatternEngine:
         base = self._match_node_formula(node, pattern)
         if base is None:
             return _EMPTY_REL
-        info = self.info(pattern)
+        info = pattern_info(pattern)
         if keep is None:
             acc_vars = info.formula_vars
         else:
@@ -231,41 +269,64 @@ class PatternEngine:
             if not rel:
                 return _EMPTY_REL
             item_vars = full_item_vars if keep is None else full_item_vars & keep
-            valuations = self._hash_join(valuations, acc_vars, rel, item_vars)
+            valuations = hash_join(valuations, acc_vars, rel, item_vars, self.stats)
             if not valuations:
                 return _EMPTY_REL
             acc_vars |= item_vars
         return valuations
 
-    def _match_node_formula(
-        self, node: TreeNode, pattern: Pattern
-    ) -> Valuation | None:
-        """Match label and attribute tuple; return the induced valuation."""
-        if pattern.label != WILDCARD and pattern.label != node.label:
-            return None
-        if pattern.vars is None:
-            return _EMPTY_VALUATION
-        if len(pattern.vars) != len(node.attrs):
-            return None
-        binding: dict[Var, object] = {}
-        for term, value in zip(pattern.vars, node.attrs):
-            if isinstance(term, Var):
-                bound = binding.get(term, _MISSING)
-                if bound is _MISSING:
-                    binding[term] = value
-                elif bound != value:
-                    return None
-            elif isinstance(term, Const):
-                if term.value != value:
-                    return None
-            elif isinstance(term, SkolemTerm):
-                raise XsmError(
-                    "Skolem terms cannot be matched directly; instantiate the "
-                    "pattern through repro.mappings.skolem first"
-                )
-            else:
-                raise TypeError(f"unexpected term {term!r}")
-        return frozenset(binding.items())
+    def _match_below(
+        self, node: Any, pattern: Pattern, keep: frozenset | None
+    ) -> frozenset:
+        mask = self.mask(pattern)
+        if mask is None or not self.index.below_covers(node, mask):
+            self.stats.index_prunes += 1
+            return _EMPTY_REL
+        info = pattern_info(pattern)
+        existence_only = keep is not None and not (info.all_vars & keep)
+        label = None if pattern.label == WILDCARD else pattern.label
+        attrs = info.const_attrs if label is not None else None
+        out: set = set()
+        for candidate in self.index.candidates(node, label, attrs):
+            self.stats.candidates_scanned += 1
+            rel = self.match_at(candidate, pattern, keep)
+            if rel:
+                if existence_only:
+                    return _TRUE_REL
+                out |= rel
+        return frozenset(out) if out else _EMPTY_REL
+
+
+class PatternEngine(_Evaluator):
+    """Evaluates patterns over one fixed tree of linked ``TreeNode`` objects.
+
+    One engine per tree root, obtained via :func:`engine_for`; the
+    index, memo tables and counters live as long as the tree.
+    """
+
+    def __init__(self, root: TreeNode):
+        self.root = root
+        self._top = root
+        self.index = TreeIndex(root)
+        self.stats = EngineStats()
+        self._mask = {}
+        # (id(node), pattern, keep) -> relation matched AT the node
+        self._at: dict[tuple, frozenset] = {}
+        # (id(node), pattern, keep) -> relation matched strictly below
+        self._below: dict[tuple, frozenset] = {}
+
+    def match_at(
+        self, node: TreeNode, pattern: Pattern, keep: frozenset | None = None
+    ) -> frozenset:
+        """Relation of valuations under which *pattern* matches AT *node*."""
+        key = (id(node), pattern, keep)
+        cached = self._at.get(key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            return cached
+        result = self._match_at(node, pattern, keep)
+        self._at[key] = result
+        return result
 
     def match_strictly_below(
         self, node: TreeNode, pattern: Pattern, keep: frozenset | None = None
@@ -280,81 +341,78 @@ class PatternEngine:
         self._below[key] = result
         return result
 
-    def _match_below(
-        self, node: TreeNode, pattern: Pattern, keep: frozenset | None
-    ) -> frozenset:
-        mask = self.mask(pattern)
-        if mask is None or not self.index.below_covers(node, mask):
-            self.stats.index_prunes += 1
-            return _EMPTY_REL
-        info = self.info(pattern)
-        existence_only = keep is not None and not (info.all_vars & keep)
-        label = None if pattern.label == WILDCARD else pattern.label
-        attrs = info.const_attrs if label is not None else None
-        out: set = set()
-        for candidate in self.index.candidates(node, label, attrs):
-            self.stats.candidates_scanned += 1
-            rel = self.match_at(candidate, pattern, keep)
-            if rel:
-                if existence_only:
-                    return _TRUE_REL
-                out |= rel
-        return frozenset(out) if out else _EMPTY_REL
+    def _match_node_formula(
+        self, node: TreeNode, pattern: Pattern
+    ) -> Valuation | None:
+        """Match label and attribute tuple; return the induced valuation."""
+        if pattern.label != WILDCARD and pattern.label != node.label:
+            return None
+        if pattern.vars is None:
+            return _EMPTY_VALUATION
+        return bind_terms(pattern.vars, node.attrs)
 
     def _match_sequence(
         self, node: TreeNode, sequence: Sequence, keep: frozenset | None
     ) -> frozenset:
         """Relation under which the sequence matches among *node*'s children."""
         children = node.children
-        n = len(children)
-        if n == 0:
+        if not children:
             return _EMPTY_REL
-        elements = sequence.elements
         rows = [
             [self.match_at(child, element, keep) for child in children]
-            for element in elements
+            for element in sequence.elements
         ]
-        evars = [
-            self.info(e).all_vars if keep is None else self.info(e).all_vars & keep
-            for e in elements
-        ]
-        # suffix[p]: relation of elements[i:] with element i at position p;
-        # built right to left so each (connector, position) joins once.
-        suffix = rows[-1]
-        suffix_vars = evars[-1]
-        for i in range(len(elements) - 2, -1, -1):
-            here = rows[i]
-            if sequence.connectors[i] == "next":
-                nxt = suffix[1:] + [_EMPTY_REL]
-            else:  # following-sibling: any strictly later position
-                nxt = [_EMPTY_REL] * n
-                acc: frozenset = _EMPTY_REL
-                for p in range(n - 2, -1, -1):
-                    later = suffix[p + 1]
-                    if later:
-                        acc = acc | later
-                    nxt[p] = acc
-            suffix = [
-                self._hash_join(here[p], evars[i], nxt[p], suffix_vars)
-                if here[p] and nxt[p]
-                else _EMPTY_REL
-                for p in range(n)
-            ]
-            suffix_vars = evars[i] | suffix_vars
-        result: frozenset = _EMPTY_REL
-        for rel in suffix:
-            if rel:
-                result = result | rel
-        return result
+        return join_sequence(sequence, rows, keep, self.stats)
 
-    def _hash_join(
-        self,
-        lhs: frozenset,
-        lhs_vars: frozenset[Var],
-        rhs: frozenset,
-        rhs_vars: frozenset[Var],
-    ) -> frozenset:
-        return hash_join(lhs, lhs_vars, rhs, rhs_vars, self.stats)
+
+def join_sequence(
+    sequence: Sequence,
+    rows: list[list[frozenset]],
+    keep: frozenset | None,
+    stats: EngineStats,
+) -> frozenset:
+    """Relation under which *sequence* matches among a node's children.
+
+    ``rows[i][p]`` is the relation (projected onto *keep*) of the
+    sequence's ``i``-th element at child ``p``.  Shared by both engines,
+    which differ only in how they compute the rows.
+    """
+    elements = sequence.elements
+    connectors = sequence.connectors
+    n = len(rows[0])
+    evars = [
+        pattern_info(e).all_vars if keep is None else pattern_info(e).all_vars & keep
+        for e in elements
+    ]
+    # suffix[p]: relation of elements[i:] with element i at position p;
+    # built right to left so each (connector, position) joins once.
+    suffix = rows[-1]
+    suffix_vars = evars[-1]
+    for i in range(len(elements) - 2, -1, -1):
+        here = rows[i]
+        if connectors[i] == "next":
+            nxt = suffix[1:] + [_EMPTY_REL]
+        else:  # following-sibling: any strictly later position
+            nxt = [_EMPTY_REL] * n
+            acc: frozenset = _EMPTY_REL
+            for p in range(n - 2, -1, -1):
+                later = suffix[p + 1]
+                if later:
+                    acc = acc | later
+                nxt[p] = acc
+        suffix = [
+            hash_join(here[p], evars[i], nxt[p], suffix_vars, stats)
+            if here[p] and nxt[p]
+            else _EMPTY_REL
+            for p in range(n)
+        ]
+        suffix_vars = evars[i] | suffix_vars
+    parts = [rel for rel in suffix if rel]
+    if not parts:
+        return _EMPTY_REL
+    if len(parts) == 1:
+        return parts[0]
+    return frozenset().union(*parts)
 
 
 def hash_join(
@@ -431,10 +489,13 @@ def engine_for(root: TreeNode) -> PatternEngine:
 
     Stored on the root node itself: trees are immutable, so the engine's
     index and memo tables never go stale, and they are released together
-    with the tree object.  Large documents get the array-backed
+    with the tree object.  The engine is chosen by the tree's node count
+    alone: trees of at least ``AUTO_THRESHOLDS["pattern-engine"]`` nodes
+    (8, the crossover measured by ``benchmarks/bench_scale.py
+    --cutover``) get the array-backed
     :class:`~repro.patterns.compact.CompactPatternEngine` (same public
-    surface, positional internals); the cutover — and the
-    ``REPRO_KERNEL`` override — lives in :mod:`repro.kernel`.
+    surface, positional internals); smaller ones the object engine,
+    which wins or ties there.
     """
     from repro.kernel import AUTO_THRESHOLDS, BITSET, select_kernel
 

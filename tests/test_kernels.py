@@ -1,37 +1,115 @@
 """Differential tests: the bitset kernels against the pure oracle.
 
-The pure-Python path is the semantic reference (DESIGN.md §7).  These
-tests pin the bitset side to it on randomized instances:
+The pure-Python path is the semantic reference (DESIGN.md §7).  Kernel
+selection follows input size alone, so these tests pin each side with
+``force_kernel`` and hold the bitset side to the pure one:
 
-* consistency verdicts over random structural mappings must be
-  *identical* under ``force_kernel("pure")`` and
-  ``force_kernel("bitset")``, and both witnesses must certify;
+* ``engine.solve`` verdicts over every example mapping and the workload
+  families must be *identical* under ``force_kernel("pure")`` and
+  ``force_kernel("bitset")``, and every decided verdict must certify;
+* consistency verdicts over random structural mappings must agree, and
+  both witnesses must certify;
 * satisfiability decisions and structural witnesses must agree;
-* the compact (array-backed) pattern engine must produce the same
-  relations as the object engine on random documents;
+* the object engine, the compact (array-backed) engine and the naive
+  oracle matcher must produce the same relations on random documents
+  on both sides of the pattern-engine cutover;
 * the worklist ``reachable_states`` must realize the same states as the
   round-based ``reachable_states_naive`` it replaced.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.consistency import is_consistent_automata
-from repro.engine import CompilationCache, ExecutionContext
+from repro.engine import Budget, CompilationCache, ExecutionContext, certify, solve
+from repro.engine.problems import (
+    AbsoluteConsistencyProblem,
+    CompositionMembershipProblem,
+    ConsistencyProblem,
+    MembershipProblem,
+)
 from repro.errors import SignatureError
-from repro.kernel import BITSET, PURE, force_kernel, select_kernel
+from repro.kernel import AUTO_THRESHOLDS, BITSET, PURE, force_kernel, select_kernel
+from repro.mappings.io import parse_mapping
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import is_solution
 from repro.mappings.std import STD
 from repro.patterns.compact import CompactPatternEngine
-from repro.patterns.matching import PatternEngine
+from repro.patterns.matching import PatternEngine, engine_for
+from repro.patterns.parser import parse_pattern
 from repro.patterns.satisfiability import is_satisfiable, structural_witness
+from repro.verification.oracle import NaiveMatcher
+from repro.workloads import families
 from repro.workloads.random_instances import (
     abstract_pattern_from_tree,
     random_arbitrary_dtd,
     random_tree_from_dtd,
 )
+from repro.xmlmodel.tree import TreeNode
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _differential_problems() -> list:
+    """Every example mapping, and the family sizes the other tests use."""
+    params = []
+    for path in sorted((REPO_ROOT / "examples" / "mappings").glob("*.xsm")):
+        mapping = parse_mapping(path.read_text())
+        for kind in (ConsistencyProblem, AbsoluteConsistencyProblem):
+            params.append(pytest.param(kind(mapping), id=f"{path.stem}-{kind.__name__}"))
+    cells = [
+        (ConsistencyProblem, families.cons_arbitrary_family, (1, 2, 3)),
+        (ConsistencyProblem, families.cons_nested_family, (1, 3, 6)),
+        (ConsistencyProblem, families.cons_next_sibling_family, (2, 3)),
+        (ConsistencyProblem, families.distinct_values_family, (2, 3)),
+        (ConsistencyProblem, families.equality_case_split_family, (1, 2)),
+        (AbsoluteConsistencyProblem, families.abscons_sm0_family, (1, 3)),
+        (AbsoluteConsistencyProblem, families.abscons_ptime_family, (1, 3)),
+        (AbsoluteConsistencyProblem, families.abscons_wildcard_family, (3,)),
+    ]
+    for kind, family, sizes in cells:
+        for n in sizes:
+            for consistent in (True, False):
+                params.append(pytest.param(
+                    kind(family(n, consistent=consistent)),
+                    id=f"{family.__name__}-{n}-{consistent}",
+                ))
+    mapping = families.membership_mapping(2)
+    source = families.flat_document(4, n_values=2)
+    for items in (4, 0):
+        target = families.target_document(items, n_values=2)
+        params.append(pytest.param(
+            MembershipProblem(mapping, source, target), id=f"membership-{items}"
+        ))
+    for n in (1, 2):
+        params.append(pytest.param(
+            CompositionMembershipProblem(*families.composition_choice_family(n)),
+            id=f"composition_choice_family-{n}",
+        ))
+    return params
+
+
+#: The bounded abscons search over the undecidable example grows
+#: steeply with the tree bound; 3 keeps the pair of runs under a second.
+_SMALL_BUDGET = Budget(max_source_size=3, max_target_size=3)
+
+
+@pytest.mark.parametrize("problem", _differential_problems())
+def test_solve_verdicts_agree_across_kernels(problem):
+    budget = _SMALL_BUDGET if isinstance(problem, AbsoluteConsistencyProblem) else None
+    verdicts = {}
+    for kernel in (PURE, BITSET):
+        context = ExecutionContext(budget=budget, cache=CompilationCache())
+        with force_kernel(kernel):
+            verdicts[kernel] = solve(problem, context)
+    assert verdicts[PURE].decision() == verdicts[BITSET].decision()
+    for kernel, verdict in verdicts.items():
+        if not verdict.is_unknown:
+            with force_kernel(PURE):  # re-check on the oracle path
+                assert certify(verdict), f"{kernel} verdict fails certification"
 
 
 def random_structural_mapping(rng: random.Random) -> SchemaMapping:
@@ -51,8 +129,6 @@ def random_structural_mapping(rng: random.Random) -> SchemaMapping:
                 rng, random_tree_from_dtd(target_dtd, rng, max_nodes=5)
             )
         else:
-            from repro.patterns.parser import parse_pattern
-
             target_pattern = parse_pattern("t[zzz_nowhere]")
         stds.append(STD(source_pattern, target_pattern))
     return SchemaMapping(source_dtd, target_dtd, stds)
@@ -111,9 +187,7 @@ def test_satisfiability_agrees_across_kernels(seed):
         )
 
 
-def random_document(rng: random.Random) -> "TreeNode":
-    from repro.xmlmodel.tree import TreeNode
-
+def random_document(rng: random.Random) -> TreeNode:
     labels = ["a", "b", "c", "d"]
 
     def build(depth: int) -> TreeNode:
@@ -131,40 +205,60 @@ def random_document(rng: random.Random) -> "TreeNode":
     )
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_compact_engine_matches_object_engine(seed):
-    from repro.patterns.parser import parse_pattern
+def random_sized_document(rng: random.Random, n_nodes: int) -> TreeNode:
+    """A random ``r``-rooted document of exactly *n_nodes* nodes."""
+    children: list[list[int]] = [[] for __ in range(n_nodes)]
+    for node in range(1, n_nodes):
+        children[rng.randrange(node)].append(node)
+    built: list = [None] * n_nodes
+    for node in range(n_nodes - 1, -1, -1):  # children before parents
+        label = "r" if node == 0 else rng.choice("abcd")
+        attrs = tuple(str(rng.randint(0, 3)) for __ in range(rng.randint(0, 2)))
+        built[node] = TreeNode(label, attrs, tuple(built[c] for c in children[node]))
+    return built[0]
 
-    rng = random.Random(3000 + seed)
-    root = random_document(rng)
-    object_engine = PatternEngine(root)
-    compact_engine = CompactPatternEngine(root)
-    sources = [
-        "r//a",
-        "r[a -> b]",
-        "r//a(x)[b(x)]",
-        "r//_(x,y)",
-        "r[a ->* c]//b(x)",
-        "r//a[b(x) -> c(x)]",
-        "r//a[//b(x,y)]",
-        'r//a("1",x)',
-    ]
-    patterns = [parse_pattern(s) for s in sources] + [
+
+#: Patterns exercising every axis, joins, constants and wildcards.
+ENGINE_PATTERNS = [
+    "r//a",
+    "r[a -> b]",
+    "r//a(x)[b(x)]",
+    "r//_(x,y)",
+    "r[a ->* c]//b(x)",
+    "r//a[b(x) -> c(x)]",
+    "r//a[//b(x,y)]",
+    'r//a("1",x)',
+]
+
+
+def engine_patterns(rng: random.Random, root: TreeNode) -> list:
+    return [parse_pattern(s) for s in ENGINE_PATTERNS] + [
         abstract_pattern_from_tree(rng, root) for __ in range(3)
     ]
-    for pattern in patterns:
-        assert object_engine.relation_at_root(pattern) == (
-            compact_engine.relation_at_root(pattern)
-        ), f"relation mismatch for {pattern}"
-        assert object_engine.match_anywhere(pattern) == (
-            compact_engine.match_anywhere(pattern)
-        ), f"anywhere mismatch for {pattern}"
-        assert object_engine.exists_at_root(pattern) == (
-            compact_engine.exists_at_root(pattern)
-        )
-        assert object_engine.exists_anywhere(pattern) == (
-            compact_engine.exists_anywhere(pattern)
-        )
+
+
+#: One sized document per seed, on both sides of the engine cutover.
+SIZED_DOCUMENTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 33, 48, 64]
+
+
+@pytest.mark.parametrize("seed", range(len(SIZED_DOCUMENTS)))
+def test_compact_engine_matches_object_engine(seed):
+    """The object engine, the compact engine and the naive oracle agree."""
+    rng = random.Random(3000 + seed)
+    for root in (random_document(rng), random_sized_document(rng, SIZED_DOCUMENTS[seed])):
+        engines = (PatternEngine(root), CompactPatternEngine(root))
+        for pattern in engine_patterns(rng, root):
+            naive = NaiveMatcher()
+            at_root = frozenset(naive.match_at(root, pattern))
+            anywhere = frozenset(naive.match_at_or_below(root, pattern))
+            for engine in engines:
+                name = type(engine).__name__
+                assert engine.relation_at_root(pattern) == at_root, (name, pattern)
+                assert engine.match_anywhere(pattern) == anywhere, (name, pattern)
+                assert engine.exists_at_root(pattern) == bool(at_root)
+                assert engine.exists_anywhere(pattern) == bool(anywhere)
+                found = {frozenset(m.items()) for m in engine.find_matches(pattern)}
+                assert found == at_root, (name, pattern)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -181,35 +275,36 @@ def test_worklist_reachability_matches_naive(seed):
         assert run(automaton, witness) == state
 
 
-def test_kernel_selection_thresholds():
-    from repro.kernel import AUTO_THRESHOLDS, FORCED_BITSET_FLOORS
-
-    threshold = AUTO_THRESHOLDS["automata"]
-    with force_kernel(None):  # forced-auto: mask any REPRO_KERNEL from CI
-        assert select_kernel("automata", threshold - 1) == PURE
-        assert select_kernel("automata", threshold) == BITSET
+def test_kernel_selection_thresholds(monkeypatch):
+    # size alone decides: no environment setting is consulted
+    monkeypatch.setenv("REPRO_KERNEL", "bitset")
+    for surface, threshold in AUTO_THRESHOLDS.items():
+        assert select_kernel(surface, threshold - 1) == PURE
+        assert select_kernel(surface, threshold) == BITSET
+    # the differential seam pins a kernel on every surface and size
     with force_kernel(PURE):
-        assert select_kernel("automata", threshold) == PURE
+        assert select_kernel("automata", 10**6) == PURE
     with force_kernel(BITSET):
-        assert select_kernel("automata", 1) == BITSET
-        # the pattern surface keeps tiny trees on the object engine
-        floor = FORCED_BITSET_FLOORS["pattern-engine"]
-        assert select_kernel("pattern-engine", floor - 1) == PURE
-        assert select_kernel("pattern-engine", floor) == BITSET
+        assert select_kernel("pattern-engine", 1) == BITSET
+    with pytest.raises(ValueError):
+        with force_kernel("auto"):
+            pass
 
 
 def test_engine_for_selects_compact_above_threshold():
-    from repro.kernel import AUTO_THRESHOLDS
-    from repro.patterns.matching import engine_for
-    from repro.xmlmodel.tree import TreeNode
+    n = AUTO_THRESHOLDS["pattern-engine"]
 
-    with force_kernel(None):  # forced-auto: mask any REPRO_KERNEL from CI
-        small = TreeNode("r", (), (TreeNode("a", (), ()),))
-        assert type(engine_for(small)) is PatternEngine
+    def flat(n_nodes: int) -> TreeNode:
+        return TreeNode("r", (), tuple(TreeNode("a") for __ in range(n_nodes - 1)))
 
-        n = AUTO_THRESHOLDS["pattern-engine"]
-        big = TreeNode("r", (), tuple(TreeNode("a", (), ()) for __ in range(n)))
-        assert type(engine_for(big)) is CompactPatternEngine
+    assert type(engine_for(flat(n - 1))) is PatternEngine
+    assert type(engine_for(flat(n))) is CompactPatternEngine
+
+
+def test_engine_cutover_is_the_journaled_crossover():
+    """The pattern-engine cutover is the one bench_scale.py measured."""
+    meta = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())["_meta"]
+    assert AUTO_THRESHOLDS["pattern-engine"] == meta["engine-cutover"]["crossover"]
 
 
 def test_cache_keys_do_not_cross_kernels():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.patterns.index import TreeIndex, index_for
+from repro.patterns.index import TreeIndex
 from repro.patterns.matching import engine_for, find_matches
 from repro.patterns.parser import parse_pattern
 from repro.verification.oracle import naive_find_matches
@@ -96,14 +96,10 @@ class TestCaching:
     def test_engine_is_cached_on_the_root(self, document):
         engine = engine_for(document)
         assert engine_for(document) is engine
-        assert index_for(document) is engine.index
 
     def test_distinct_trees_get_distinct_engines(self):
         left, right = parse_tree("r[a]"), parse_tree("r[a]")
         assert engine_for(left) is not engine_for(right)
-
-    def test_index_for_without_engine_builds_fresh(self, document):
-        assert index_for(document).root is document
 
 
 class TestSharedSubtreeObjects:
