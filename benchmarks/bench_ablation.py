@@ -1,7 +1,8 @@
 """Ablations — experiments A1–A3 (design choices called out in DESIGN.md).
 
-* A1: dead-state pruning in the automata reachability (the lazy product
-  exploration) — with vs without.
+* A1: the conforming-product search in the automata reachability
+  (``conformance=``: dead-state pruning plus the label index) — with vs
+  without.
 * A2: growth of the closure automaton's realized state space with the
   number of tracked patterns.
 * A3: trigger-set reachability (one automaton pass) vs the naive
@@ -39,11 +40,7 @@ def test_a1_pruning_ablation(benchmark):
 
     def pruned(n: int) -> int:
         dtd_automaton, product = _product(cons_arbitrary_family(n))
-        realized = reachable_states(
-            product,
-            prune=lambda state: not state[0][1],
-            prune_horizontal=lambda label, h: dtd_automaton.horizontal_dead(h[0]),
-        )
+        realized = reachable_states(product, conformance=dtd_automaton)
         return len(realized)
 
     def unpruned(n: int) -> int:
@@ -54,7 +51,7 @@ def test_a1_pruning_ablation(benchmark):
     pruned_rows = sweep(range(1, 5), lambda n: lambda: pruned(n))
     print_table(
         "A1a",
-        "reachability WITH dead-state pruning (states realized)",
+        "reachability WITH conformance= (dead-state pruning, label index)",
         pruned_rows,
         size_label="choices",
     )
@@ -75,11 +72,7 @@ def test_a2_closure_automaton_growth(benchmark):
     def measure(n: int) -> int:
         mapping = cons_arbitrary_family(n)
         dtd_automaton, product = _product(mapping)
-        realized = reachable_states(
-            product,
-            prune=lambda state: not state[0][1],
-            prune_horizontal=lambda label, h: dtd_automaton.horizontal_dead(h[0]),
-        )
+        realized = reachable_states(product, conformance=dtd_automaton)
         return len(realized)
 
     rows = sweep(range(1, 6), lambda n: lambda: measure(n))
@@ -120,11 +113,7 @@ def test_a3_triggersets_vs_subset_enumeration(benchmark):
         dtd_automaton, product = _product(mapping)
         closure = product.components[1]
         skipped_patterns = {std.source for std in skipped}
-        realized = reachable_states(
-            product,
-            prune=lambda state: not state[0][1],
-            prune_horizontal=lambda label, h: dtd_automaton.horizontal_dead(h[0]),
-        )
+        realized = reachable_states(product, conformance=dtd_automaton)
         for state, __ in realized.items():
             if not dtd_automaton.is_accepting(state[0]):
                 continue

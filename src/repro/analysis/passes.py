@@ -39,7 +39,6 @@ from repro.values import Const, SkolemTerm, Var
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
     from repro.mappings.mapping import SchemaMapping
-    from repro.patterns.matching import PatternEngine
     from repro.xmlmodel.dtd import DTD
     from repro.xmlmodel.tree import TreeNode
 
@@ -275,22 +274,14 @@ def _satisfiability_pattern(pattern: Pattern) -> Pattern:
     return pattern
 
 
-#: Caps for the quick witness probe: total conforming trees examined and
-#: the largest tree size tried before falling back to the exact check.
-_QUICK_WITNESS_TREES = 512
-_QUICK_WITNESS_MAX_SIZE = 16
-
-
 def _pattern_as_tree(dtd: "DTD", pattern: Pattern) -> "TreeNode | None":
     """The identity-embedding candidate witness, or None (wildcards).
 
     Laying the pattern out literally — sequence elements as adjacent
     siblings, a descendant as a direct child, constants as values and one
     fresh value everywhere else — yields a tree the pattern matches by
-    construction.  If that tree happens to conform to the DTD,
-    satisfiability is certified in O(pattern) with no enumeration at all;
-    if not (required siblings missing, arity off), the caller falls back
-    to the enumerated probe.
+    construction.  It rarely conforms as it stands (required siblings
+    are missing); :class:`_WitnessProbe` completes it.
     """
     from repro.patterns.satisfiability import FRESH
     from repro.xmlmodel.tree import TreeNode
@@ -317,77 +308,96 @@ def _pattern_as_tree(dtd: "DTD", pattern: Pattern) -> "TreeNode | None":
     return TreeNode(pattern.label, attrs, tuple(children))
 
 
-def _decorate_fresh(dtd: "DTD", node: "TreeNode") -> "TreeNode":
-    """Attach the single fresh value to every attribute slot."""
-    from repro.patterns.satisfiability import FRESH
-    from repro.xmlmodel.tree import TreeNode
-
-    return TreeNode(
-        node.label,
-        (FRESH,) * dtd.arity(node.label),
-        tuple(_decorate_fresh(dtd, child) for child in node.children),
-    )
-
-
 class _WitnessProbe:
-    """Small conforming trees of one DTD, shared across a hygiene pass.
+    """Cheap satisfiability witnesses under one DTD, shared across a hygiene pass.
 
     :meth:`certify` is sound one-way: True means a witness was found,
     False means nothing — the exact automata check still has the last
-    word.  Decorating every attribute slot with one fresh value is
-    complete for constant-free patterns (the same collapse argument as
-    the structural layer of :mod:`repro.patterns.satisfiability`), so
-    patterns with constants skip straight to the exact check.  Trees and
-    their match engines are materialized lazily, smallest first, and kept
-    for the next std — the probe is what keeps the linter an order of
-    magnitude cheaper than solving: most stds have a small witness, and
-    only genuinely dead (or huge-witness) patterns pay for automata.
+    word.  The witness is the identity-embedding candidate of
+    :func:`_pattern_as_tree`: as it stands if it conforms, and otherwise
+    *completed* to a conforming tree.  At each node the candidate's
+    children are placed in order into the cheapest word of the
+    production that contains them
+    (:meth:`~repro.xmlmodel.dtd.DTD._cheapest_word`), and every other
+    position gets a minimal subtree; words and fillers are memoized for
+    the next std.  The completion keeps the identity embedding, and with
+    it the match, unless the pattern has a ``next`` connector — a filler
+    between two adjacent siblings breaks it — so only then is the match
+    re-checked.  Patterns with wildcards, and candidates no production
+    can complete, go straight to the exact check.  This is what keeps the
+    linter cheaper than solving: most stds have such a witness, and only
+    genuinely dead (or oddly shaped) patterns pay for automata.
     """
 
     def __init__(self, dtd: "DTD") -> None:
-        from repro.verification.enumeration import LabelTreeEnumerator
-
         self.dtd = dtd
-        self._enumerator = LabelTreeEnumerator(dtd)
-        self._engines: list[tuple[frozenset[str], "PatternEngine"]] = []
-        self._next_size = 1
-        self._remaining = _QUICK_WITNESS_TREES
+        self._costs: "dict[str, float] | None" = None
+        self._words: "dict[tuple, tuple[str, ...] | None]" = {}
+        self._fillers: "dict[str, TreeNode]" = {}
 
     def certify(self, pattern: Pattern) -> bool:
-        from repro.patterns.matching import engine_for
+        from repro.patterns.matching import matches_at_root
 
         candidate = _pattern_as_tree(self.dtd, pattern)
-        if candidate is not None and self.dtd.conforms(candidate):
-            return True
-        if any(isinstance(term, Const) for term in pattern.terms()):
+        if candidate is None:
             return False
-        needed = pattern.labels_used()
-
-        def hit(entries: "list[tuple[frozenset[str], PatternEngine]]") -> bool:
-            # a tree missing one of the pattern's labels can never match;
-            # the frozenset check keeps the scan cheap across many stds
-            return any(
-                needed <= labels and engine.exists_at_root(pattern)
-                for labels, engine in entries
-            )
-
-        if hit(self._engines):
+        if self.dtd.conforms(candidate):
             return True
-        while self._next_size <= _QUICK_WITNESS_MAX_SIZE and self._remaining > 0:
-            checked = len(self._engines)
-            for skeleton in self._enumerator.trees_of(
-                self.dtd.root, self._next_size
-            ):
-                if self._remaining <= 0:
-                    break
-                self._remaining -= 1
-                tree = _decorate_fresh(self.dtd, skeleton)
-                labels = frozenset(node.label for node in tree.nodes())
-                self._engines.append((labels, engine_for(tree)))
-            self._next_size += 1
-            if hit(self._engines[checked:]):
-                return True
-        return False
+        if self._costs is None:
+            self._costs = self.dtd.label_costs()
+        tree = self._complete(candidate)
+        if tree is None or not self.dtd.conforms(tree):
+            return False
+        return not axes_of(pattern).next_sibling or matches_at_root(pattern, tree)
+
+    def _complete(self, node: "TreeNode") -> "TreeNode | None":
+        from repro.xmlmodel.tree import TreeNode
+
+        if node.label not in self.dtd.productions:
+            return None
+        children = []
+        for child in node.children:
+            completed = self._complete(child)
+            if completed is None:
+                return None
+            children.append(completed)
+        word = self._word(node.label, tuple(child.label for child in children))
+        if word is None:
+            return None
+        # the word holds the children's labels as a subsequence: place
+        # them leftmost-first, fill the rest (all of finite cost)
+        placed = iter(children)
+        pending = next(placed, None)
+        completed_children = []
+        for symbol in word:
+            if pending is not None and symbol == pending.label:
+                completed_children.append(pending)
+                pending = next(placed, None)
+            else:
+                completed_children.append(self._filler(symbol))
+        return TreeNode(node.label, node.attrs, tuple(completed_children))
+
+    def _word(self, label: str, embed: tuple[str, ...]) -> "tuple[str, ...] | None":
+        key = (label, embed)
+        if key not in self._words:
+            self._words[key] = self.dtd._cheapest_word(label, self._costs, embed)
+        return self._words[key]
+
+    def _filler(self, label: str) -> "TreeNode":
+        """A minimal subtree for *label*, every attribute the fresh value."""
+        from repro.patterns.satisfiability import FRESH
+        from repro.xmlmodel.tree import TreeNode
+
+        filler = self._fillers.get(label)
+        if filler is None:
+            word = self._word(label, ())
+            filler = TreeNode(
+                label,
+                (FRESH,) * self.dtd.arity(label),
+                tuple(self._filler(symbol) for symbol in word),
+            )
+            self._fillers[label] = filler
+        return filler
 
 
 def _dead_and_unsafe(

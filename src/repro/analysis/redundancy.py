@@ -315,6 +315,11 @@ def subsumes(subsuming: STD, subsumed: STD) -> Translation | None:
     """
     if not (_eligible(subsuming) and _eligible(subsumed)):
         return None
+    return _subsumes(subsuming, subsumed)
+
+
+def _subsumes(subsuming: STD, subsumed: STD) -> Translation | None:
+    """:func:`subsumes` for stds already known to be eligible."""
     for translation in _embed(
         subsuming.source, subsumed.source, {}, source_side=True
     ):
@@ -345,12 +350,24 @@ def find_redundancies(mapping: "SchemaMapping") -> list[Subsumption]:
     *earlier* copy; proper subsumptions report the subsumed std, and a
     mutually-subsumed pair without syntactic equality reports only the
     later index, so removing every reported std is always safe.
+
+    Eligibility is decided once per std.  A pair is tried only when the
+    subsuming source's labels (wildcards aside) all occur in the subsumed
+    source: the source homomorphism maps every labelled node onto a node
+    with the same label, so no other pair can have a certificate.
     """
     stds = mapping.stds
     eligible = [_eligible(std) for std in stds]
     canonical = [
         _canonical(std) if ok else None for std, ok in zip(stds, eligible)
     ]
+    labels = [std.source.labels_used() for std in stds]
+
+    def subsumes_eligible(by: int, index: int) -> Translation | None:
+        if not labels[by] <= labels[index]:
+            return None
+        return _subsumes(stds[by], stds[index])
+
     results: list[Subsumption] = []
     redundant: set[int] = set()
     for index in range(len(stds)):
@@ -365,10 +382,10 @@ def find_redundancies(mapping: "SchemaMapping") -> list[Subsumption]:
                     redundant.add(index)
                     break
                 continue
-            translation = subsumes(stds[other], stds[index])
+            translation = subsumes_eligible(other, index)
             if translation is None:
                 continue
-            mutual = subsumes(stds[index], stds[other]) is not None
+            mutual = subsumes_eligible(index, other) is not None
             if mutual and other > index:
                 continue  # the later index of a mutual pair is reported
             results.append(

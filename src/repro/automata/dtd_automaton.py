@@ -26,9 +26,27 @@ class DTDAutomaton(TreeAutomaton):
     def __init__(self, dtd: DTD, extra_labels: Iterable[str] = ()):
         self.dtd = dtd
         self._labels = frozenset(dtd.labels) | frozenset(extra_labels)
+        self._child_labels: dict[str, tuple[str, ...]] | None = None
 
     def labels(self) -> Iterable[str]:
         return self._labels
+
+    def child_labels(self, label: str) -> tuple[str, ...]:
+        """The labels a child of a conforming *label* node may carry.
+
+        The production's alphabet within the automaton's labels; ``()``
+        for labels without a production.  Stepping a *label* row with a
+        child of any other label lands in a dead row, which is what lets
+        :func:`~repro.automata.duta.reachable_states` skip those steps.
+        """
+        if self._child_labels is None:
+            self._child_labels = {
+                parent: tuple(
+                    sorted(self.dtd.production_nfa(parent).alphabet() & self._labels)
+                )
+                for parent in self.dtd.productions
+            }
+        return self._child_labels.get(label, ())
 
     def initial_horizontal(self, label: str):
         if label not in self.dtd.productions:

@@ -15,15 +15,21 @@ library (subsets of NFA states, sets of subpatterns, and tuples thereof).
 :func:`reachable_states` computes the set of vertical states realized by
 *some* tree, together with a witness tree per state — this is emptiness
 testing with counterexample extraction, the engine behind the consistency
-algorithms of Section 5.
+algorithms of Section 5.  Most of those searches run over a product whose
+first component is a DTD automaton; passed as ``conformance=``, it lets the
+worklist prune non-conforming states and step a child only under parents
+whose content model can read its label.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.xmlmodel.tree import TreeNode
+
+if TYPE_CHECKING:
+    from repro.automata.dtd_automaton import DTDAutomaton
 
 State = Hashable
 HState = Hashable
@@ -137,12 +143,36 @@ class _Stop(Exception):
     """Internal: raised to unwind the worklist once *stop* fires."""
 
 
+def _conformance_hooks(
+    automaton: TreeAutomaton,
+    prune: Callable[[State], bool] | None,
+    conformance: "DTDAutomaton",
+) -> tuple[Callable[[State], bool], Callable[[HState], bool]]:
+    """The vertical and horizontal prune tests a *conformance* component implies.
+
+    Checks the contract (component 0 of a :class:`ProductAutomaton`) and
+    folds the caller's own *prune*, if any, into the vertical test.
+    """
+    components = getattr(automaton, "components", ())
+    if not components or components[0] is not conformance:
+        raise ValueError(
+            "conformance= must be component 0 of the product being searched"
+        )
+    state_ok = conformance.state_ok
+    dead = conformance.horizontal_dead
+    if prune is None:
+        vertical = lambda state: not state_ok(state[0])
+    else:
+        vertical = lambda state: not state_ok(state[0]) or prune(state)
+    return vertical, lambda hstate: dead(hstate[0])
+
+
 def reachable_states(
     automaton: TreeAutomaton,
     stop: Callable[[State], bool] | None = None,
     max_states: int | None = None,
     prune: Callable[[State], bool] | None = None,
-    prune_horizontal: Callable[[str, HState], bool] | None = None,
+    conformance: "DTDAutomaton | None" = None,
     charge: Callable[[], None] | None = None,
 ) -> dict[State, TreeNode]:
     """All vertical states realized by some tree, with a witness tree each.
@@ -164,33 +194,52 @@ def reachable_states(
 
     *prune* discards useless states: a state satisfying it is neither
     recorded nor offered as a child later.  Sound whenever pruned states
-    can never occur inside an accepted tree (e.g. non-conforming subtrees
-    in a product with a DTD automaton); pruning them collapses the search
-    space dramatically.  *prune_horizontal* does the same for horizontal
-    states (e.g. once the DTD component's word subset is empty, no
-    extension of the child sequence can recover).
+    can never occur inside an accepted tree.
+
+    *conformance* is the DTD automaton (any kernel) that is component 0
+    of the :class:`ProductAutomaton` *automaton*; it makes the search a
+    conforming-product search.  States whose DTD component records a
+    non-conforming subtree are pruned, and so are horizontal states whose
+    DTD row is dead (no extension of the child sequence can recover).
+    Realized states are indexed by the label they were finished under,
+    and a horizontal state of label ``L`` is stepped only with children
+    whose label is in ``conformance.child_labels(L)`` — every other step
+    lands in a dead DTD row.  The skipped steps are exactly the ones the
+    pruning would discard, so the realized states, their discovery order
+    and their witnesses are those of the unindexed search with the same
+    pruning.
 
     *charge* is called once per newly realized state — the engine layer's
     budget accounting hook (it may raise to abort the saturation).
     """
     labels = sorted(automaton.labels(), key=repr)
+    dead = None
+    if conformance is not None:
+        prune, dead = _conformance_hooks(automaton, prune, conformance)
     realized: dict[State, TreeNode] = {}
-    #: realized states in discovery order; hstates record how much of
-    #: this list they have already been extended by
-    order: list[State] = []
     pruned: set[State] = set()
-    #: per label: hstate -> (children used to reach it, index into
-    #: ``order`` up to which extensions have been queued)
+    #: per label: hstate -> children used to reach it
     paths: dict[str, dict[HState, tuple[State, ...]]] = {}
+    #: per child label: the labels of the parents that may read it
+    if conformance is None:
+        readers = dict.fromkeys(labels, labels)
+    else:
+        readers = {label: [] for label in labels}
+        for parent in labels:
+            for child in conformance.child_labels(parent):
+                readers[child].append(parent)
+    #: per parent label: the realized states it may read, in discovery order
+    children_of: dict[str, list[State]] = {label: [] for label in labels}
     #: ("h", label, hstate) — a new horizontal state to extend and finish;
-    #: ("s", state) — a new vertical state to offer to all known hstates
+    #: ("s", state, label) — a new vertical state to offer to the known
+    #: hstates of the labels that may read it
     worklist: deque[tuple] = deque()
 
     def add_horizontal(label: str, hstate: HState, children: tuple[State, ...]) -> None:
         label_paths = paths[label]
         if hstate in label_paths:
             return
-        if prune_horizontal is not None and prune_horizontal(label, hstate):
+        if dead is not None and dead(hstate):
             return
         label_paths[hstate] = children
         worklist.append(("h", label, hstate))
@@ -204,13 +253,15 @@ def reachable_states(
         if charge is not None:
             charge()
         realized[state] = TreeNode(label, (), tuple(realized[c] for c in children))
-        order.append(state)
-        worklist.append(("s", state))
+        for parent in readers[label]:
+            children_of[parent].append(state)
+        worklist.append(("s", state, label))
         if stop is not None and stop(state):
             raise _Stop
         if max_states is not None and len(realized) > max_states:
             raise RuntimeError(f"reachability exceeded {max_states} states")
 
+    step = automaton.step_horizontal
     try:
         for label in labels:
             paths[label] = {}
@@ -223,21 +274,16 @@ def reachable_states(
                 # finish first: leaves realize states before any child
                 # sequence of positive length is explored
                 add_state(automaton.finish(label, hstate), label, children)
-                for child in order:
+                for child in children_of[label]:
                     add_horizontal(
-                        label,
-                        automaton.step_horizontal(label, hstate, child),
-                        children + (child,),
+                        label, step(label, hstate, child), children + (child,)
                     )
             else:
-                child = task[1]
-                for label in labels:
-                    step = automaton.step_horizontal
+                __, child, child_label = task
+                for label in readers[child_label]:
                     for hstate, children in list(paths[label].items()):
                         add_horizontal(
-                            label,
-                            step(label, hstate, child),
-                            children + (child,),
+                            label, step(label, hstate, child), children + (child,)
                         )
     except _Stop:
         pass
@@ -249,17 +295,22 @@ def reachable_states_naive(
     stop: Callable[[State], bool] | None = None,
     max_states: int | None = None,
     prune: Callable[[State], bool] | None = None,
-    prune_horizontal: Callable[[str, HState], bool] | None = None,
+    conformance: "DTDAutomaton | None" = None,
     charge: Callable[[], None] | None = None,
 ) -> dict[State, TreeNode]:
     """The original round-based saturation; kept as the differential oracle.
 
     Semantically identical to :func:`reachable_states` (same realized set,
     same hook contract) but re-runs the full horizontal BFS of every label
-    each round, so it is quadratically slower on large products.  The law
-    tests compare the two on random automata.
+    each round, so it is quadratically slower on large products.
+    *conformance* only prunes here (non-conforming states, dead DTD rows):
+    every horizontal state is still stepped with every realized child, so
+    the tests can check the label index against it.
     """
     labels = sorted(automaton.labels(), key=repr)
+    dead = None
+    if conformance is not None:
+        prune, dead = _conformance_hooks(automaton, prune, conformance)
     realized: dict[State, TreeNode] = {}
     pruned: set[State] = set()
     changed = True
@@ -268,7 +319,7 @@ def reachable_states_naive(
         known = list(realized)
         for label in labels:
             initial = automaton.initial_horizontal(label)
-            if prune_horizontal is not None and prune_horizontal(label, initial):
+            if dead is not None and dead(initial):
                 continue
             # BFS over horizontal states; remember the children used
             paths: dict[HState, tuple[State, ...]] = {initial: ()}
@@ -279,9 +330,7 @@ def reachable_states_naive(
                     successor = automaton.step_horizontal(label, hstate, child_state)
                     if successor in paths:
                         continue
-                    if prune_horizontal is not None and prune_horizontal(
-                        label, successor
-                    ):
+                    if dead is not None and dead(successor):
                         continue
                     paths[successor] = paths[hstate] + (child_state,)
                     queue.append(successor)
@@ -311,13 +360,14 @@ def find_accepted(
     automaton: TreeAutomaton,
     predicate: Callable[[State], bool] | None = None,
     prune: Callable[[State], bool] | None = None,
-    prune_horizontal: Callable[[str, HState], bool] | None = None,
+    conformance: "DTDAutomaton | None" = None,
     charge: Callable[[], None] | None = None,
 ) -> tuple[State, TreeNode] | None:
     """Find some tree whose root state satisfies *predicate* (default: accepting).
 
     Returns ``(state, witness_tree)`` or None when no tree qualifies —
-    i.e., emptiness testing with counterexample extraction.
+    i.e., emptiness testing with counterexample extraction.  *prune*,
+    *conformance* and *charge* are passed on to :func:`reachable_states`.
     """
     if predicate is None:
         predicate = automaton.is_accepting
@@ -325,7 +375,7 @@ def find_accepted(
         automaton,
         stop=predicate,
         prune=prune,
-        prune_horizontal=prune_horizontal,
+        conformance=conformance,
         charge=charge,
     )
     for state, witness in realized.items():

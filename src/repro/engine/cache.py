@@ -437,18 +437,21 @@ def dtd_automaton(
     and artifacts are byte-identical to the pre-kernel cache) or
     ``"bitset"`` for the integer-encoded fast path.  The two kernels use
     distinct artifact kinds, so a disk tier never serves one in place of
-    the other.
+    the other.  Only the undeclared extras enter the key: the automaton's
+    alphabet is ``dtd.labels | extra_labels``, so patterns over declared
+    labels share one compiled automaton.
     """
     cache = resolve_cache(context)
+    extra = frozenset(extra_labels) - dtd.labels
     if kernel == BITSET:
         return cache.lookup(
-            ("bitset-dtd-automaton", dtd_key(dtd), frozenset(extra_labels)),
-            lambda: BitsetDTDAutomaton(dtd, extra_labels),
+            ("bitset-dtd-automaton", dtd_key(dtd), extra),
+            lambda: BitsetDTDAutomaton(dtd, extra),
             deps=dtd_digests(dtd),
         )
     return cache.lookup(
-        ("dtd-automaton", dtd_key(dtd), frozenset(extra_labels)),
-        lambda: CompiledDTDAutomaton(dtd, extra_labels, context),
+        ("dtd-automaton", dtd_key(dtd), extra),
+        lambda: CompiledDTDAutomaton(dtd, extra, context),
         deps=dtd_digests(dtd),
     )
 
@@ -518,9 +521,11 @@ def achievable_sets(
 ) -> dict[frozenset[int], TreeNode]:
     """All achievable ``{satisfied pattern indices}`` with a witness each.
 
-    One reachability pass over the product of the DTD automaton and the
-    closure automaton of *patterns*, pruning states whose DTD component is
-    dead (a non-conforming subtree never occurs inside a conforming tree).
+    One conforming-product reachability pass over the DTD automaton and
+    the closure automaton of *patterns*: ``conformance=`` prunes states
+    whose DTD component is dead (a non-conforming subtree never occurs
+    inside a conforming tree) and steps a child only under parents whose
+    content model can read its label.
     This table is what the Section-5/6/7 trigger-set algorithms consume;
     caching it is the big win on repeated-DTD sweeps, since the reachability
     pass *is* the exponential part.
@@ -558,10 +563,7 @@ def achievable_sets(
         )
         product = ProductAutomaton([conformance, closure])
         realized = reachable_states(
-            product,
-            prune=lambda state: not conformance.state_ok(state[0]),
-            prune_horizontal=lambda label, h: conformance.horizontal_dead(h[0]),
-            charge=charge,
+            product, conformance=conformance, charge=charge
         )
         sets: dict[frozenset[int], TreeNode] = {}
         for state, witness in realized.items():

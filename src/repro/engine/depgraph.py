@@ -86,8 +86,19 @@ def dtd_digests(dtd: "DTD") -> frozenset[str]:
 
 
 def dtd_digest(dtd: "DTD") -> str:
-    """One digest summarizing a whole DTD (used in memo keys)."""
-    return f"dtd:{_sha(repr(dtd))}"
+    """One digest summarizing a whole DTD (used in memo keys).
+
+    Hashes the DTD's content key once and memoizes the digest on the
+    instance (shed on pickling, like the content key).
+    """
+    cached = getattr(dtd, "_digest", None)
+    if cached is None:
+        # imported here: repro.engine.cache imports this module
+        from repro.engine.cache import dtd_key
+
+        cached = f"dtd:{_sha(dtd_key(dtd))}"
+        dtd._digest = cached
+    return cached
 
 
 @lru_cache(maxsize=4096)
@@ -108,8 +119,8 @@ def mapping_digest(mapping: "SchemaMapping") -> str:
     on this plus every constituent digest; the summary keys them.
     """
     parts = [
-        repr(mapping.source_dtd),
-        repr(mapping.target_dtd),
+        dtd_digest(mapping.source_dtd),
+        dtd_digest(mapping.target_dtd),
         *(repr(std) for std in mapping.stds),
     ]
     return f"map:{_sha('||'.join(parts))}"

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Hashable
 
 #: Bump when the key layout or any pickled artifact's shape changes.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 MISS = object()

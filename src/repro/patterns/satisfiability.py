@@ -90,6 +90,10 @@ class _LiftedDTDAutomaton:
 
         self.dtd = dtd
         self._letters = frozenset(letters)
+        #: base label -> its letters (what child_labels expands to)
+        self._by_label: dict[str, list[tuple]] = {}
+        for letter in self._letters:
+            self._by_label.setdefault(letter[0], []).append(letter)
         self._base = DTDAutomaton(dtd)
 
     def labels(self):
@@ -107,6 +111,21 @@ class _LiftedDTDAutomaton:
 
     def is_accepting(self, state) -> bool:
         return self._base.is_accepting(state)
+
+    # -- the conformance= contract of reachable_states ------------------------
+
+    def state_ok(self, state) -> bool:
+        return self._base.state_ok(state)
+
+    def horizontal_dead(self, hstate) -> bool:
+        return self._base.horizontal_dead(hstate)
+
+    def child_labels(self, letter) -> tuple:
+        return tuple(
+            child
+            for label in self._base.child_labels(letter[0])
+            for child in self._by_label.get(label, ())
+        )
 
 
 def _lifted_letters(dtd: DTD, domain: tuple) -> list[tuple]:
@@ -184,7 +203,7 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
                 and closure.satisfies(state[1], ground)
             ),
         )
-        found = find_accepted(product, prune=lambda state: not state[0][1])
+        found = find_accepted(product, conformance=lifted_dtd)
         if found is not None:
             witness = _unlift(found[1])
             assert dtd.conforms(witness)

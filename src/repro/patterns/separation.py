@@ -71,8 +71,7 @@ def find_separating_tree(
     resolved = resolve_context(context)
     found = find_accepted(
         product,
-        prune=lambda state: not conformance.state_ok(state[0]),
-        prune_horizontal=lambda label, h: conformance.horizontal_dead(h[0]),
+        conformance=conformance,
         charge=resolved.charge if resolved is not None else None,
     )
     if found is None:

@@ -94,6 +94,7 @@ class DTD:
                 raise XsmError(f"attributes declared for unknown labels: {sorted(unknown)}")
         self._nfas: dict[str, NFA] = {}
         self._starred: frozenset[str] | None = None
+        self._costs: dict[str, float] | None = None
 
     # -- basic views --------------------------------------------------------
 
@@ -131,6 +132,7 @@ class DTD:
         state = self.__dict__.copy()
         state["_nfas"] = {}
         state.pop("_content_key", None)
+        state.pop("_digest", None)
         return state
 
     # -- conformance -----------------------------------------------------------
@@ -280,8 +282,14 @@ class DTD:
 
         Computed as the least fixpoint of ``cost(l) = 1 + min over words w
         in L(P(l)) of sum(cost(a) for a in w)`` — a Dijkstra-style
-        saturation that also works for recursive DTDs.
+        saturation that also works for recursive DTDs.  Memoized on the
+        instance; each call returns a fresh copy.
         """
+        if self._costs is None:
+            self._costs = self._compute_label_costs()
+        return dict(self._costs)
+
+    def _compute_label_costs(self) -> dict[str, float]:
         costs: dict[str, float] = {label: float("inf") for label in self.productions}
         changed = True
         while changed:
@@ -297,38 +305,51 @@ class DTD:
         return costs
 
     def _cheapest_word(
-        self, label: str, costs: dict[str, float]
+        self, label: str, costs: dict[str, float], embed: tuple[str, ...] = ()
     ) -> tuple[str, ...] | None:
         """Cheapest word of the production of *label* under symbol *costs*.
 
         Dijkstra over the production NFA with edge weight ``costs[symbol]``;
         symbols of infinite cost are unusable.  Returns None when no
         accepting path uses only finite-cost symbols.
+
+        With *embed*, the word must contain *embed* as a subsequence; those
+        occurrences cost nothing (they stand for subtrees the caller
+        already has), so the result is the cheapest way to complete
+        *embed* into a word of the production.
         """
         nfa = self.production_nfa(label)
+        infinite = float("inf")
         best: dict = {}
         counter = 0
-        heap: list[tuple[float, int, object, tuple[str, ...]]] = []
+        heap: list[tuple[float, int, object, int, tuple[str, ...]]] = []
         for state in nfa.initial:
-            heapq.heappush(heap, (0.0, counter, state, ()))
+            heapq.heappush(heap, (0.0, counter, state, 0, ()))
             counter += 1
         while heap:
-            cost, __, state, word = heapq.heappop(heap)
-            if state in best and best[state] <= cost:
+            cost, __, state, placed, word = heapq.heappop(heap)
+            key = (state, placed)
+            if key in best and best[key] <= cost:
                 continue
-            best[state] = cost
-            if state in nfa.accepting:
+            best[key] = cost
+            if placed == len(embed) and state in nfa.accepting:
                 return word
             for symbol, targets in nfa.transitions.get(state, {}).items():
-                weight = costs.get(symbol, float("inf"))
-                if weight == float("inf"):
-                    continue
-                for target in targets:
-                    if target not in best or best[target] > cost + weight:
-                        heapq.heappush(
-                            heap, (cost + weight, counter, target, word + (symbol,))
-                        )
-                        counter += 1
+                moves = []
+                if placed < len(embed) and symbol == embed[placed]:
+                    moves.append((0.0, placed + 1))
+                weight = costs.get(symbol, infinite)
+                if weight != infinite:
+                    moves.append((weight, placed))
+                for weight, after in moves:
+                    for target in targets:
+                        seen = best.get((target, after))
+                        if seen is None or seen > cost + weight:
+                            heapq.heappush(
+                                heap,
+                                (cost + weight, counter, target, after, word + (symbol,)),
+                            )
+                            counter += 1
         return None
 
     def is_satisfiable(self) -> bool:

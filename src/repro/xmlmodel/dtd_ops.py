@@ -46,11 +46,7 @@ def dtd_inclusion_counterexample(smaller: DTD, larger: DTD) -> TreeNode | None:
     product = ProductAutomaton(
         [automaton_small, automaton_large], predicate=witness_state
     )
-    found = find_accepted(
-        product,
-        prune=lambda state: not state[0][1],
-        prune_horizontal=lambda label, h: automaton_small.horizontal_dead(h[0]),
-    )
+    found = find_accepted(product, conformance=automaton_small)
     if found is None:
         return None
     return automaton_small.decorate(found[1])
@@ -76,8 +72,9 @@ def dtd_common_tree(first: DTD, second: DTD) -> TreeNode | None:
     product = ProductAutomaton([automaton_a, automaton_b])
     found = find_accepted(
         product,
+        conformance=automaton_a,
         # a subtree failing either DTD can never sit inside a common tree
-        prune=lambda state: not (state[0][1] and state[1][1]),
+        prune=lambda state: not state[1][1],
     )
     if found is None:
         return None

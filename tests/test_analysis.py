@@ -8,6 +8,7 @@ mappings double as negatives for SM304.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -317,9 +318,27 @@ class TestHygienePass:
 
     def test_sm204_not_fooled_by_required_siblings(self):
         # the identity embedding r[b] does not conform (an 'a' sibling is
-        # required) but an enumerated witness does exist
+        # required) but its completion r[a, b] does
         alive = mk(["r[b] -> t[b(y)]"], source="r -> a, b\na(x)")
         assert "SM204" not in codes(alive)
+
+    def test_next_connector_completion_defers_to_the_exact_check(self):
+        from repro.analysis.passes import _WitnessProbe
+        from repro.patterns.parser import parse_pattern
+
+        # the cheapest completion of r[a, b] is r[a, c, b]: it conforms
+        # but separates a from b, so the probe cannot certify r[a -> b]
+        source = "r -> (a, c, b) | (a, b, d, d)\na(x)"
+        alive = mk(["r[a(x) -> b] -> t[b(x)]"], source=source)
+        probe = _WitnessProbe(alive.source_dtd)
+        assert not probe.certify(alive.stds[0].source)
+        # ... and the exact check finds r[a, b, d, d]
+        assert "SM204" not in codes(alive)
+        # with the second branch gone the std really is dead
+        dead = mk(["r[a(x) -> b] -> t[b(x)]"], source="r -> a, c, b\na(x)")
+        assert "SM204" in codes(dead)
+        # without the connector the completion needs no re-check
+        assert probe.certify(parse_pattern("r[a(x), b]"))
 
     def test_sm205_unsafe_std(self):
         unsafe = mk(["r[a(x)] -> t[d]"], target="t -> c?\nd -> c?")
@@ -368,6 +387,49 @@ class TestHygienePass:
 # ---------------------------------------------------------------------------
 # SM3xx: composition closure
 # ---------------------------------------------------------------------------
+
+
+def _dead_and_unsafe_mappings():
+    from repro.mappings.io import parse_mapping
+    from repro.workloads import families
+
+    root = Path(__file__).resolve().parent.parent
+    params = [
+        pytest.param(parse_mapping(path.read_text()), id=path.stem)
+        for path in sorted((root / "examples" / "mappings").glob("*.xsm"))
+    ]
+    for family, sizes in (
+        (families.cons_arbitrary_family, (1, 3, 5)),
+        (families.cons_nested_family, (1, 4, 16)),
+        (families.cons_next_sibling_family, (2, 4, 8)),
+    ):
+        for n in sizes:
+            for consistent in (True, False):
+                params.append(pytest.param(
+                    family(n, consistent=consistent),
+                    id=f"{family.__name__}-{n}-{consistent}",
+                ))
+    return params
+
+
+@pytest.mark.parametrize("mapping", _dead_and_unsafe_mappings())
+def test_witness_probe_never_changes_sm204_sm205(mapping):
+    """The probe only short-cuts: the exact check alone gives the same codes."""
+    from repro.analysis import passes
+
+    class ExactOnly:
+        def certify(self, pattern):
+            return False
+
+    exact = {"source": ExactOnly(), "target": ExactOnly()}
+    probes = {
+        "source": passes._WitnessProbe(mapping.source_dtd),
+        "target": passes._WitnessProbe(mapping.target_dtd),
+    }
+    for index, std in enumerate(mapping.stds):
+        expected = passes._dead_and_unsafe(index, std, mapping, set(), None, exact)
+        found = passes._dead_and_unsafe(index, std, mapping, set(), None, probes)
+        assert found == expected
 
 
 class TestCompositionPass:

@@ -159,14 +159,38 @@ class TestReachabilityHooks:
                 node.label != "c" for node in _iter_nodes(witness)
             )
 
-    def test_prune_horizontal_skips_whole_labels(self):
-        automaton = self.automaton()
-        # killing every horizontal state of "r" leaves r unrealizable
-        pruned = reachable_states(
-            automaton, prune_horizontal=lambda label, h: label == "r"
+    def test_conformance_prunes_and_steps_only_readable_children(self):
+        conformance = DTDAutomaton(parse_dtd(self.DTD), extra_labels={"x"})
+        steps = []
+
+        class Recording(ProductAutomaton):
+            def step_horizontal(self, label, hstate, child_state):
+                steps.append((label, child_state[0][0]))
+                return super().step_horizontal(label, hstate, child_state)
+
+        product = Recording([conformance, DTDAutomaton(parse_dtd("r -> a*"))])
+        realized = reachable_states(product, conformance=conformance)
+        # only conforming subtrees survive; "x" has no production at all
+        assert all(state[0][1] for state in realized)
+        assert {state[0][0] for state in realized} == {"r", "a", "b", "c"}
+        for state, witness in realized.items():
+            assert run(product, witness) == state
+        # every step reads a child its parent's content model mentions
+        assert steps
+        assert all(
+            child in conformance.child_labels(label) for label, child in steps
         )
-        assert all(state[0] != "r" for state in pruned)
-        assert any(state[0] == "a" for state in pruned)
+        assert conformance.child_labels("r") == ("a", "b")
+        assert conformance.child_labels("c") == ()
+        assert conformance.child_labels("x") == ()
+
+    def test_conformance_must_be_component_zero(self):
+        conformance = self.automaton()
+        product = ProductAutomaton([DTDAutomaton(parse_dtd(self.DTD)), conformance])
+        with pytest.raises(ValueError):
+            reachable_states(product, conformance=conformance)
+        with pytest.raises(ValueError):
+            reachable_states(conformance, conformance=conformance)
 
     def test_charge_called_once_per_realized_state(self):
         automaton = self.automaton()

@@ -102,6 +102,25 @@ class TestSubsumption:
         )
         assert [(s.index, s.by) for s in found] == [(1, 0)]
 
+    def test_label_prefilter_keeps_wildcard_subsumers(self):
+        # the wildcard absorbs 'a': r[_(x)] needs only {r}, which r[a(x)] has
+        found = find_redundancies(mk(["r[_(x)] -> t[b(x)]", "r[a(x)] -> t[b(x)]"]))
+        assert [(s.index, s.by) for s in found] == [(1, 0)]
+        # a labelled node the other source lacks rules the pair out
+        mapping = mk(
+            ["r[_(x)[c]] -> t[b(x)]", "r[a(x)] -> t[b(x)]"],
+            source="r -> a*\na(x) -> c?\nc",
+        )
+        assert find_redundancies(mapping) == []
+        assert subsumes(mapping.stds[0], mapping.stds[1]) is None
+        assert subsumes(mapping.stds[1], mapping.stds[0]) is None
+
+    def test_public_subsumes_keeps_its_eligibility_guard(self):
+        # the same homomorphism, but a comparison makes the pair ineligible
+        assert subsumes(
+            parse_std("r[a(x)], x = x -> t[b(x)]"), parse_std("r[a(y)] -> t[b(y)]")
+        ) is None
+
     def test_comparisons_are_unknown_safe(self):
         mapping = mk([
             "r[a(x)], x = x -> t[b(x)]",

@@ -14,7 +14,9 @@ selection follows input size alone, so these tests pin each side with
   oracle matcher must produce the same relations on random documents
   on both sides of the pattern-engine cutover;
 * the worklist ``reachable_states`` must realize the same states as the
-  round-based ``reachable_states_naive`` it replaced.
+  round-based ``reachable_states_naive`` it replaced, and its label
+  index (``conformance=``) must realize exactly what plain conformance
+  pruning does, on random DTD x closure products under every kernel.
 """
 
 import json
@@ -46,8 +48,10 @@ from repro.workloads import families
 from repro.workloads.random_instances import (
     abstract_pattern_from_tree,
     random_arbitrary_dtd,
+    random_production,
     random_tree_from_dtd,
 )
+from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -273,6 +277,114 @@ def test_worklist_reachability_matches_naive(seed):
     assert fast.keys() == slow.keys()
     for state, witness in fast.items():
         assert run(automaton, witness) == state
+
+
+def random_recursive_dtd(rng: random.Random) -> DTD:
+    """A small random DTD whose productions may recurse (or not terminate)."""
+    labels = ["a", "b", "c", "d"]
+    productions = {"r": random_production(rng, labels)}
+    for label in labels:
+        roll = rng.random()
+        production = random_production(rng, rng.sample(labels, 2))
+        if roll < 0.5:
+            productions[label] = f"({production})?"
+        elif roll < 0.8:
+            productions[label] = production
+    return DTD("r", productions, {"a": ("x",)})
+
+
+def _conforming_product(rng: random.Random, variant: str):
+    """A DTD automaton, a random closure automaton and its patterns."""
+    from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
+    from repro.automata.dtd_automaton import DTDAutomaton
+    from repro.automata.duta import ProductAutomaton
+    from repro.automata.pattern_automaton import PatternClosureAutomaton
+    from repro.engine.cache import CompiledDTDAutomaton
+
+    dtd = random_recursive_dtd(rng)
+    patterns = [
+        parse_pattern(text).strip_values()
+        for text in rng.sample(
+            ["r//a", "r[a -> b]", "_[b ->* _]", "r//c[d]", "a//_", "r[_, _]", "zzz"], 3
+        )
+    ]
+    extra = frozenset(label for p in patterns for label in p.labels_used())
+    closure_kind, dtd_kind = {
+        "pure": (PatternClosureAutomaton, DTDAutomaton),
+        "compiled": (PatternClosureAutomaton, CompiledDTDAutomaton),
+        "bitset": (BitsetClosureAutomaton, BitsetDTDAutomaton),
+    }[variant]
+    conformance = dtd_kind(dtd, extra)
+    closure = closure_kind(patterns, extra_labels=dtd.labels | extra)
+    return conformance, closure, patterns
+
+
+@pytest.mark.parametrize("variant", ["pure", "compiled", "bitset"])
+@pytest.mark.parametrize("seed", range(20))
+def test_conformance_index_matches_pruning_oracle(seed, variant):
+    """The label-indexed search realizes exactly what plain pruning does."""
+    from repro.automata.duta import (
+        ProductAutomaton,
+        reachable_states,
+        reachable_states_naive,
+        run,
+    )
+
+    rng = random.Random(5000 + seed)
+    conformance, closure, patterns = _conforming_product(rng, variant)
+    steps = []
+
+    class Recording(ProductAutomaton):
+        """Records (parent label, child label) of every horizontal step."""
+
+        def step_horizontal(self, label, hstate, child_state):
+            if variant == "bitset":
+                child = conformance.table.label_of(child_state[0] >> 1)
+            else:
+                child = child_state[0][0]
+            steps.append((label, child))
+            return super().step_horizontal(label, hstate, child_state)
+
+    product = Recording([conformance, closure])
+    charges = []
+    fast = reachable_states(
+        product, conformance=conformance, charge=lambda: charges.append(1)
+    )
+    assert all(
+        child in conformance.child_labels(parent) for parent, child in steps
+    )
+    assert len(charges) == len(fast)
+    # the oracle steps every pair (so it runs after the step check)
+    slow = reachable_states_naive(product, conformance=conformance)
+    assert fast.keys() == slow.keys()
+    for state, witness in fast.items():
+        assert run(product, witness) == state
+        assert conformance.state_ok(state[0])
+
+    # with stop: the search ends at the first state whose subtree matches
+    # the first pattern, and finds one exactly when the full search has one
+    def target(state) -> bool:
+        return closure.satisfies(state[1], patterns[0])
+
+    charges.clear()
+    stopped = reachable_states(
+        product, stop=target, conformance=conformance,
+        charge=lambda: charges.append(1),
+    )
+    naive_stopped = reachable_states_naive(
+        product, stop=target, conformance=conformance
+    )
+    assert len(charges) == len(stopped)
+    assert stopped.keys() <= fast.keys()
+    hits = [state for state in stopped if target(state)]
+    assert len(hits) == (1 if any(map(target, fast)) else 0)
+    assert any(map(target, naive_stopped)) == bool(hits)
+    if hits:
+        assert list(stopped)[-1] == hits[0]
+    else:
+        assert stopped.keys() == fast.keys()
+    for state, witness in stopped.items():
+        assert run(product, witness) == state
 
 
 def test_kernel_selection_thresholds(monkeypatch):
