@@ -22,13 +22,29 @@ smoke:
 # kernel-equivalence gate (pure vs bitset verdicts must be identical),
 # and the incremental gate (single-std-edit deltas >= 10x faster than a
 # cold solve, with incremental == cold equivalence with each kernel pinned
-# in turn; kernel selection itself depends on input size alone)
-bench-smoke: smoke
-	$(PYTHON) benchmarks/bench_fig1_parallel.py --smoke
-	$(PYTHON) benchmarks/bench_obs.py --smoke
-	$(PYTHON) benchmarks/bench_lint.py --smoke
-	$(PYTHON) benchmarks/bench_scale.py --smoke
-	$(PYTHON) benchmarks/bench_incremental.py --smoke
+# in turn; kernel selection itself depends on input size alone).
+# Every gate runs even when an earlier one fails, so one noisy gate cannot
+# hide the others' verdicts; the target lists the failed gates and fails
+# at the end.
+BENCH_GATES := \
+	benchmarks/bench_matching_engine.py \
+	benchmarks/bench_fig1_parallel.py \
+	benchmarks/bench_obs.py \
+	benchmarks/bench_lint.py \
+	benchmarks/bench_scale.py \
+	benchmarks/bench_incremental.py
+
+bench-smoke:
+	@failed=""; \
+	for gate in $(BENCH_GATES); do \
+		echo "== $$gate --smoke"; \
+		$(PYTHON) $$gate --smoke || failed="$$failed $$gate"; \
+	done; \
+	if [ -n "$$failed" ]; then \
+		echo "bench-smoke: FAILED gates:$$failed"; \
+		exit 1; \
+	fi; \
+	echo "bench-smoke: every gate passed"
 
 # self-checking metrics-exporter gate: solves a built-in batch over two
 # workers and fails on any Prometheus/JSON exporter or trace-merge regression

@@ -78,6 +78,7 @@ def measure_ladder_point(n: int, edits: int) -> dict:
     cold_seconds = time.perf_counter() - started
     variants: dict[int, int] = {}
     delta_seconds = []
+    phases: dict[str, float] = {}
     reused = recompiled = invalidated = 0
     for edit in range(edits):
         index = edit % n
@@ -85,6 +86,8 @@ def measure_ladder_point(n: int, edits: int) -> dict:
         started = time.perf_counter()
         delta = engine.update("bench", make_mapping(n, variants))
         delta_seconds.append(time.perf_counter() - started)
+        for phase, seconds in delta.phases.items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
         reused += delta.reused
         recompiled += delta.recompiled
         invalidated += (
@@ -96,6 +99,11 @@ def measure_ladder_point(n: int, edits: int) -> dict:
         "cold_seconds": cold_seconds,
         "delta_seconds_mean": mean_delta,
         "delta_seconds_min": min(delta_seconds),
+        # where a delta's time goes: parse, fingerprint (fingerprint, diff
+        # and invalidation), solve and lint; mean ms per delta
+        "delta_phase_ms_mean": {
+            phase: 1000 * seconds / edits for phase, seconds in phases.items()
+        },
         "speedup": cold_seconds / max(mean_delta, 1e-9),
         "edits": edits,
         "reused": reused,
@@ -104,10 +112,14 @@ def measure_ladder_point(n: int, edits: int) -> dict:
         "cold_recompiled": cold.recompiled,
         "depgraph": engine.cache.depgraph.stats(),
     }
+    split = ", ".join(
+        f"{phase} {ms:.2f}" for phase, ms in record["delta_phase_ms_mean"].items()
+    )
     print(
         f"[incremental] n={n:>3}: cold {cold_seconds:.4f}s vs delta "
         f"{mean_delta:.4f}s (min {min(delta_seconds):.4f}s) -> "
-        f"{record['speedup']:.1f}x over {edits} single-std edits"
+        f"{record['speedup']:.1f}x over {edits} single-std edits "
+        f"[ms/delta: {split}]"
     )
     return record
 

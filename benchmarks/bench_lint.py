@@ -35,6 +35,7 @@ full series.
 from __future__ import annotations
 
 import argparse
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -106,11 +107,25 @@ WORKLOADS: list[tuple[str, str, Callable, int]] = [
 ]
 
 
-def _mean_seconds(run: Callable[[], object], repeats: int) -> float:
+def _fresh(mapping):
+    """A copy of *mapping* sharing no objects with it.
+
+    DTDs, stds and mappings memoize derived facts on themselves, so
+    timing repeated calls on one object would time the memos.  Pickling
+    sheds every memo; each timed call gets a fresh copy, made before its
+    clock starts.
+    """
+    return pickle.loads(pickle.dumps(mapping))
+
+
+def _mean_seconds(
+    run: Callable[[object], object], mapping: object, repeats: int
+) -> float:
     total = 0.0
     for _ in range(repeats):
+        subject = _fresh(mapping)
         started = time.perf_counter()
-        run()
+        run(subject)
         total += time.perf_counter() - started
     return total / repeats
 
@@ -120,25 +135,24 @@ def measure_family(
 ) -> dict:
     """Lint vs cold-solve timings for one family (no assertion here)."""
     mapping = family(n)
-    problem = ConsistencyProblem(mapping)
 
-    def lint_once() -> object:
-        return lint_mapping(mapping, name=label)
+    def lint_once(subject) -> object:
+        return lint_mapping(subject, name=label)
 
-    def fix_once() -> object:
-        return fix_mapping(mapping, name=label)
+    def fix_once(subject) -> object:
+        return fix_mapping(subject, name=label)
 
-    def solve_cold() -> object:
+    def solve_cold(subject) -> object:
         context = ExecutionContext(cache=CompilationCache(enabled=False))
-        return solve(problem, context)
+        return solve(ConsistencyProblem(subject), context)
 
-    lint_once()  # warm lazy imports out of the timings
-    fix_once()
-    solve_cold()
-    lint_seconds = _mean_seconds(lint_once, repeats)
-    fix_seconds = _mean_seconds(fix_once, repeats)
-    solve_seconds = _mean_seconds(solve_cold, repeats)
-    report = lint_once()
+    lint_once(_fresh(mapping))  # warm lazy imports out of the timings
+    fix_once(_fresh(mapping))
+    solve_cold(_fresh(mapping))
+    lint_seconds = _mean_seconds(lint_once, mapping, repeats)
+    fix_seconds = _mean_seconds(fix_once, mapping, repeats)
+    solve_seconds = _mean_seconds(solve_cold, mapping, repeats)
+    report = lint_once(mapping)
     record = {
         "claim": claim,
         "n": n,
@@ -163,16 +177,16 @@ def measure_broken(repeats: int) -> dict:
     """Journal (but never gate) the cost of certifying actual repairs."""
     mapping = parse_mapping(BROKEN_TEXT)
 
-    def lint_once() -> object:
-        return lint_mapping(mapping, name="fix-broken")
+    def lint_once(subject) -> object:
+        return lint_mapping(subject, name="fix-broken")
 
-    def fix_once() -> object:
-        return fix_mapping(mapping, name="fix-broken")
+    def fix_once(subject) -> object:
+        return fix_mapping(subject, name="fix-broken")
 
-    lint_once()
-    __, fixes = fix_mapping(mapping, name="fix-broken")
-    lint_seconds = _mean_seconds(lint_once, repeats)
-    fix_seconds = _mean_seconds(fix_once, repeats)
+    lint_once(_fresh(mapping))
+    __, fixes = fix_mapping(_fresh(mapping), name="fix-broken")
+    lint_seconds = _mean_seconds(lint_once, mapping, repeats)
+    fix_seconds = _mean_seconds(fix_once, mapping, repeats)
     record = {
         "claim": "certifying repairs is solver-priced (journaled, ungated)",
         "lint_seconds": lint_seconds,

@@ -69,16 +69,18 @@ class CellPrediction:
 def uses_constants(mapping: "SchemaMapping") -> bool:
     """Does any pattern of the mapping mention a constant?"""
     return any(
-        isinstance(term, Const)
+        std._memo("constants", lambda: any(
+            isinstance(term, Const)
+            for pattern in (std.source, std.target)
+            for term in pattern.terms()
+        ))
         for std in mapping.stds
-        for pattern in (std.source, std.target)
-        for term in pattern.terms()
     )
 
 
 def uses_skolem_functions(mapping: "SchemaMapping") -> bool:
     """Does any std use Skolem functions (Section 8 semantics)?"""
-    return any(std.skolem_functions() for std in mapping.stds)
+    return mapping.uses_skolem_functions()
 
 
 def nested_ptime_applicable(
@@ -103,10 +105,12 @@ def nested_ptime_applicable(
 def is_sm0(mapping: "SchemaMapping") -> bool:
     """Value-free ``SM°``: no comparisons, no attribute formulae at all."""
     return all(
-        not std.source_conditions
-        and not std.target_conditions
-        and all(sub.vars is None for sub in std.source.subpatterns())
-        and all(sub.vars is None for sub in std.target.subpatterns())
+        std._memo("value-free", lambda: (
+            not std.source_conditions
+            and not std.target_conditions
+            and all(sub.vars is None for sub in std.source.subpatterns())
+            and all(sub.vars is None for sub in std.target.subpatterns())
+        ))
         for std in mapping.stds
     )
 
@@ -142,7 +146,10 @@ def _sources_expandable(mapping: "SchemaMapping") -> bool:
                     return False
         return True
 
-    return all(expandable(std.source) for std in mapping.stds)
+    return mapping._memo(
+        "_sources_expandable",
+        lambda: all(expandable(std.source) for std in mapping.stds),
+    )
 
 
 def in_abscons_expansion_class(mapping: "SchemaMapping") -> bool:

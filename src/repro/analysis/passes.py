@@ -25,6 +25,7 @@ makes lint orders of magnitude cheaper than ``solve`` (see
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis import fragment as frag
@@ -53,8 +54,20 @@ _CELL_CODES = {"CONS": "SM002", "ABSCONS": "SM003", "MEMBERSHIP": "SM004"}
 
 def fragment_pass(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> tuple[Diagnostic, ...]:
+    """``SM0xx``: fragment + predicted complexity cells (Figures 1–2).
+
+    Memoized on the mapping: every solve of a mapping problem attaches
+    these diagnostics to its report, and lint runs the pass again.
+    """
+    return mapping._memo(
+        "_fragment_diagnostics", lambda: tuple(_fragment_pass(mapping, context))
+    )
+
+
+def _fragment_pass(
+    mapping: "SchemaMapping", context: "ExecutionContext | None"
 ) -> list[Diagnostic]:
-    """``SM0xx``: fragment + predicted complexity cells (Figures 1–2)."""
     diagnostics: list[Diagnostic] = []
     signature = mapping.signature()
     diagnostics.append(
@@ -221,10 +234,11 @@ def _structural_checks(
                 data=(("label", pattern.label), ("root", dtd.root)),
             )
         )
-    arities = {dtd.arity(label) for label in dtd.labels}
     for path, node in _walk_with_paths(pattern):
         if node.label == WILDCARD:
-            if node.vars is not None and len(node.vars) not in arities:
+            if node.vars is not None and not any(
+                dtd.arity(label) == len(node.vars) for label in dtd.labels
+            ):
                 diagnostics.append(
                     Diagnostic(
                         "SM202", Severity.ERROR,
@@ -563,29 +577,72 @@ def _variable_hygiene(std_index: int, std: STD) -> list[Diagnostic]:
 def hygiene_pass(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
 ) -> list[Diagnostic]:
-    """``SM2xx``: trivial inconsistencies, dead/unsafe stds, variables."""
+    """``SM2xx``: trivial inconsistencies, dead/unsafe stds, variables.
+
+    An std's diagnostics depend only on the std and the two DTDs, so they
+    are memoized on the std together with the DTDs' digests: an edit that
+    keeps an std (and the DTDs) does not re-check it.  A budget that can run
+    out makes SM204/SM205 depend on the work done before them, so runs
+    under such a budget are not memoized.
+    """
+    from repro.engine.budget import resolve_context
+    from repro.engine.depgraph import dtd_digest
+
+    resolved = resolve_context(context)
+    reusable = resolved is None or (
+        resolved.budget.max_expansions is None
+        and resolved.budget.deadline_seconds is None
+    )
+    dtds = (dtd_digest(mapping.source_dtd), dtd_digest(mapping.target_dtd))
+    probes: dict[str, _WitnessProbe] = {}
     diagnostics: list[Diagnostic] = []
-    probes = {
-        "source": _WitnessProbe(mapping.source_dtd),
-        "target": _WitnessProbe(mapping.target_dtd),
-    }
     for std_index, std in enumerate(mapping.stds):
-        structural: list[Diagnostic] = []
-        structural += _structural_checks(
-            std_index, "source", std.source, mapping.source_dtd
-        )
-        structural += _structural_checks(
-            std_index, "target", std.target, mapping.target_dtd
-        )
-        diagnostics += structural
-        errored_sides = {
-            d.location.side for d in structural if d.severity is Severity.ERROR
-        }
-        diagnostics += _dead_and_unsafe(
+
+        def check(std_index=std_index, std=std) -> tuple[Diagnostic, ...]:
+            if not probes:
+                probes["source"] = _WitnessProbe(mapping.source_dtd)
+                probes["target"] = _WitnessProbe(mapping.target_dtd)
+            return tuple(_std_hygiene(std_index, std, mapping, context, probes))
+
+        found = std._memo("hygiene", check, key=dtds) if reusable else check()
+        diagnostics += _at_std(found, std_index)
+    return diagnostics
+
+
+def _std_hygiene(
+    std_index: int, std: STD, mapping: "SchemaMapping",
+    context: "ExecutionContext | None", probes: "dict[str, _WitnessProbe]",
+) -> list[Diagnostic]:
+    """Every ``SM2xx`` diagnostic of one std."""
+    structural: list[Diagnostic] = []
+    structural += _structural_checks(
+        std_index, "source", std.source, mapping.source_dtd
+    )
+    structural += _structural_checks(
+        std_index, "target", std.target, mapping.target_dtd
+    )
+    errored_sides = {
+        d.location.side for d in structural if d.severity is Severity.ERROR
+    }
+    return (
+        structural
+        + _dead_and_unsafe(
             std_index, std, mapping, errored_sides, context, probes
         )
-        diagnostics += _variable_hygiene(std_index, std)
-    return diagnostics
+        + _variable_hygiene(std_index, std)
+    )
+
+
+def _at_std(diagnostics: tuple[Diagnostic, ...], std_index: int) -> list[Diagnostic]:
+    """*diagnostics* of one std, relocated to its position *std_index*."""
+    return [
+        diagnostic
+        if diagnostic.location.std_index == std_index
+        else replace(
+            diagnostic, location=replace(diagnostic.location, std_index=std_index)
+        )
+        for diagnostic in diagnostics
+    ]
 
 
 # ---------------------------------------------------------------------------

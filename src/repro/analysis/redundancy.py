@@ -343,6 +343,19 @@ def _canonical(std: STD) -> STD:
     return STD(source, target, std.source_conditions, std.target_conditions)
 
 
+def _facts(std: STD) -> tuple[bool, STD | None, frozenset[str]]:
+    """(eligible, canonical form, source labels) of *std*, memoized on it."""
+    def compute():
+        eligible = _eligible(std)
+        return (
+            eligible,
+            _canonical(std) if eligible else None,
+            std.source.labels_used(),
+        )
+
+    return std._memo("redundancy", compute)
+
+
 def find_redundancies(mapping: "SchemaMapping") -> list[Subsumption]:
     """All certified redundancies of a mapping, deterministically ordered.
 
@@ -351,17 +364,24 @@ def find_redundancies(mapping: "SchemaMapping") -> list[Subsumption]:
     mutually-subsumed pair without syntactic equality reports only the
     later index, so removing every reported std is always safe.
 
-    Eligibility is decided once per std.  A pair is tried only when the
-    subsuming source's labels (wildcards aside) all occur in the subsumed
-    source: the source homomorphism maps every labelled node onto a node
-    with the same label, so no other pair can have a certificate.
+    Eligibility, canonical form and source labels are computed once per
+    std object (an edit that keeps a std keeps them).  A pair is tried
+    only when the subsuming source's labels (wildcards aside) all occur
+    in the subsumed source: the source homomorphism maps every labelled
+    node onto a node with the same label, so no other pair can have a
+    certificate.
     """
     stds = mapping.stds
-    eligible = [_eligible(std) for std in stds]
+    facts = [_facts(std) for std in stds]
+    eligible = [fact[0] for fact in facts]
+    labels = [fact[2] for fact in facts]
+    #: canonical forms numbered by first occurrence: equal numbers are
+    #: duplicates, compared without a deep equality per pair
+    numbering: dict[STD, int] = {}
     canonical = [
-        _canonical(std) if ok else None for std, ok in zip(stds, eligible)
+        numbering.setdefault(fact[1], len(numbering)) if fact[0] else None
+        for fact in facts
     ]
-    labels = [std.source.labels_used() for std in stds]
 
     def subsumes_eligible(by: int, index: int) -> Translation | None:
         if not labels[by] <= labels[index]:

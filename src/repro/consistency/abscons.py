@@ -42,9 +42,10 @@ from __future__ import annotations
 
 from repro.automata.dtd_automaton import DTDAutomaton
 from repro.consistency.bounded import default_value_domain
-from repro.consistency.cons_nested import _Embedder
+from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import achievable_sets
+from repro.engine.depgraph import dtd_digest
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Counterexample,
@@ -58,7 +59,7 @@ from repro.errors import BoundExceededError, SignatureError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import Pattern, Sequence
-from repro.values import Const, Var
+from repro.values import Var
 from repro.verification.enumeration import enumerate_trees
 from repro.verification.oracle import oracle_has_solution
 from repro.xmlmodel.dtd import DTD
@@ -158,10 +159,20 @@ def _check_ptime_class(mapping: SchemaMapping) -> None:
         raise SignatureError("stds must be fully specified (Theorem 6.3)")
     if not mapping.is_nested_relational():
         raise SignatureError("both DTDs must be nested-relational (Theorem 6.3)")
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError("constants are outside SM(↓)")
+    from repro.analysis.fragment import uses_constants
+
+    if uses_constants(mapping):
+        raise SignatureError("constants are outside SM(↓)")
+
+
+def _std_cells(std: STD, side: str, dtd: DTD) -> tuple:
+    """:func:`_pattern_cells` of one side of *std*, memoized on the std."""
+    pattern = std.source if side == "source" else std.target
+    return std._memo(
+        f"cells-{side}",
+        lambda: tuple(_pattern_cells(pattern, dtd)),
+        key=dtd_digest(dtd),
+    )
 
 
 def _pattern_cells(pattern: Pattern, dtd: DTD):
@@ -172,9 +183,7 @@ def _pattern_cells(pattern: Pattern, dtd: DTD):
     has multiplicity */+.  Fully-specified patterns only (single-element
     sequences, no wildcard), so paths are concrete.
     """
-    multiplicity_of = {
-        label: dict(dtd.nested_relational_children(label)) for label in dtd.labels
-    }
+    multiplicity_of = dtd.multiplicities()
 
     def walk(node: Pattern, path: tuple[str, ...], rigid: bool, repeatable: bool):
         if node.vars is not None:
@@ -221,8 +230,8 @@ def abscons_ptime_analysis(mapping: SchemaMapping) -> list[str]:
     Verdict view.
     """
     _check_ptime_class(mapping)
-    source_embedder = _Embedder(mapping.source_dtd)
-    target_embedder = _Embedder(mapping.target_dtd)
+    source_embedder = embedder_for(mapping.source_dtd)
+    target_embedder = embedder_for(mapping.target_dtd)
     union_find = _UnionFind()
     problems: list[str] = []
     # class annotations: root -> set of source-cell identities
@@ -252,8 +261,8 @@ def abscons_ptime_analysis(mapping: SchemaMapping) -> list[str]:
     for index, std in enumerate(live_stds):
         # where does each (necessarily unique) source variable live?
         source_home: dict[Var, tuple] = {}
-        for path, slot, term, rigid, repeatable in _pattern_cells(
-            std.source, mapping.source_dtd
+        for path, slot, term, rigid, repeatable in _std_cells(
+            std, "source", mapping.source_dtd
         ):
             assert isinstance(term, Var)
             if rigid and not repeatable:
@@ -266,8 +275,8 @@ def abscons_ptime_analysis(mapping: SchemaMapping) -> list[str]:
                 f"(source position {pretty(path, slot)})"
             )
         shared = set(std.shared_variables())
-        for path, slot, term, rigid, repeatable in _pattern_cells(
-            std.target, mapping.target_dtd
+        for path, slot, term, rigid, repeatable in _std_cells(
+            std, "target", mapping.target_dtd
         ):
             if not rigid:
                 continue  # flexible positions absorb anything
@@ -370,14 +379,9 @@ def decide_absolute_consistency(
     Returns ``(verdict, algorithm)`` so the engine's solve report can
     record which route decided (or gave up on) the instance.
     """
-    is_sm0 = all(
-        not std.source_conditions
-        and not std.target_conditions
-        and all(sub.vars is None for sub in std.source.subpatterns())
-        and all(sub.vars is None for sub in std.target.subpatterns())
-        for std in mapping.stds
-    )
-    if is_sm0:
+    from repro.analysis.fragment import is_sm0
+
+    if is_sm0(mapping):
         return is_absolutely_consistent_sm0(mapping, context), "abscons-sm0"
     try:
         return is_absolutely_consistent_ptime(mapping), "abscons-ptime"

@@ -35,27 +35,24 @@ from repro.engine.verdicts import (
 from repro.errors import SignatureError, XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
-from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
+from repro.patterns.ast import WILDCARD, Descendant, Pattern
+from repro.patterns.features import HORIZONTAL
 from repro.patterns.matching import engine_for
-from repro.values import Const
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 
 def _check_applicable(mapping: SchemaMapping) -> None:
+    from repro.analysis.fragment import uses_constants
+
     if mapping.uses_data_comparisons():
         raise SignatureError("the nested-relational PTIME algorithm handles SM(⇓) only")
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            for sub in pattern.subpatterns():
-                for item in sub.items:
-                    if isinstance(item, Sequence) and len(item.elements) > 1:
-                        raise SignatureError(
-                            "horizontal axes are outside CONS(⇓); "
-                            "use the automata algorithm"
-                        )
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError("constants are outside SM(⇓)")
+    if mapping.signature().features & HORIZONTAL:
+        raise SignatureError(
+            "horizontal axes are outside CONS(⇓); use the automata algorithm"
+        )
+    if uses_constants(mapping):
+        raise SignatureError("constants are outside SM(⇓)")
     if not mapping.source_dtd.is_nested_relational():
         raise SignatureError("source DTD is not nested-relational")
     if not mapping.target_dtd.is_nested_relational():
@@ -83,7 +80,15 @@ def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
 
 
 class _Embedder:
-    """Memoized 'pattern embeddable at label' recursion (PTIME)."""
+    """Memoized 'pattern embeddable at label' recursion (PTIME).
+
+    One per DTD instance (:func:`embedder_for`), so the memo outlives a
+    single decision: a revision that keeps its DTDs keeps their answers.
+    The memo is cleared when it passes :data:`MEMO_LIMIT` entries, which
+    bounds a long edit stream that keeps introducing new patterns.
+    """
+
+    MEMO_LIMIT = 1 << 14
 
     def __init__(self, dtd: DTD):
         self.dtd = dtd
@@ -95,7 +100,11 @@ class _Embedder:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        self._memo[key] = False  # guards against (impossible) cycles
+        if len(self._memo) > self.MEMO_LIMIT:
+            self._memo.clear()
+        # recursion descends into strict subpatterns, so it terminates
+        # without a cycle guard, and concurrent callers only ever see
+        # finished answers
         result = self._embeddable(pattern, label)
         self._memo[key] = result
         return result
@@ -120,9 +129,14 @@ class _Embedder:
         return True
 
 
+def embedder_for(dtd: DTD) -> _Embedder:
+    """The embedder of *dtd*, built once and memoized on the instance."""
+    return dtd._memo("_embedder", lambda: _Embedder(dtd))
+
+
 def target_satisfiable_nested(dtd: DTD, pattern: Pattern) -> bool:
     """Is the ``⇓``-pattern satisfiable against the nested-relational DTD?"""
-    return _Embedder(dtd).embeddable(pattern, dtd.root)
+    return embedder_for(dtd).embeddable(pattern, dtd.root)
 
 
 def triggered_by_minimal_tree(mapping: SchemaMapping) -> list[STD]:
@@ -144,7 +158,7 @@ def is_consistent_nested(
     the triggered stds whose targets do not embed into ``D_t``.
     """
     _check_applicable(mapping)
-    embedder = _Embedder(mapping.target_dtd)
+    embedder = embedder_for(mapping.target_dtd)
     engine = engine_for(mapping.source_dtd.minimal_tree())
     triggered: list[int] = []
     failing: list[int] = []

@@ -108,8 +108,15 @@ def pattern_digest(pattern: "Pattern") -> str:
 
 
 def std_digest(std: "STD") -> str:
-    """The content digest of one source-to-target dependency."""
-    return f"std:{_sha(repr(std))}"
+    """The content digest of one source-to-target dependency (memoized)."""
+    return std._memo("digest", lambda: f"std:{_sha(repr(std))}")
+
+
+def std_digests(mapping: "SchemaMapping") -> tuple[str, ...]:
+    """The digest of every std of *mapping*, in order (memoized on it)."""
+    return mapping._memo(
+        "_std_digests", lambda: tuple(std_digest(std) for std in mapping.stds)
+    )
 
 
 def mapping_digest(mapping: "SchemaMapping") -> str:
@@ -117,22 +124,22 @@ def mapping_digest(mapping: "SchemaMapping") -> str:
 
     Whole-mapping artifacts (consistency verdicts, lint reports) depend
     on this plus every constituent digest; the summary keys them.
+    Memoized on the mapping (shed on pickling), like the DTD digests.
     """
-    parts = [
+    return mapping._memo("_digest", lambda: "map:" + _sha("||".join((
         dtd_digest(mapping.source_dtd),
         dtd_digest(mapping.target_dtd),
-        *(repr(std) for std in mapping.stds),
-    ]
-    return f"map:{_sha('||'.join(parts))}"
+        *std_digests(mapping),
+    ))))
 
 
 def mapping_digests(mapping: "SchemaMapping") -> frozenset[str]:
-    """Every input digest a whole-mapping artifact depends on."""
-    return frozenset(
+    """Every input digest a whole-mapping artifact depends on (memoized)."""
+    return mapping._memo("_input_digests", lambda: frozenset(
         dtd_digests(mapping.source_dtd)
         | dtd_digests(mapping.target_dtd)
-        | {std_digest(std) for std in mapping.stds}
-    )
+        | set(std_digests(mapping))
+    ))
 
 
 # ---------------------------------------------------------------------------

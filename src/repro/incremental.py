@@ -12,8 +12,10 @@ this module closes the loop:
   (the symmetric difference — old content that disappeared, new content
   that arrived);
 * :class:`IncrementalEngine` owns the third piece: per-revision
-  bookkeeping.  ``update(name, text)`` parses the revision, diffs it
-  against the previous one, invalidates exactly the downstream cone
+  bookkeeping.  ``update(name, text)`` parses the revision (taking
+  over the previous revision's DTD and std objects, and the memos they
+  carry, wherever their text is unchanged), diffs it against the
+  previous one, invalidates exactly the downstream cone
   (compiled artifacts out of both cache tiers via
   :meth:`CompilationCache.invalidate`, memoized verdicts and lint
   reports out of the in-process memos), then re-solves the standard
@@ -59,7 +61,7 @@ from repro.engine.depgraph import (
     mapping_digest,
     mapping_digests,
     pattern_digest,
-    std_digest,
+    std_digests,
 )
 from repro.engine.problems import (
     AbsoluteConsistencyProblem,
@@ -108,12 +110,6 @@ def _sha(text: str) -> str:
     return sha256(text.encode()).hexdigest()[:16]
 
 
-def _budget_digest(budget: Budget) -> str:
-    """Budgets enter memo keys: a tighter budget may yield a different
-    (Unknown) verdict, so verdicts are only reused under equal limits."""
-    return _sha(repr(budget))
-
-
 # ---------------------------------------------------------------------------
 # fingerprints and deltas
 # ---------------------------------------------------------------------------
@@ -151,12 +147,14 @@ def fingerprint_mapping(mapping: "SchemaMapping") -> MappingFingerprint:
     """
     patterns: set[str] = set()
     for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            patterns.add(pattern_digest(pattern))
-            patterns.add(pattern_digest(pattern.strip_values()))
+        patterns.update(std._memo("pattern-digests", lambda: tuple(
+            pattern_digest(form)
+            for pattern in (std.source, std.target)
+            for form in (pattern, pattern.strip_values())
+        )))
     return MappingFingerprint(
         digest=mapping_digest(mapping),
-        std_digests=tuple(std_digest(std) for std in mapping.stds),
+        std_digests=std_digests(mapping),
         source_digests=dtd_digests(mapping.source_dtd),
         target_digests=dtd_digests(mapping.target_dtd),
         pattern_digests=frozenset(patterns),
@@ -237,31 +235,32 @@ class VerdictMemo:
         self._lock = threading.Lock()
 
     @staticmethod
-    def _describe(problem: object) -> tuple[tuple, frozenset[str]] | None:
-        """(key tail, input digests) for supported problem types."""
-        if isinstance(problem, (ConsistencyProblem, AbsoluteConsistencyProblem)):
-            tag = (
-                "consistency"
-                if isinstance(problem, ConsistencyProblem)
-                else "abscons"
-            )
-            return (
-                (tag, mapping_digest(problem.mapping)),
-                mapping_digests(problem.mapping),
-            )
+    def _key(problem: object, budget: Budget) -> tuple | None:
+        """The memo key of a supported problem (None: not memoizable).
+
+        Budgets enter the key: a tighter budget may yield a different
+        (Unknown) verdict, so verdicts are only reused under equal limits.
+        """
+        if isinstance(problem, ConsistencyProblem):
+            return ("verdict", "consistency", mapping_digest(problem.mapping), budget)
+        if isinstance(problem, AbsoluteConsistencyProblem):
+            return ("verdict", "abscons", mapping_digest(problem.mapping), budget)
         if isinstance(problem, SatisfiabilityProblem):
-            return (
-                ("satisfiability", dtd_digest(problem.dtd),
-                 pattern_digest(problem.pattern)),
-                dtd_digests(problem.dtd) | {pattern_digest(problem.pattern)},
-            )
+            return ("verdict", "satisfiability", dtd_digest(problem.dtd),
+                    pattern_digest(problem.pattern), budget)
         return None
 
+    @staticmethod
+    def _inputs(problem: object) -> frozenset[str]:
+        """The input digests a memoized verdict of *problem* depends on."""
+        if isinstance(problem, SatisfiabilityProblem):
+            return dtd_digests(problem.dtd) | {pattern_digest(problem.pattern)}
+        return mapping_digests(problem.mapping)
+
     def lookup(self, problem: object, budget: Budget) -> "Verdict | None":
-        described = self._describe(problem)
-        if described is None:
+        key = self._key(problem, budget)
+        if key is None:
             return None
-        key = ("verdict", *described[0], _budget_digest(budget))
         with self._lock:
             verdict = self._entries.get(key)
         if verdict is not None:
@@ -272,14 +271,12 @@ class VerdictMemo:
         _RECOMPILED.labels(kind="verdict").inc()
         if verdict.is_unknown:
             return
-        described = self._describe(problem)
-        if described is None:
+        key = self._key(problem, budget)
+        if key is None:
             return
-        tail, deps = described
-        key = ("verdict", *tail, _budget_digest(budget))
         with self._lock:
             self._entries[key] = verdict
-        self._graph.record(key, deps)
+        self._graph.record(key, self._inputs(problem))
 
     def drop(self, key: Hashable) -> bool:
         with self._lock:
@@ -352,6 +349,8 @@ class DeltaResult:
 
     name: str
     revision: str
+    #: the revision as solved (its parts reused from the previous one)
+    mapping: "SchemaMapping"
     delta: MappingDelta
     verdicts: dict[str, "Verdict"]
     lint: "LintReport"
@@ -359,6 +358,9 @@ class DeltaResult:
     reused: int
     recompiled: int
     elapsed: float
+    #: seconds per pipeline phase: parse, fingerprint (fingerprint, diff
+    #: and invalidation), solve and lint
+    phases: dict[str, float]
 
     @property
     def cold(self) -> bool:
@@ -388,6 +390,9 @@ class IncrementalEngine:
         self.verdicts = VerdictMemo(self.cache.depgraph)
         self.lints = LintMemo(self.cache.depgraph)
         self._revisions: dict[str, MappingFingerprint] = {}
+        #: per stream: the parsed sections of its last revision (see
+        #: ``parse_mapping(reuse=)``)
+        self._sections: dict[str, dict] = {}
         self._lock = threading.Lock()
         self.deltas = 0
 
@@ -443,16 +448,24 @@ class IncrementalEngine:
         """Apply revision *mapping* of the stream *name* and re-solve.
 
         Returns the full verdict set for the revision; everything whose
-        inputs the edit did not touch is served from the memos.
+        inputs the edit did not touch is served from the memos.  Given
+        text, the DTD sections and std lines the stream's previous
+        revision already had are not re-parsed: their objects, and the
+        memos those objects carry, are reused.
         """
         from repro.analysis.lint import lint_mapping
         from repro.engine.core import solve
         from repro.mappings.io import parse_mapping
 
-        if isinstance(mapping, str):
-            mapping = parse_mapping(mapping)
         budget = budget if budget is not None else self.budget
         started = time.perf_counter()
+        if isinstance(mapping, str):
+            with self._lock:
+                sections = dict(self._sections.get(name, ()))
+            mapping = parse_mapping(mapping, reuse=sections)
+            with self._lock:
+                self._sections[name] = sections
+        parsed = time.perf_counter()
         reused_before = _family_total(_REUSED)
         recompiled_before = _family_total(_RECOMPILED)
         new = fingerprint_mapping(mapping)
@@ -469,6 +482,7 @@ class IncrementalEngine:
                 if delta.dirty and not delta.cold
                 else {"artifacts": 0, "results": 0, "memory": 0, "disk": 0}
             )
+            fingerprinted = time.perf_counter()
             context = ExecutionContext(
                 budget, cache=self.cache, memo=self.verdicts
             )
@@ -476,6 +490,7 @@ class IncrementalEngine:
                 label: solve(problem, context)
                 for label, problem in self._problems(mapping).items()
             }
+            solved = time.perf_counter()
             report = lint_mapping(
                 mapping, context, name=name, memo=self.lints
             )
@@ -483,17 +498,25 @@ class IncrementalEngine:
                 dirty=len(delta.dirty),
                 invalidated=invalidated["artifacts"] + invalidated["results"],
             )
+        finished = time.perf_counter()
         _DEPGRAPH_ARTIFACTS.set(len(self.cache.depgraph))
         return DeltaResult(
             name=name,
             revision=new.digest,
+            mapping=mapping,
             delta=delta,
             verdicts=verdicts,
             lint=report,
             invalidated=invalidated,
             reused=int(_family_total(_REUSED) - reused_before),
             recompiled=int(_family_total(_RECOMPILED) - recompiled_before),
-            elapsed=time.perf_counter() - started,
+            elapsed=finished - started,
+            phases={
+                "parse": parsed - started,
+                "fingerprint": fingerprinted - parsed,
+                "solve": solved - fingerprinted,
+                "lint": finished - solved,
+            },
         )
 
     def stats(self) -> dict[str, int]:

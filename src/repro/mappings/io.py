@@ -24,11 +24,20 @@ from __future__ import annotations
 
 from repro.errors import ParseError
 from repro.mappings.skolem import SkolemMapping
+from repro.mappings.std import parse_std
 from repro.xmlmodel.dtd import parse_dtd
 
 
-def parse_mapping(text: str) -> SkolemMapping:
-    """Parse a mapping from the ``.xsm`` format."""
+def parse_mapping(text: str, reuse: dict | None = None) -> SkolemMapping:
+    """Parse a mapping from the ``.xsm`` format.
+
+    *reuse* lets successive revisions of one mapping share parsed parts.
+    It is a dict the caller keeps between calls, mapping each DTD section
+    and std line to the object parsed from it.  A section whose text is
+    already there is not parsed again; on success the dict is left
+    holding exactly the sections of *text*, so it never grows past one
+    revision.
+    """
     source_lines: list[str] = []
     target_lines: list[str] = []
     stds: list[str] = []
@@ -55,11 +64,25 @@ def parse_mapping(text: str) -> SkolemMapping:
         raise ParseError("mapping file has no 'source:' section")
     if not target_lines:
         raise ParseError("mapping file has no 'target:' section")
-    return SkolemMapping(
-        parse_dtd("\n".join(source_lines)),
-        parse_dtd("\n".join(target_lines)),
-        stds,
+    previous = reuse if reuse is not None else {}
+    parsed: dict = {}
+
+    def part(key: tuple[str, str], parse):
+        value = previous.get(key)
+        if value is None:
+            value = parse(key[1])
+        parsed[key] = value
+        return value
+
+    mapping = SkolemMapping(
+        part(("source", "\n".join(source_lines)), parse_dtd),
+        part(("target", "\n".join(target_lines)), parse_dtd),
+        [part(("std", std), parse_std) for std in stds],
     )
+    if reuse is not None:
+        reuse.clear()
+        reuse.update(parsed)
+    return mapping
 
 
 def _render_dtd(dtd) -> list[str]:

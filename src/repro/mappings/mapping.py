@@ -16,7 +16,7 @@ equalities do.  Inequalities never appear inside patterns; they live in the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import SignatureError
 from repro.mappings.std import STD, parse_std
@@ -32,7 +32,6 @@ from repro.patterns.features import (
     VERTICAL,
     WILDCARD_FEATURE,
     axes_of,
-    is_fully_specified,
 )
 from repro.xmlmodel.dtd import DTD, parse_dtd
 
@@ -66,6 +65,36 @@ class Signature:
         return f"SM({', '.join(groups)})"
 
 
+#: The features grammar (5) (fully-specified patterns) rules out.
+_UNSPECIFIED = frozenset(
+    {DESCENDANT, NEXT_SIBLING, FOLLOWING_SIBLING, WILDCARD_FEATURE}
+)
+
+
+def _std_features(std: STD) -> frozenset[str]:
+    """The signature features one std uses (memoized on the std)."""
+    return std._memo("features", lambda: _compute_std_features(std))
+
+
+def _compute_std_features(std: STD) -> frozenset[str]:
+    features: set[str] = set()
+    for pattern in (std.source, std.target):
+        axes = axes_of(pattern)
+        if axes.descendant:
+            features.add(DESCENDANT)
+        if axes.next_sibling:
+            features.add(NEXT_SIBLING)
+        if axes.following_sibling:
+            features.add(FOLLOWING_SIBLING)
+        if axes.wildcard:
+            features.add(WILDCARD_FEATURE)
+    if std.source.has_repeated_variables():
+        features.add(EQUALITY)
+    for comparison in std.source_conditions + std.target_conditions:
+        features.add(EQUALITY if comparison.op == "=" else INEQUALITY)
+    return frozenset(features)
+
+
 class SchemaMapping:
     """An XML schema mapping ``M = (D_s, D_t, Sigma)`` (Definition 3.2)."""
 
@@ -93,34 +122,36 @@ class SchemaMapping:
             f"source root {self.source_dtd.root!r}, target root {self.target_dtd.root!r})"
         )
 
+    # -- per-instance memos ---------------------------------------------------
+    # The DTDs and the std tuple are fixed at construction, so whole-mapping
+    # facts (signature, digests, class predicates) are computed once per
+    # instance.  Memos are per-process accelerators: shed on pickling.
+
+    def _memo(self, name: str, compute: Callable[[], object]):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = self.__dict__[name] = compute()
+        return value
+
+    def __getstate__(self):
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }
+
     # -- classification -------------------------------------------------------
 
     def signature(self) -> Signature:
         """The feature set actually used by the stds (memoized — the std
         tuple is fixed at construction, and routing, prediction and the
         linter all re-ask)."""
-        cached: Signature | None = self.__dict__.get("_signature")
-        if cached is not None:
-            return cached
-        features: set[str] = {CHILD}
-        for std in self.stds:
-            for pattern in (std.source, std.target):
-                axes = axes_of(pattern)
-                if axes.descendant:
-                    features.add(DESCENDANT)
-                if axes.next_sibling:
-                    features.add(NEXT_SIBLING)
-                if axes.following_sibling:
-                    features.add(FOLLOWING_SIBLING)
-                if axes.wildcard:
-                    features.add(WILDCARD_FEATURE)
-            if std.source.has_repeated_variables():
-                features.add(EQUALITY)
-            for comparison in std.source_conditions + std.target_conditions:
-                features.add(EQUALITY if comparison.op == "=" else INEQUALITY)
-        signature = Signature(frozenset(features))
-        self.__dict__["_signature"] = signature
-        return signature
+        return self._memo("_signature", self._compute_signature)
+
+    def _compute_signature(self) -> Signature:
+        return Signature(
+            frozenset({CHILD}).union(*(_std_features(std) for std in self.stds))
+        )
 
     def check_signature(self, allowed: Iterable[str]) -> None:
         """Raise :class:`SignatureError` if features outside *allowed* are used."""
@@ -137,7 +168,9 @@ class SchemaMapping:
         return bool(self.signature().features & COMPARISONS)
 
     def uses_skolem_functions(self) -> bool:
-        return any(std.skolem_functions() for std in self.stds)
+        return self._memo(
+            "_skolem", lambda: any(std.skolem_functions() for std in self.stds)
+        )
 
     def is_nested_relational(self) -> bool:
         """Both DTDs nested-relational (the tractable frontier of Fig. 1)."""
@@ -147,11 +180,9 @@ class SchemaMapping:
         )
 
     def is_fully_specified(self) -> bool:
-        """All stds built from fully-specified patterns (grammar (5))."""
-        return all(
-            is_fully_specified(std.source) and is_fully_specified(std.target)
-            for std in self.stds
-        )
+        """All stds built from fully-specified patterns (grammar (5)):
+        no wildcard, descendant or horizontal feature in the signature."""
+        return not self.signature().features & _UNSPECIFIED
 
     # -- transformations --------------------------------------------------------
 

@@ -20,8 +20,8 @@ is the next-sibling axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from repro.errors import ParseError, XsmError
 from repro.patterns.ast import Pattern
@@ -102,6 +102,32 @@ class STD:
     target: Pattern
     source_conditions: tuple[Comparison, ...] = ()
     target_conditions: tuple[Comparison, ...] = ()
+    #: Facts derived from the std (digests, lint results), computed once
+    #: per instance.  Not part of its value: excluded from equality,
+    #: hashing, ``repr`` and pickles.
+    _memos: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+
+    def _memo(
+        self, name: str, compute: Callable[[], object], key: object = None
+    ):
+        """The memoized fact *name*, recomputed when *key* (the digests of
+        what else it depends on, say the DTDs) differs from last time."""
+        entry = self._memos.get(name)
+        if entry is None or entry[0] != key:
+            entry = self._memos[name] = (key, compute())
+        return entry[1]
+
+    def __getstate__(self):
+        return (
+            self.source, self.target, self.source_conditions, self.target_conditions
+        )
+
+    def __setstate__(self, state):
+        for name, value in zip(_STD_FIELDS, state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_memos", {})
 
     # -- variable bookkeeping ------------------------------------------------
 
@@ -126,8 +152,11 @@ class STD:
 
     def shared_variables(self) -> tuple[Var, ...]:
         """The universally quantified tuple ``x`` passed from source to target."""
-        source_vars = set(self.source_variables())
-        return tuple(v for v in self.target_variables() if v in source_vars)
+        def compute() -> tuple[Var, ...]:
+            source_vars = set(self.source_variables())
+            return tuple(v for v in self.target_variables() if v in source_vars)
+
+        return self._memo("shared", compute)
 
     def existential_variables(self) -> tuple[Var, ...]:
         """The target-only tuple ``z`` (existentially quantified)."""
@@ -165,6 +194,9 @@ class STD:
             + [str(c) for c in self.target_conditions]
         )
         return f"{left} -> {right}"
+
+
+_STD_FIELDS = ("source", "target", "source_conditions", "target_conditions")
 
 
 def _parse_comparisons(parser: _Parser) -> list[Comparison]:

@@ -7,9 +7,13 @@ module decides it *exactly*, in two layers.
 1. **Structural layer.**  The product of the DTD automaton and the
    pattern's closure automaton has an accepting reachable state iff some
    conforming tree matches the pattern structurally (labels, arities,
-   axes).  If the pattern mentions no constants this settles the question:
-   decorating the structural witness with one single data value satisfies
-   every (repeated-variable) equality constraint.
+   axes).  The product is searched as a *conforming* product
+   (``reachable_states(conformance=)``): subtrees that break the DTD are
+   never built, and a node is only given children its content model can
+   read — schema-guided search, which keeps real DTDs tractable.  If the
+   pattern mentions no constants this settles the question: decorating
+   the structural witness with one single data value satisfies every
+   (repeated-variable) equality constraint.
 
 2. **Value layer** (*tag lifting*).  With constants, values can genuinely
    conflict (``r[a(3), a(5)]`` against ``r -> a`` is unsatisfiable because
@@ -50,7 +54,15 @@ def structural_witness(
     Exact as a *structural* statement: None means no conforming tree
     matches even with the most permissive choice of data values.  The two
     automata are compiled through the engine's
-    :class:`~repro.engine.cache.CompilationCache`.
+    :class:`~repro.engine.cache.CompilationCache`, and their product is
+    searched with the DTD automaton as ``conformance=`` component: only
+    conforming subtrees are realized, and a node of label ``L`` is only
+    stepped with children whose labels ``L``'s production reads.  That
+    finds a witness exactly when the plain search that merely prunes
+    non-conforming states does (``tests/test_satisfiability.py`` checks
+    both kernels against that search).  The witness carries labels only;
+    :meth:`~repro.automata.dtd_automaton.DTDAutomaton.decorate` adds
+    values.
     """
     # imported here: repro.automata (which the engine cache compiles)
     # depends on repro.patterns.ast, so top-level imports would be circular
@@ -73,7 +85,7 @@ def structural_witness(
     resolved = resolve_context(context)
     found = find_accepted(
         product,
-        prune=lambda state: not conformance.state_ok(state[0]),
+        conformance=conformance,
         charge=resolved.charge if resolved is not None else None,
     )
     if found is None:

@@ -48,6 +48,7 @@ the *mapping* was bad) — exactly the dict the CLI adapter renders.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -71,6 +72,10 @@ _QUEUED = REGISTRY.gauge(
 
 #: Largest accepted request body — admission control for memory, not CPU.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class _BadQuery(ValueError):
+    """A GET query parameter the route cannot use (answered with a 400)."""
 
 
 class _Admission:
@@ -199,15 +204,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _float_param(query: dict, key: str) -> float | None:
+        """A numeric query parameter; None when absent or not a number.
+
+        Raises :class:`_BadQuery` for ``inf``, ``nan`` and overflowing
+        literals such as ``1e400``: no route has a use for them, and
+        ``int()`` of one raises mid-response.
+        """
         raw = query.get(key)
         if raw is None:
             return None
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             return None
+        if not math.isfinite(value):
+            raise _BadQuery(
+                f"query parameter {key!r} must be a finite number, got {raw!r}"
+            )
+        return value
 
     def do_GET(self) -> None:  # noqa: N802
+        try:
+            self._get()
+        except _BadQuery as error:
+            self._send_json(400, {"error": {"type": "BadRequest",
+                                            "message": str(error)}})
+
+    def _get(self) -> None:
         path = self.path.split("?", 1)[0]
         session = self.server.session
         if path == "/healthz":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import deque
 from typing import Callable, Iterable
 
 from repro.errors import ConformanceError, NotInClassError, ParseError, XsmError
@@ -93,8 +94,6 @@ class DTD:
             if unknown:
                 raise XsmError(f"attributes declared for unknown labels: {sorted(unknown)}")
         self._nfas: dict[str, NFA] = {}
-        self._starred: frozenset[str] | None = None
-        self._costs: dict[str, float] | None = None
 
     # -- basic views --------------------------------------------------------
 
@@ -123,16 +122,44 @@ class DTD:
             rows.append(f"{head} -> {self.productions[label]}")
         return "DTD<" + "; ".join(rows) + ">"
 
+    # -- per-instance memos ----------------------------------------------------
+    # A DTD never changes after construction, so facts derived from it are
+    # computed once per instance.  Other layers keep their own memos here
+    # too (content key, digests, the nested-relational embedder); a
+    # revision that leaves a DTD section unchanged reuses the instance,
+    # and with it every memo below.
+
+    #: Lazily set memo attributes, shed on pickling.
+    _MEMOS = (
+        "_content_key",
+        "_digest",
+        "_input_digests",
+        "_recursive",
+        "_nr_rows",
+        "_nested_relational",
+        "_starred",
+        "_costs",
+        "_multiplicities",
+        "_minimal_tree",
+        "_embedder",
+    )
+
+    def _memo(self, name: str, compute: Callable[[], object]):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = self.__dict__[name] = compute()
+        return value
+
     # -- pickling --------------------------------------------------------------
     # DTDs travel to engine.solve_many workers and into the on-disk
-    # compilation cache; the compiled Glushkov NFAs and the memoized
-    # content key are per-process accelerators, rebuilt on demand.
+    # compilation cache; the compiled Glushkov NFAs and the memos above
+    # are per-process accelerators, rebuilt on demand.
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_nfas"] = {}
-        state.pop("_content_key", None)
-        state.pop("_digest", None)
+        for name in self._MEMOS:
+            state.pop(name, None)
         return state
 
     # -- conformance -----------------------------------------------------------
@@ -182,7 +209,10 @@ class DTD:
         return frozenset(seen)
 
     def is_recursive(self) -> bool:
-        """True iff the label dependency graph has a cycle."""
+        """True iff the label dependency graph has a cycle (memoized)."""
+        return self._memo("_recursive", self._compute_recursive)
+
+    def _compute_recursive(self) -> bool:
         WHITE, GREY, BLACK = 0, 1, 2
         colour = {label: WHITE for label in self.productions}
 
@@ -204,10 +234,18 @@ class DTD:
         Multiplicities are ``"1"``, ``"?"``, ``"*"`` or ``"+"``.  Raises
         :class:`NotInClassError` if the production is not of the
         nested-relational shape (distinct labels, one multiplicity each).
+        Rows are memoized per label.
         """
+        rows = self._memo("_nr_rows", dict)
+        row = rows.get(label)
+        if row is None:
+            row = rows[label] = self._nested_relational_row(label)
+        return list(row)
+
+    def _nested_relational_row(self, label: str) -> tuple[tuple[str, str], ...]:
         production = self.productions[label]
         if isinstance(production, Epsilon):
-            return []
+            return ()
         parts = production.parts if isinstance(production, Concat) else (production,)
         children: list[tuple[str, str]] = []
         seen: set[str] = set()
@@ -230,10 +268,14 @@ class DTD:
                 )
             seen.add(child)
             children.append((child, multiplicity))
-        return children
+        return tuple(children)
 
     def is_nested_relational(self) -> bool:
-        """Nested-relational: productions ``l -> l1^m1 ... lk^mk`` and no recursion."""
+        """Nested-relational: productions ``l -> l1^m1 ... lk^mk`` and no
+        recursion (memoized)."""
+        return self._memo("_nested_relational", self._compute_nested_relational)
+
+    def _compute_nested_relational(self) -> bool:
         if self.is_recursive():
             return False
         for label in self.productions:
@@ -243,27 +285,44 @@ class DTD:
                 return False
         return True
 
+    def multiplicities(self) -> dict[str, dict[str, str]]:
+        """``{label: {child: multiplicity}}`` of a nested-relational DTD.
+
+        Memoized and shared: callers must not mutate it.  Raises
+        :class:`NotInClassError` outside the nested-relational class.
+        """
+        if not self.is_nested_relational():
+            raise NotInClassError("DTD is not nested-relational")
+        return self._memo(
+            "_multiplicities",
+            lambda: {
+                label: dict(self.nested_relational_children(label))
+                for label in self.productions
+            },
+        )
+
     def starred_labels(self) -> frozenset[str]:
         """Element types occurring under the scope of ``*`` or ``+`` somewhere."""
-        if self._starred is None:
-            starred: set[str] = set()
+        return self._memo("_starred", self._compute_starred)
 
-            def walk(expr: Regex, under_star: bool) -> None:
-                if isinstance(expr, Symbol):
-                    if under_star:
-                        starred.add(expr.symbol)
-                elif isinstance(expr, (Concat, Union)):
-                    for part in expr.parts:
-                        walk(part, under_star)
-                elif isinstance(expr, (Star, Plus)):
-                    walk(expr.inner, True)
-                elif isinstance(expr, Optional):
-                    walk(expr.inner, under_star)
+    def _compute_starred(self) -> frozenset[str]:
+        starred: set[str] = set()
 
-            for production in self.productions.values():
-                walk(production, False)
-            self._starred = frozenset(starred)
-        return self._starred
+        def walk(expr: Regex, under_star: bool) -> None:
+            if isinstance(expr, Symbol):
+                if under_star:
+                    starred.add(expr.symbol)
+            elif isinstance(expr, (Concat, Union)):
+                for part in expr.parts:
+                    walk(part, under_star)
+            elif isinstance(expr, (Star, Plus)):
+                walk(expr.inner, True)
+            elif isinstance(expr, Optional):
+                walk(expr.inner, under_star)
+
+        for production in self.productions.values():
+            walk(production, False)
+        return frozenset(starred)
 
     def is_strictly_nested_relational(self) -> bool:
         """Nested-relational and only starred element types carry attributes."""
@@ -285,24 +344,44 @@ class DTD:
         saturation that also works for recursive DTDs.  Memoized on the
         instance; each call returns a fresh copy.
         """
-        if self._costs is None:
-            self._costs = self._compute_label_costs()
-        return dict(self._costs)
+        return dict(self._memo("_costs", self._compute_label_costs))
 
     def _compute_label_costs(self) -> dict[str, float]:
+        # chaotic iteration: a label is re-evaluated only when the cost of
+        # a symbol of its production dropped; leaves go first, so most
+        # labels are evaluated once
         costs: dict[str, float] = {label: float("inf") for label in self.productions}
-        changed = True
-        while changed:
-            changed = False
-            for label in self.productions:
-                word = self._cheapest_word(label, costs)
-                if word is None:
-                    continue
-                new_cost = 1 + sum(costs[symbol] for symbol in word)
-                if new_cost < costs[label]:
-                    costs[label] = new_cost
-                    changed = True
+        readers: dict[str, set[str]] = {label: set() for label in self.productions}
+        for label, production in self.productions.items():
+            for symbol in production.symbols():
+                readers[symbol].add(label)
+        pending = deque(reversed(self._breadth_first_labels()))
+        queued = set(pending)
+        while pending:
+            label = pending.popleft()
+            queued.discard(label)
+            word = self._cheapest_word(label, costs)
+            if word is None:
+                continue
+            new_cost = 1 + sum(costs[symbol] for symbol in word)
+            if new_cost < costs[label]:
+                costs[label] = new_cost
+                for reader in readers[label] - queued:
+                    pending.append(reader)
+                    queued.add(reader)
         return costs
+
+    def _breadth_first_labels(self) -> list[str]:
+        """Every label: those reachable from the root in breadth-first
+        order, then the unreachable ones."""
+        order = [self.root]
+        seen = {self.root}
+        for label in order:
+            for symbol in sorted(self.productions[label].symbols()):
+                if symbol not in seen:
+                    seen.add(symbol)
+                    order.append(symbol)
+        return order + [label for label in self.productions if label not in seen]
 
     def _cheapest_word(
         self, label: str, costs: dict[str, float], embed: tuple[str, ...] = ()
@@ -364,8 +443,16 @@ class DTD:
         *value_factory(label, attribute_name)* supplies attribute values
         (default: the constant 0, i.e. all data values equal — the choice
         that triggers the fewest stds; see ``consistency.cons_nested``).
-        Raises :class:`XsmError` when the DTD is unsatisfiable.
+        Raises :class:`XsmError` when the DTD is unsatisfiable.  The
+        default-valued tree is memoized on the instance and shared.
         """
+        if value_factory is None:
+            return self._memo("_minimal_tree", lambda: self._minimal_tree(None))
+        return self._minimal_tree(value_factory)
+
+    def _minimal_tree(
+        self, value_factory: Callable[[str, str], object] | None
+    ) -> TreeNode:
         costs = self.label_costs()
         if costs[self.root] == float("inf"):
             raise XsmError("DTD is unsatisfiable: no conforming tree exists")

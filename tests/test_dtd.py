@@ -226,3 +226,39 @@ class TestSatisfiabilityAndMinimalTrees:
         assert costs["teach"] == 4
         assert costs["prof"] == 6  # prof + teach subtree (4) + supervise (1)
         assert costs["r"] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_label_costs_match_round_based_fixpoint(self, seed):
+        """The worklist fixpoint equals re-running every label until stable."""
+        import random
+
+        from repro.workloads.random_instances import (
+            random_arbitrary_dtd,
+            random_production,
+        )
+
+        def round_based(dtd):
+            costs = {label: float("inf") for label in dtd.productions}
+            changed = True
+            while changed:
+                changed = False
+                for label in dtd.productions:
+                    word = dtd._cheapest_word(label, costs)
+                    if word is None:
+                        continue
+                    cost = 1 + sum(costs[symbol] for symbol in word)
+                    if cost < costs[label]:
+                        costs[label] = cost
+                        changed = True
+            return costs
+
+        rng = random.Random(2600 + seed)
+        for __ in range(100):
+            if rng.random() < 0.5:
+                dtd = random_arbitrary_dtd(rng, n_labels=rng.randint(2, 8))
+            else:  # productions may loop back: recursive, maybe unsatisfiable
+                labels = ["r"] + [f"n{i}" for i in range(1, rng.randint(2, 8))]
+                dtd = DTD(
+                    "r", {l: random_production(rng, labels[1:]) for l in labels}
+                )
+            assert dtd.label_costs() == round_based(dtd), dtd

@@ -321,3 +321,81 @@ def test_incremental_verdicts_equal_cold_solve(kernel, seed):
                 f"incremental and cold verdicts diverged under {kernel}"
             )
             mapping = _mutate_one_std(rng, mapping)
+
+
+# ---------------------------------------------------------------------------
+# the property beyond std edits: DTD, arity, root and std-list edits
+# ---------------------------------------------------------------------------
+
+BASE = """\
+source:
+    r -> item*, note?
+    item(sku, qty) -> part*
+    part(pid)
+    note(text)
+target:
+    w -> product*
+    product(sku) -> piece*
+    piece(pid)
+std: r[item(s, q)] -> w[product(s)]
+std: r[item(s, q)[part(p)]] -> w[product(s)[piece(p)]]
+"""
+
+#: (what the edit changes, revision text), applied in order
+REVISIONS = [
+    ("std", BASE.replace("w[product(s)[piece(p)]]", "w[product(s)]")),
+    ("source production", BASE.replace("r -> item*, note?", "r -> item+, note")),
+    ("target production", BASE.replace("w -> product*", "w -> product")),
+    ("arity", BASE.replace("product(sku) -> piece*", "product(sku, qty) -> piece*")),
+    ("root", BASE.replace("    w -> product*", "    v -> product*")),
+    ("added std", BASE + "std: r[note(t)] -> w[product(t)]\n"),
+    ("removed std", BASE.replace("std: r[item(s, q)] -> w[product(s)]\n", "")),
+    ("base", BASE),
+]
+
+
+def _observed(result) -> tuple[dict, str]:
+    return _decisions(result), result.lint.render_text()
+
+
+@pytest.mark.parametrize("kernel", [PURE, BITSET])
+def test_incremental_equals_cold_across_dtd_and_std_list_edits(kernel):
+    engine = IncrementalEngine(cache=CompilationCache())
+    with force_kernel(kernel):
+        engine.update("m", BASE)
+        for edit, text in REVISIONS:
+            incremental = engine.update("m", text)
+            cold = IncrementalEngine(cache=CompilationCache()).update("m", text)
+            assert not incremental.cold and cold.cold
+            assert _observed(incremental) == _observed(cold), (
+                f"incremental and cold results diverged after a {edit} edit "
+                f"under {kernel}"
+            )
+
+
+def test_unchanged_parts_are_reused_and_edited_parts_are_fresh():
+    engine = IncrementalEngine(cache=CompilationCache())
+    base = engine.update("m", BASE).mapping
+    # std-only edit: both DTDs and the untouched std carry over
+    edited = engine.update("m", REVISIONS[0][1]).mapping
+    assert edited.source_dtd is base.source_dtd
+    assert edited.target_dtd is base.target_dtd
+    assert edited.stds[0] is base.stds[0]
+    assert edited.stds[1] is not base.stds[1]
+    # target DTD edit: a fresh target DTD, the rest carries over
+    retargeted = engine.update(
+        "m", edited_text := REVISIONS[0][1].replace(
+            "product(sku) -> piece*", "product(sku) -> piece"
+        )
+    ).mapping
+    assert retargeted.target_dtd is not edited.target_dtd
+    assert retargeted.source_dtd is base.source_dtd
+    assert retargeted.stds == edited.stds
+    assert all(new is old for new, old in zip(retargeted.stds, edited.stds))
+    # reuse is scoped to the stream: another stream parses afresh
+    other = engine.update("other", edited_text).mapping
+    assert other.source_dtd is not retargeted.source_dtd
+    # and to the last revision: reverting parses the old section again
+    reverted = engine.update("m", REVISIONS[0][1]).mapping
+    assert reverted.target_dtd is not edited.target_dtd
+    assert reverted.source_dtd is base.source_dtd

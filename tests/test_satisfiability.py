@@ -1,6 +1,7 @@
 """Tests for pattern satisfiability wrt a DTD (repro.patterns.satisfiability,
 Lemma 4.1), cross-validated against exhaustive enumeration."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.patterns import is_satisfiable, satisfying_tree, structural_witness
@@ -170,3 +171,105 @@ def test_satisfiability_agrees_with_enumeration(dtd_text, pattern):
         matches_at_root(pattern, t) for t in enumerate_trees(dtd, 4, domain=(0,))
     )
     assert is_satisfiable(dtd, pattern) == expected
+
+
+# ---------------------------------------------------------------------------
+# the conforming-product search against a prune-only reference
+# ---------------------------------------------------------------------------
+
+
+def _prune_only_witness(dtd, pattern, context):
+    """The plain product search: prune non-conforming states, index nothing.
+
+    The reference the conformance-routed :func:`structural_witness` is
+    differential-tested against: same automata, no label index, no
+    dead-row pruning.
+    """
+    from repro.automata.duta import ProductAutomaton, find_accepted
+    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
+    from repro.kernel import select_kernel
+
+    extra = frozenset(pattern.labels_used())
+    kernel = select_kernel("automata", automata_size(dtd, [pattern]))
+    closure = closure_automaton([pattern], dtd, extra, context=context, kernel=kernel)
+    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    product = ProductAutomaton(
+        [conformance, closure],
+        predicate=lambda state: (
+            conformance.is_accepting(state[0])
+            and closure.satisfies(state[1], pattern)
+        ),
+    )
+    found = find_accepted(
+        product, prune=lambda state: not conformance.state_ok(state[0])
+    )
+    return None if found is None else found[1]
+
+
+def _random_dtd(rng, recursive: bool):
+    """A random DTD over r, n1..n4; *recursive* lets productions loop."""
+    from repro.workloads.random_instances import (
+        random_arbitrary_dtd,
+        random_production,
+    )
+    from repro.xmlmodel.dtd import DTD
+
+    if not recursive:
+        return random_arbitrary_dtd(rng, n_labels=5, max_arity=1)
+    labels = ["r", "n1", "n2", "n3", "n4"]
+    productions = {
+        label: random_production(rng, labels[1:]) for label in labels
+    }
+    attributes = {label: ("at0",) for label in labels[1:] if rng.random() < 0.4}
+    return DTD("r", productions, attributes)
+
+
+def _random_pairs(seed: int, count: int):
+    """Seeded (DTD, pattern) pairs, about half of them unsatisfiable.
+
+    Patterns are abstracted from random trees, either of the DTD itself
+    (satisfiable by construction) or of an unrelated DTD over the same
+    labels (often not).
+    """
+    import random
+
+    from repro.workloads.random_instances import (
+        abstract_pattern_from_tree,
+        random_tree_from_dtd,
+    )
+
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        dtd = _random_dtd(rng, recursive=rng.random() < 0.5)
+        donor = dtd if rng.random() < 0.5 else _random_dtd(rng, recursive=False)
+        if not donor.is_satisfiable():
+            continue
+        tree = random_tree_from_dtd(donor, rng, max_nodes=8)
+        pairs.append((dtd, abstract_pattern_from_tree(rng, tree)))
+    return pairs
+
+
+@pytest.mark.parametrize("kernel", ["pure", "bitset"])
+def test_structural_witness_agrees_with_prune_only_search(kernel):
+    from repro.automata.dtd_automaton import DTDAutomaton
+    from repro.engine import CompilationCache
+    from repro.engine.budget import ExecutionContext
+    from repro.kernel import force_kernel
+
+    found = empty = 0
+    with force_kernel(kernel):
+        for dtd, pattern in _random_pairs(seed=1500, count=120):
+            context = ExecutionContext(cache=CompilationCache())
+            witness = structural_witness(dtd, pattern, context)
+            reference = _prune_only_witness(dtd, pattern, context)
+            assert (witness is None) == (reference is None), (dtd, pattern)
+            if witness is None:
+                empty += 1
+                continue
+            found += 1
+            decorated = DTDAutomaton(dtd).decorate(witness)
+            assert dtd.conforms(decorated), (dtd, pattern, witness)
+            assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
+    # the seeded pairs exercise both answers
+    assert found >= 20 and empty >= 20, (found, empty)

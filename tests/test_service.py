@@ -18,6 +18,7 @@ from repro.service import (
     ServiceServer,
     ServiceUnavailable,
     call_service,
+    fetch_json,
     fetch_text,
 )
 from tests._engine_helpers import CrashProblem, EasyProblem, HangProblem
@@ -230,6 +231,18 @@ def server():
         yield srv
 
 
+def _get_status(url: str, path: str) -> tuple[int, dict]:
+    """GET *path*, returning the HTTP status with the JSON body."""
+    import urllib.error
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(f"{url}/{path}", timeout=30.0) as reply:
+            return reply.status, json.loads(reply.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 class TestServiceServer:
     def test_check_over_http(self, server):
         response = call_service(server.url, "check",
@@ -260,6 +273,21 @@ class TestServiceServer:
         assert stats["session"]["requests"]["check"] >= 1
         payload = json.loads(fetch_text(server.url, "metrics.json"))
         assert payload["repro_requests_total"]["kind"] == "counter"
+
+    @pytest.mark.parametrize("route", ["debug/requests", "debug/slow"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_limit_is_a_typed_400(self, server, route, value):
+        status, body = _get_status(server.url, f"{route}?limit={value}")
+        assert status == 400
+        assert body["error"]["type"] == "BadRequest"
+        assert "limit" in body["error"]["message"]
+        # the daemon keeps serving, and finite limits still work
+        assert fetch_json(server.url, f"{route}?limit=2")
+
+    def test_non_finite_min_ms_is_a_typed_400(self, server):
+        status, body = _get_status(server.url, "debug/requests?min_ms=nan")
+        assert status == 400
+        assert body["error"]["type"] == "BadRequest"
 
     def test_unreachable_daemon_raises_service_unavailable(self):
         with pytest.raises(ServiceUnavailable):
