@@ -2,8 +2,8 @@
 
 The incremental engine's promise (see DESIGN.md §Incremental
 re-solving) is that editing one std of an ``n``-std mapping re-solves
-only that std's invalidation cone while the other ``n - 1`` stds' com-
-piled automata and memoized verdicts stay warm.  This guard measures a
+only that std: unchanged parts are reused, so the other ``n - 1`` stds'
+compiled automata and memoized verdicts stay warm.  This guard measures a
 cold ``IncrementalEngine.update`` against single-std-edit deltas over a
 ladder of mapping sizes and journals the cold-vs-delta series into
 ``BENCH_incremental.json``.  Two gates run under ``--smoke`` (CI):
@@ -51,7 +51,7 @@ def make_mapping(n: int, edited: dict[int, int] | None = None) -> str:
 
     Each std ``i`` maps its own source subtree ``a_i/c_i`` to its own
     target subtree ``b_i/d_i``, so per-std compilation artifacts are
-    independent and an edit's cone is exactly one std wide.  *edited*
+    independent and an edit changes exactly one std's artifacts.  *edited*
     maps std indices to a variant number; odd variants flatten the
     target pattern (a real semantic edit, not a comment tweak).
     """
@@ -99,8 +99,8 @@ def measure_ladder_point(n: int, edits: int) -> dict:
         "cold_seconds": cold_seconds,
         "delta_seconds_mean": mean_delta,
         "delta_seconds_min": min(delta_seconds),
-        # where a delta's time goes: parse, fingerprint (fingerprint, diff
-        # and invalidation), solve and lint; mean ms per delta
+        # where a delta's time goes: parse, fingerprint (fingerprint and
+        # diff), solve and lint; mean ms per delta
         "delta_phase_ms_mean": {
             phase: 1000 * seconds / edits for phase, seconds in phases.items()
         },
@@ -110,7 +110,6 @@ def measure_ladder_point(n: int, edits: int) -> dict:
         "recompiled": recompiled,
         "invalidated": invalidated,
         "cold_recompiled": cold.recompiled,
-        "depgraph": engine.cache.depgraph.stats(),
     }
     split = ", ".join(
         f"{phase} {ms:.2f}" for phase, ms in record["delta_phase_ms_mean"].items()
@@ -171,8 +170,8 @@ def run_guard(smoke: bool = False, emit: bool = True, attempts: int = 3) -> int:
         for n, record in records.items():
             emit_json("incremental", f"delta-n{n}", dict(
                 record,
-                claim="single-std edit re-solves one invalidation cone, "
-                "siblings stay warm",
+                claim="single-std edit re-solves one std, "
+                "unchanged parts are reused",
             ))
         emit_json("incremental", "aggregate", {
             "claim": f"single-std edits of a {max(LADDER)}-std mapping are "

@@ -61,9 +61,8 @@ def lint_mapping(
     ``redundancy``) —
     ``engine.solve`` uses it to skip passes irrelevant to routing.
     *memo* is an optional report memo (duck-typed after
-    :class:`repro.incremental.LintMemo`): content-identical mappings get
-    the stored report back without re-running any pass, and delta
-    invalidation drops stale entries through the dependency graph.
+    :class:`repro.incremental.ResultMemo`): content-identical mappings
+    get the stored report back without re-running any pass.
     """
     if context is None:
         context = current_context() or ExecutionContext()

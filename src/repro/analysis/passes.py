@@ -586,7 +586,7 @@ def hygiene_pass(
     under such a budget are not memoized.
     """
     from repro.engine.budget import resolve_context
-    from repro.engine.depgraph import dtd_digest
+    from repro.engine.cache import dtd_digest
 
     resolved = resolve_context(context)
     reusable = resolved is None or (

@@ -29,7 +29,6 @@ from repro.automata.duta import (
     TreeAutomaton,
     find_accepted,
     reachable_states,
-    reachable_states_naive,
     run,
 )
 from repro.automata.dtd_automaton import DTDAutomaton
@@ -42,7 +41,6 @@ __all__ = [
     "ProductAutomaton",
     "run",
     "reachable_states",
-    "reachable_states_naive",
     "find_accepted",
     "DTDAutomaton",
     "PatternClosureAutomaton",

@@ -427,9 +427,9 @@ def _lint_watch(args) -> int:
     """``repro lint --watch``: re-lint and re-solve mapping files on change.
 
     One warm :class:`EngineSession` (or a daemon via ``--url``) serves a
-    ``delta`` request per changed file, so only the edit's invalidation
-    cone is recompiled; the per-delta line prints the latency and the
-    reuse accounting.  A file that fails to parse mid-save reports an
+    ``delta`` request per changed file, so only the parts the edit
+    changed are recompiled; the per-delta line prints the latency and
+    the reuse accounting.  A file that fails to parse mid-save reports an
     error and keeps being watched.  ``--watch-count N`` exits after N
     change events (CI smoke); otherwise the loop runs until Ctrl-C.
     """

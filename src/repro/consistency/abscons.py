@@ -45,7 +45,7 @@ from repro.consistency.bounded import default_value_domain
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import achievable_sets
-from repro.engine.depgraph import dtd_digest
+from repro.engine.cache import dtd_digest
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Counterexample,

@@ -9,7 +9,10 @@ Every decision procedure in the library routes through this layer:
   accounting, threaded through every solver);
 * :mod:`repro.engine.cache` — the content-hash-keyed
   :class:`CompilationCache` of DTD automata, closure automata, production
-  DFAs, classifications and achievable trigger-set tables;
+  DFAs, classifications and achievable trigger-set tables, its
+  :class:`~repro.engine.cache.LRU` policy (which also bounds the
+  incremental engine's verdict and lint memos) and the content digests
+  keying those memos;
 * :mod:`repro.engine.core` — :func:`solve`, the front door routing each
   :mod:`problem <repro.engine.problems>` to the strongest applicable
   algorithm per Figures 1–2 and attaching a
@@ -17,10 +20,6 @@ Every decision procedure in the library routes through this layer:
 * :mod:`repro.engine.diskcache` — the opt-in, content-keyed on-disk tier
   under the compilation cache (atomic writes, version-stamped keys,
   corruption-tolerant reads);
-* :mod:`repro.engine.depgraph` — the :class:`DependencyGraph` of input
-  digests → compiled artifacts behind incremental re-solving
-  (:mod:`repro.incremental`): delta invalidation evicts exactly the
-  downstream cone of an edit from both cache tiers;
 * :mod:`repro.engine.parallel` — :func:`solve_many`, the batch front
   door fanning independent solves over a process pool with per-task
   timeout/crash containment and aggregated statistics;
@@ -43,18 +42,11 @@ from repro.engine.cache import (
     closure_automaton,
     dtd_automaton,
     dtd_classification,
-)
-from repro.engine.certify import CertificationError, certify
-from repro.engine.depgraph import (
-    DependencyGraph,
-    alphabet_digest,
-    dtd_digests,
     mapping_digest,
-    mapping_digests,
     pattern_digest,
-    production_digest,
     std_digest,
 )
+from repro.engine.certify import CertificationError, certify
 from repro.engine.core import (
     nested_ptime_applicable,
     register_route,
@@ -113,13 +105,8 @@ __all__ = [
     "dtd_classification",
     "CertificationError",
     "certify",
-    "DependencyGraph",
-    "alphabet_digest",
-    "dtd_digests",
     "mapping_digest",
-    "mapping_digests",
     "pattern_digest",
-    "production_digest",
     "std_digest",
     "solve",
     "solve_many",

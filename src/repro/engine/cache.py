@@ -19,6 +19,10 @@ consults the disk before building, and every build is written back.
 Defaults are environment-configurable: ``REPRO_CACHE_SIZE`` overrides the
 LRU capacity (default 256) and ``REPRO_CACHE_DIR`` attaches a disk tier
 to the process-wide :data:`DEFAULT_CACHE`.
+
+The content digests at the bottom (:func:`dtd_digest`,
+:func:`mapping_digest`, ...) key the incremental engine's verdict and
+lint memos, which are bounded by the same :class:`LRU` policy and size.
 """
 
 from __future__ import annotations
@@ -28,24 +32,21 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from hashlib import sha256
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
 from repro.automata.dtd_automaton import DTDAutomaton
 from repro.automata.duta import ProductAutomaton, reachable_states
 from repro.automata.pattern_automaton import PatternClosureAutomaton
-from repro.engine.depgraph import (
-    DependencyGraph,
-    alphabet_digest,
-    dtd_digests,
-    pattern_digest,
-    production_digest,
-)
 from repro.engine.diskcache import MISS, DiskCacheTier
 from repro.kernel import BITSET, PURE, select_kernel
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
+    from repro.mappings.mapping import SchemaMapping
+    from repro.mappings.std import STD
 from repro.obs import REGISTRY, trace
 from repro.patterns.ast import Pattern
 from repro.xmlmodel.dtd import DTD
@@ -84,11 +85,6 @@ _DISK_STORES = REGISTRY.counter(
     "repro_cache_disk_stores_total",
     "Artifacts written back to the disk tier",
 )
-_INVALIDATED = REGISTRY.counter(
-    "repro_incremental_invalidated_total",
-    "Artifacts evicted by delta invalidation, by artifact kind",
-    ("kind",),
-)
 
 
 def cache_kind(key: Hashable) -> str:
@@ -115,10 +111,63 @@ def env_cache_size(default: int = DEFAULT_MAX_ENTRIES) -> int:
     return size if size > 0 else default
 
 
-class CompilationCache:
+class LRU:
+    """A thread-safe map of at most ``max_entries`` entries.
+
+    ``max_entries=None`` reads ``REPRO_CACHE_SIZE`` (default 256).  A read
+    marks its entry most recently used; a store past capacity drops the
+    least recently used entries and counts them in ``evictions``.  The
+    compilation cache and the incremental engine's result memos share
+    this one policy.
+    """
+
+    def __init__(self, max_entries: int | None = None):
+        self.max_entries = env_cache_size() if max_entries is None else max_entries
+        self.evictions = 0
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._lock = threading.RLock()
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lock (a fresh one is created on unpickle)."""
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
+
+    def get(self, key: Hashable) -> object:
+        """The entry under *key*, or :data:`MISS`."""
+        with self._lock:
+            value = self._entries.get(key, MISS)
+            if value is not MISS:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> int:
+        """Store *value* under *key*; returns how many entries it evicted."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            evicted = max(0, len(self._entries) - self.max_entries)
+            for __ in range(evicted):
+                self._entries.popitem(last=False)
+            self.evictions += evicted
+        return evicted
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+class CompilationCache(LRU):
     """Bounded LRU of compiled artifacts, keyed by input content.
 
-    ``max_entries=None`` reads ``REPRO_CACHE_SIZE`` (default 256).
     *disk* is an optional :class:`DiskCacheTier` consulted on memory
     misses; ``misses`` then counts actual builds, with disk traffic
     reported separately in :meth:`stats`.
@@ -139,61 +188,33 @@ class CompilationCache:
         enabled: bool = True,
         disk: DiskCacheTier | None = None,
     ):
-        self.max_entries = env_cache_size() if max_entries is None else max_entries
+        super().__init__(max_entries)
         self.enabled = enabled
         self.disk = disk
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.hits_by_kind: Counter[str] = Counter()
         self.misses_by_kind: Counter[str] = Counter()
-        self.depgraph = DependencyGraph()
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._lock = threading.RLock()
 
-    def __getstate__(self) -> dict:
-        """Pickle without the lock (a fresh one is created on unpickle)."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def lookup(
-        self,
-        key: Hashable,
-        build: Callable[[], object],
-        deps: Iterable[str] | None = None,
-    ) -> object:
-        """The cached artifact under *key*, building (and storing) on miss.
-
-        *deps* are the artifact's input digests (see
-        :mod:`repro.engine.depgraph`); they are registered in the
-        dependency graph whenever the artifact enters the cache, so a
-        later delta invalidation can evict exactly the downstream cone
-        of an edit.  Omitting *deps* keeps the artifact out of the
-        graph (it is then immune to invalidation — correct, because
-        content-keyed entries are never *wrong*, only possibly stale).
-        """
+    def lookup(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The cached artifact under *key*, building (and storing) on miss."""
         kind = cache_kind(key)
         if self.enabled:
             with self._lock:
-                if key in self._entries:
+                value = self.get(key)
+                if value is not MISS:
                     self.hits += 1
                     self.hits_by_kind[kind] += 1
-                    self._entries.move_to_end(key)
-                    value = self._entries[key]
-                    _CACHE_HITS.labels(kind=kind).inc()
-                    return value
+            if value is not MISS:
+                _CACHE_HITS.labels(kind=kind).inc()
+                return value
         if self.enabled and self.disk is not None:
             started = time.perf_counter()
             value = self.disk.get(key)
             _DISK_LOAD_SECONDS.observe(time.perf_counter() - started)
             if value is not MISS:
                 _DISK_HITS.inc()
-                self._store(key, value, deps)
+                self._store(key, value)
                 return value
         with self._lock:
             self.misses += 1
@@ -205,56 +226,16 @@ class CompilationCache:
             build_seconds = time.perf_counter() - started
         _COMPILE_SECONDS.labels(kind=kind).observe(build_seconds)
         if self.enabled:
-            self._store(key, value, deps)
+            self._store(key, value)
             if self.disk is not None:
                 if self.disk.put(key, value):
                     _DISK_STORES.inc()
         return value
 
-    def _store(
-        self, key: Hashable, value: object, deps: Iterable[str] | None = None
-    ) -> None:
-        if deps is not None:
-            self.depgraph.record(key, deps)
-        with self._lock:
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                # LRU-evicted artifacts stay in the graph (and on disk):
-                # they can come back from the disk tier, so they must
-                # remain reachable by a later invalidation.
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _CACHE_EVICTIONS.inc()
-
-    def evict(self, key: Hashable) -> dict[str, bool]:
-        """Drop *key* from the memory tier, the disk tier and the graph."""
-        with self._lock:
-            in_memory = self._entries.pop(key, MISS) is not MISS
-        on_disk = self.disk.evict(key) if self.disk is not None else False
-        self.depgraph.discard(key)
-        return {"memory": in_memory, "disk": on_disk}
-
-    def invalidate(self, dirty: Iterable[str]) -> dict[str, int]:
-        """Evict every artifact compiled from a dirty input digest.
-
-        Walks the downstream cone of *dirty* in the dependency graph
-        and evicts each artifact from **both** tiers, so neither the
-        LRU nor a later session boot can resurrect a stale entry.
-        Returns eviction counts; sibling artifacts (no dirty input)
-        are untouched and stay warm.
-        """
-        cone = self.depgraph.cone(dirty)
-        counts = {"artifacts": len(cone), "memory": 0, "disk": 0}
-        for key in cone:
-            dropped = self.evict(key)
-            counts["memory"] += dropped["memory"]
-            counts["disk"] += dropped["disk"]
-            _INVALIDATED.labels(kind=cache_kind(key)).inc()
-        return counts
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def _store(self, key: Hashable, value: object) -> None:
+        evicted = self.put(key, value)
+        if evicted:
+            _CACHE_EVICTIONS.inc(evicted)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -292,11 +273,6 @@ class CompilationCache:
                 cache_kind(key) for key in self._entries
             )
         return dict(sorted(counts.items()))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-        self.depgraph.clear()
 
 
 def cache_from_env() -> CompilationCache:
@@ -341,6 +317,45 @@ def patterns_key(patterns: Iterable[Pattern]) -> tuple:
     return tuple(patterns)
 
 
+def _sha(text: str) -> str:
+    return sha256(text.encode()).hexdigest()[:16]
+
+
+def dtd_digest(dtd: DTD) -> str:
+    """A short digest of :func:`dtd_key` (memoized on the instance)."""
+    cached = getattr(dtd, "_digest", None)
+    if cached is None:
+        cached = dtd._digest = f"dtd:{_sha(dtd_key(dtd))}"
+    return cached
+
+
+@lru_cache(maxsize=4096)
+def pattern_digest(pattern: Pattern) -> str:
+    """The content digest of a tree pattern (frozen dataclass ``repr``)."""
+    return f"pat:{_sha(repr(pattern))}"
+
+
+def std_digest(std: "STD") -> str:
+    """The content digest of one source-to-target dependency (memoized)."""
+    return std._memo("digest", lambda: f"std:{_sha(repr(std))}")
+
+
+def std_digests(mapping: "SchemaMapping") -> tuple[str, ...]:
+    """The digest of every std of *mapping*, in order (memoized on it)."""
+    return mapping._memo(
+        "_std_digests", lambda: tuple(std_digest(std) for std in mapping.stds)
+    )
+
+
+def mapping_digest(mapping: "SchemaMapping") -> str:
+    """One digest of a whole mapping: both DTDs and the std list (memoized)."""
+    return mapping._memo("_digest", lambda: "map:" + _sha("||".join((
+        dtd_digest(mapping.source_dtd),
+        dtd_digest(mapping.target_dtd),
+        *std_digests(mapping),
+    ))))
+
+
 # ---------------------------------------------------------------------------
 # compiled artifacts
 # ---------------------------------------------------------------------------
@@ -367,7 +382,6 @@ def dtd_classification(
             nested_relational=dtd.is_nested_relational(),
             strictly_nested_relational=dtd.is_strictly_nested_relational(),
         ),
-        deps=dtd_digests(dtd),
     )
 
 
@@ -380,7 +394,6 @@ def regex_dfa(
     return cache.lookup(
         ("regex-dfa", dtd_key(dtd), label, alphabet),
         lambda: dtd.production_nfa(label).determinize(alphabet),
-        deps=(production_digest(dtd, label), alphabet_digest(dtd)),
     )
 
 
@@ -447,12 +460,10 @@ def dtd_automaton(
         return cache.lookup(
             ("bitset-dtd-automaton", dtd_key(dtd), extra),
             lambda: BitsetDTDAutomaton(dtd, extra),
-            deps=dtd_digests(dtd),
         )
     return cache.lookup(
         ("dtd-automaton", dtd_key(dtd), extra),
         lambda: CompiledDTDAutomaton(dtd, extra, context),
-        deps=dtd_digests(dtd),
     )
 
 
@@ -470,12 +481,6 @@ def closure_automaton(
     """
     cache = resolve_cache(context)
     patterns = tuple(patterns)
-    # closures read only the label/arity alphabet off the DTD, so their
-    # dependency set is the alphabet digest plus the patterns — editing a
-    # production's content model leaves them warm.
-    deps = frozenset(
-        {alphabet_digest(dtd)} | {pattern_digest(p) for p in patterns}
-    )
     if kernel == BITSET:
         return cache.lookup(
             (
@@ -490,7 +495,6 @@ def closure_automaton(
                 extra_labels=dtd.labels | frozenset(extra_labels),
                 arity_of=dtd.arity if with_arity else None,
             ),
-            deps=deps,
         )
     return cache.lookup(
         ("closure", dtd_key(dtd), patterns, frozenset(extra_labels), with_arity),
@@ -499,7 +503,6 @@ def closure_automaton(
             extra_labels=dtd.labels | frozenset(extra_labels),
             arity_of=dtd.arity if with_arity else None,
         ),
-        deps=deps,
     )
 
 
@@ -571,8 +574,4 @@ def achievable_sets(
                 sets.setdefault(closure.trigger_set(state[1]), witness)
         return sets
 
-    return cache.lookup(
-        key,
-        build,
-        deps=dtd_digests(dtd) | {pattern_digest(p) for p in patterns},
-    )
+    return cache.lookup(key, build)

@@ -282,8 +282,8 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     problem_name = type(problem).__name__
     # Incremental re-solving (repro.incremental): a context carrying a
     # verdict memo gets content-identical, still-valid decided verdicts
-    # back without re-running the route — the memo is kept honest by
-    # delta invalidation through the cache's dependency graph.
+    # back without re-running the route (memo keys are content digests,
+    # so a stored verdict is never stale).
     memo = getattr(context, "memo", None)
     if memo is not None:
         reused = memo.lookup(problem, context.budget)

@@ -23,7 +23,9 @@ parallel batch used to recompile the same DTD automata and regex DFAs.
 
 Artifacts that fail to pickle are skipped silently (counted in
 ``stats()["unpicklable"]``) — the disk tier is an accelerator, never a
-requirement.
+requirement.  Nothing is deleted when a mapping is edited: the edited
+content has a new key, so it simply misses, and the old file serves an
+undo.  ``clear()`` empties the directory.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class DiskCacheTier:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        self.evictions = 0
         self.unpicklable = 0
         self._lock = threading.Lock()
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -159,24 +160,6 @@ class DiskCacheTier:
             self.stores += 1
         return True
 
-    def evict(self, key: Hashable) -> bool:
-        """Delete the artifact stored under *key*; False when absent.
-
-        Invalidation's disk half: without it a delta-invalidated
-        artifact would silently come back from the disk tier on the
-        next session boot.  Corruption-safe like every other operation
-        here — a concurrent writer racing the unlink at worst leaves a
-        fresh (content-correct) file behind, never a torn one, and any
-        filesystem error is swallowed as "nothing to evict".
-        """
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            return False
-        with self._lock:
-            self.evictions += 1
-        return True
-
     def __len__(self) -> int:
         return sum(1 for __ in self.directory.glob("*.pkl"))
 
@@ -187,7 +170,6 @@ class DiskCacheTier:
                 "disk_misses": self.misses,
                 "disk_stores": self.stores,
                 "disk_corrupt": self.corrupt,
-                "disk_evictions": self.evictions,
                 "unpicklable": self.unpicklable,
             }
 

@@ -29,6 +29,21 @@ class ParseError(XsmError):
         super().__init__(message)
 
 
+#: How deep the text parsers let brackets nest.  Every later stage walks
+#: parsed trees, patterns and regexes recursively, so deeper input is
+#: refused up front with a :class:`ParseError` instead of failing later
+#: with a ``RecursionError``.
+MAX_NESTING = 100
+
+
+def check_nesting(depth: int, text: str, position: int) -> None:
+    """Raise :class:`ParseError` when *depth* exceeds :data:`MAX_NESTING`."""
+    if depth > MAX_NESTING:
+        raise ParseError(
+            f"nesting deeper than {MAX_NESTING} levels", text, position
+        )
+
+
 class ConformanceError(XsmError):
     """Raised when a tree is required to conform to a DTD but does not."""
 

@@ -1,47 +1,41 @@
-"""Incremental re-solving: diff a mapping edit, invalidate its cone, reuse the rest.
+"""Incremental re-solving: diff a mapping edit, reuse what did not change.
 
 Every edit used to pay a cold solve.  The compiled artifacts were
 already content-keyed in the :class:`~repro.engine.cache.CompilationCache`
-(and its disk tier), and since PR 8 every compile registers its input
-digests in the cache's :class:`~repro.engine.depgraph.DependencyGraph` —
-this module closes the loop:
+(and its disk tier); this module adds the per-revision pieces:
 
-* :func:`fingerprint_mapping` reduces a mapping revision to its input
-  digests (one per std, per DTD production, per label/arity alphabet);
-* :func:`diff_fingerprints` maps an edit to the set of **dirty** digests
-  (the symmetric difference — old content that disappeared, new content
-  that arrived);
-* :class:`IncrementalEngine` owns the third piece: per-revision
-  bookkeeping.  ``update(name, text)`` parses the revision (taking
-  over the previous revision's DTD and std objects, and the memos they
-  carry, wherever their text is unchanged), diffs it against the
-  previous one, invalidates exactly the downstream cone
-  (compiled artifacts out of both cache tiers via
-  :meth:`CompilationCache.invalidate`, memoized verdicts and lint
-  reports out of the in-process memos), then re-solves the standard
-  problem set — whole-mapping consistency and absolute consistency plus
-  per-std source/target satisfiability — and re-lints.  Decided verdicts
-  whose inputs are untouched come straight out of the
-  :class:`VerdictMemo` (consulted by ``engine.solve`` through
-  ``context.memo``), so a single-std edit of a 20-std mapping re-solves
-  one std and reuses nineteen.
+* :func:`fingerprint_mapping` reduces a mapping revision to its content
+  digests (the whole mapping, each std, each DTD);
+* :func:`diff_fingerprints` maps an edit to the parts it changed (stds
+  changed or removed, DTDs changed);
+* :class:`IncrementalEngine` owns per-revision bookkeeping.
+  ``update(name, text)`` parses the revision (taking over the previous
+  revision's DTD and std objects, and the memos they carry, wherever
+  their text is unchanged), diffs it against the previous one, then
+  re-solves the standard problem set — whole-mapping consistency and
+  absolute consistency plus per-std source/target satisfiability — and
+  re-lints.  Decided verdicts whose inputs are unchanged come straight
+  out of a verdict :class:`ResultMemo` (consulted by ``engine.solve``
+  through ``context.memo``), so a single-std edit of a 20-std mapping
+  re-solves one std and reuses nineteen.
 
 Correctness story: memo keys are *content* digests (problem inputs plus
 the budget), so a reused verdict is byte-for-byte the verdict a cold
-solve of identical content would compute.  ``Unknown`` verdicts are
-never memoized — a larger budget or a warmer cache may decide them, so
-they are re-solved each time.  Invalidation is therefore hygiene (bound
-memory, evict dead disk files), not a correctness requirement; the
-equivalence property (incremental ≡ cold, both kernels) is pinned by
-``tests/test_incremental.py`` and gated in
+solve of identical content would compute, and an edit never has to
+evict anything.  ``Unknown`` verdicts are never memoized — a larger
+budget or a warmer cache may decide them, so they are re-solved each
+time.  Memory is bounded by the cache's LRU size (``REPRO_CACHE_SIZE``
+/ ``--cache-size``), which also bounds both memos; an eviction only
+costs a recompute, and an undo edit back to a recent revision is served
+from the memos.  The equivalence property (incremental ≡ cold, both
+kernels) is pinned by ``tests/test_incremental.py`` and gated in
 ``benchmarks/bench_incremental.py --smoke``.
 
 Front-ends: ``repro lint --watch`` (a :class:`FileWatcher` polling loop
 in :mod:`repro.cli`) and the ``/delta`` handler of
 :class:`~repro.service.session.EngineSession`.  Each delta runs under a
 ``delta`` trace span and moves the ``repro_incremental_{reused,
-invalidated,recompiled}_total`` counters plus the ``repro_delta_seconds``
-histogram.
+recompiled}_total`` counters plus the ``repro_delta_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -51,18 +45,18 @@ import time
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.engine.budget import Budget, ExecutionContext
-from repro.engine.cache import CompilationCache, cache_kind
-from repro.engine.depgraph import (
+from repro.engine.cache import (
+    LRU,
+    CompilationCache,
     dtd_digest,
-    dtd_digests,
     mapping_digest,
-    mapping_digests,
     pattern_digest,
     std_digests,
 )
+from repro.engine.diskcache import MISS
 from repro.engine.problems import (
     AbsoluteConsistencyProblem,
     ConsistencyProblem,
@@ -87,23 +81,10 @@ _RECOMPILED = REGISTRY.counter(
     "Results actually recomputed under the incremental engine, by kind",
     ("kind",),
 )
-_INVALIDATED = REGISTRY.counter(
-    "repro_incremental_invalidated_total",
-    "Artifacts evicted by delta invalidation, by artifact kind",
-    ("kind",),
-)
 _DELTA_SECONDS = REGISTRY.histogram(
     "repro_delta_seconds",
     "Wall-clock seconds per incremental delta update",
 )
-_DEPGRAPH_ARTIFACTS = REGISTRY.gauge(
-    "repro_depgraph_artifacts",
-    "Artifacts currently registered in the dependency graph",
-)
-
-#: Memo-owned cache kinds: these keys live in the in-process memos, not
-#: in the compilation cache's entry map or on disk.
-_RESULT_KINDS = frozenset({"verdict", "lint-report"})
 
 
 def _sha(text: str) -> str:
@@ -121,63 +102,39 @@ class MappingFingerprint:
 
     digest: str
     std_digests: tuple[str, ...]
-    source_digests: frozenset[str]
-    target_digests: frozenset[str]
-    pattern_digests: frozenset[str]
-
-    @property
-    def inputs(self) -> frozenset[str]:
-        """Every input digest of the revision (the differ's universe)."""
-        return (
-            self.source_digests
-            | self.target_digests
-            | self.pattern_digests
-            | frozenset(self.std_digests)
-        )
+    source_digest: str
+    target_digest: str
 
 
 def fingerprint_mapping(mapping: "SchemaMapping") -> MappingFingerprint:
-    """The content fingerprint of *mapping* (cheap: memoized DTD digests).
-
-    Pattern digests cover both the raw std patterns and their
-    value-stripped (``SM°``) projections — the two forms compiled
-    artifacts actually register as inputs — and a pattern shared by two
-    stds only turns dirty when *every* user of it changes, so shared
-    closure automata survive single-std edits.
-    """
-    patterns: set[str] = set()
-    for std in mapping.stds:
-        patterns.update(std._memo("pattern-digests", lambda: tuple(
-            pattern_digest(form)
-            for pattern in (std.source, std.target)
-            for form in (pattern, pattern.strip_values())
-        )))
+    """The content fingerprint of *mapping* (cheap: the digests are memoized)."""
     return MappingFingerprint(
         digest=mapping_digest(mapping),
         std_digests=std_digests(mapping),
-        source_digests=dtd_digests(mapping.source_dtd),
-        target_digests=dtd_digests(mapping.target_dtd),
-        pattern_digests=frozenset(patterns),
+        source_digest=dtd_digest(mapping.source_dtd),
+        target_digest=dtd_digest(mapping.target_dtd),
     )
 
 
 @dataclass(frozen=True)
 class MappingDelta:
-    """What an edit changed, in digest terms.
+    """What an edit changed: which stds, how many removed, which DTDs."""
 
-    ``dirty`` is the symmetric difference of the two revisions' input
-    digests — digests whose content disappeared (their artifacts are
-    stale) plus digests that are new (nothing compiled yet).  The
-    invalidation cone of ``dirty`` is exactly the set of artifacts an
-    edit can have made stale.
-    """
-
-    dirty: frozenset[str]
     changed_stds: tuple[int, ...]
     removed_stds: int
     source_dtd_changed: bool
     target_dtd_changed: bool
     cold: bool = False
+
+    @property
+    def dirty(self) -> int:
+        """How many parts changed: stds changed or removed, DTDs changed."""
+        return (
+            len(self.changed_stds)
+            + self.removed_stds
+            + self.source_dtd_changed
+            + self.target_dtd_changed
+        )
 
     @property
     def unchanged(self) -> bool:
@@ -190,14 +147,12 @@ def diff_fingerprints(
     """The delta from revision *old* to *new* (``old=None`` = cold start)."""
     if old is None:
         return MappingDelta(
-            dirty=new.inputs,
             changed_stds=tuple(range(len(new.std_digests))),
             removed_stds=0,
             source_dtd_changed=True,
             target_dtd_changed=True,
             cold=True,
         )
-    dirty = old.inputs ^ new.inputs
     old_stds = set(old.std_digests)
     changed = tuple(
         index
@@ -205,128 +160,73 @@ def diff_fingerprints(
         if digest not in old_stds
     )
     return MappingDelta(
-        dirty=frozenset(dirty),
         changed_stds=changed,
         removed_stds=len(old_stds - set(new.std_digests)),
-        source_dtd_changed=old.source_digests != new.source_digests,
-        target_dtd_changed=old.target_digests != new.target_digests,
+        source_dtd_changed=old.source_digest != new.source_digest,
+        target_dtd_changed=old.target_digest != new.target_digest,
     )
 
 
 # ---------------------------------------------------------------------------
-# memos: verdicts and lint reports, registered in the dependency graph
+# memos: verdicts and lint reports, bounded by the cache's LRU size
 # ---------------------------------------------------------------------------
 
 
-class VerdictMemo:
-    """Decided verdicts keyed by problem content + budget.
+def verdict_key(problem: object, budget: Budget) -> tuple | None:
+    """The memo key of a supported problem (None: not memoizable).
 
-    ``engine.solve`` consults an attached memo (``context.memo``) before
-    routing and stores every decided verdict afterwards; each stored key
-    is registered in the dependency graph under the problem's input
-    digests, so delta invalidation drops exactly the verdicts an edit
-    could change.  ``Unknown`` verdicts are never stored (re-solving may
-    decide them), and unsupported problem types simply bypass the memo.
+    Budgets enter the key: a tighter budget may yield a different
+    (Unknown) verdict, so verdicts are only reused under equal limits.
+    """
+    if isinstance(problem, ConsistencyProblem):
+        return ("verdict", "consistency", mapping_digest(problem.mapping), budget)
+    if isinstance(problem, AbsoluteConsistencyProblem):
+        return ("verdict", "abscons", mapping_digest(problem.mapping), budget)
+    if isinstance(problem, SatisfiabilityProblem):
+        return ("verdict", "satisfiability", dtd_digest(problem.dtd),
+                pattern_digest(problem.pattern), budget)
+    return None
+
+
+def lint_key(mapping: "SchemaMapping", passes: tuple[str, ...]) -> tuple:
+    """The memo key of a whole-mapping :class:`LintReport`."""
+    return ("lint-report", mapping_digest(mapping), passes)
+
+
+class ResultMemo(LRU):
+    """Results keyed by content digests, in an :class:`LRU`.
+
+    ``engine.solve`` consults a verdict memo (``context.memo``) before
+    routing and stores every decided verdict afterwards; ``lint_mapping``
+    does the same with a lint memo.  *key* maps the two arguments of
+    ``lookup``/``store`` to a content key (``None``: not memoizable, the
+    memo is bypassed).  ``Unknown`` verdicts are never stored: re-solving
+    may decide them.
     """
 
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self._entries: dict[Hashable, "Verdict"] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(problem: object, budget: Budget) -> tuple | None:
-        """The memo key of a supported problem (None: not memoizable).
-
-        Budgets enter the key: a tighter budget may yield a different
-        (Unknown) verdict, so verdicts are only reused under equal limits.
-        """
-        if isinstance(problem, ConsistencyProblem):
-            return ("verdict", "consistency", mapping_digest(problem.mapping), budget)
-        if isinstance(problem, AbsoluteConsistencyProblem):
-            return ("verdict", "abscons", mapping_digest(problem.mapping), budget)
-        if isinstance(problem, SatisfiabilityProblem):
-            return ("verdict", "satisfiability", dtd_digest(problem.dtd),
-                    pattern_digest(problem.pattern), budget)
-        return None
-
-    @staticmethod
-    def _inputs(problem: object) -> frozenset[str]:
-        """The input digests a memoized verdict of *problem* depends on."""
-        if isinstance(problem, SatisfiabilityProblem):
-            return dtd_digests(problem.dtd) | {pattern_digest(problem.pattern)}
-        return mapping_digests(problem.mapping)
-
-    def lookup(self, problem: object, budget: Budget) -> "Verdict | None":
-        key = self._key(problem, budget)
-        if key is None:
-            return None
-        with self._lock:
-            verdict = self._entries.get(key)
-        if verdict is not None:
-            _REUSED.labels(kind="verdict").inc()
-        return verdict
-
-    def store(self, problem: object, budget: Budget, verdict: "Verdict") -> None:
-        _RECOMPILED.labels(kind="verdict").inc()
-        if verdict.is_unknown:
-            return
-        key = self._key(problem, budget)
-        if key is None:
-            return
-        with self._lock:
-            self._entries[key] = verdict
-        self._graph.record(key, self._inputs(problem))
-
-    def drop(self, key: Hashable) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class LintMemo:
-    """Whole-mapping :class:`LintReport` objects, invalidated like verdicts."""
-
-    def __init__(self, graph) -> None:
-        self._graph = graph
-        self._entries: dict[Hashable, "LintReport"] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(mapping: "SchemaMapping", passes: tuple[str, ...]) -> tuple:
-        return ("lint-report", mapping_digest(mapping), passes)
-
-    def lookup(
-        self, mapping: "SchemaMapping", passes: tuple[str, ...]
-    ) -> "LintReport | None":
-        with self._lock:
-            report = self._entries.get(self._key(mapping, passes))
-        if report is not None:
-            _REUSED.labels(kind="lint").inc()
-        return report
-
-    def store(
+    def __init__(
         self,
-        mapping: "SchemaMapping",
-        passes: tuple[str, ...],
-        report: "LintReport",
+        kind: str,
+        key: Callable[[object, object], Hashable | None],
+        max_entries: int | None = None,
     ) -> None:
-        _RECOMPILED.labels(kind="lint").inc()
-        key = self._key(mapping, passes)
-        with self._lock:
-            self._entries[key] = report
-        self._graph.record(key, mapping_digests(mapping))
+        super().__init__(max_entries)
+        self.kind = kind
+        self._key = key
 
-    def drop(self, key: Hashable) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+    def lookup(self, subject: object, qualifier: object) -> object | None:
+        key = self._key(subject, qualifier)
+        value = MISS if key is None else self.get(key)
+        if value is MISS:
+            return None
+        _REUSED.labels(kind=self.kind).inc()
+        return value
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def store(self, subject: object, qualifier: object, value: object) -> None:
+        _RECOMPILED.labels(kind=self.kind).inc()
+        key = self._key(subject, qualifier)
+        if key is not None and not getattr(value, "is_unknown", False):
+            self.put(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +254,14 @@ class DeltaResult:
     delta: MappingDelta
     verdicts: dict[str, "Verdict"]
     lint: "LintReport"
+    #: LRU evictions during the update: compiled ``artifacts`` from the
+    #: cache, memoized ``results`` from the verdict and lint memos
     invalidated: dict[str, int]
     reused: int
     recompiled: int
     elapsed: float
-    #: seconds per pipeline phase: parse, fingerprint (fingerprint, diff
-    #: and invalidation), solve and lint
+    #: seconds per pipeline phase: parse, fingerprint (fingerprint and
+    #: diff), solve and lint
     phases: dict[str, float]
 
     @property
@@ -373,8 +275,9 @@ class IncrementalEngine:
     One engine is owned by an :class:`~repro.service.session.EngineSession`
     (the ``/delta`` handler) or by a ``repro lint --watch`` loop; it
     shares the session's compilation cache, so artifact reuse spans
-    one-shot requests and deltas alike.  ``update`` is safe to call from
-    concurrent handler threads.
+    one-shot requests and deltas alike.  Its verdict and lint memos hold
+    at most the cache's ``max_entries`` each.  ``update`` is safe to call
+    from concurrent handler threads.
     """
 
     #: Problem labels solved per revision, in response order.
@@ -387,43 +290,14 @@ class IncrementalEngine:
     ) -> None:
         self.cache = cache if cache is not None else CompilationCache()
         self.budget = budget if budget is not None else Budget.default()
-        self.verdicts = VerdictMemo(self.cache.depgraph)
-        self.lints = LintMemo(self.cache.depgraph)
+        self.verdicts = ResultMemo("verdict", verdict_key, self.cache.max_entries)
+        self.lints = ResultMemo("lint", lint_key, self.cache.max_entries)
         self._revisions: dict[str, MappingFingerprint] = {}
         #: per stream: the parsed sections of its last revision (see
         #: ``parse_mapping(reuse=)``)
         self._sections: dict[str, dict] = {}
         self._lock = threading.Lock()
         self.deltas = 0
-
-    # -- invalidation -------------------------------------------------------
-
-    def invalidate(self, dirty: Iterable[str]) -> dict[str, int]:
-        """Evict the downstream cone of *dirty* from every tier.
-
-        Compiled artifacts leave the memory LRU *and* the disk tier
-        (:meth:`CompilationCache.invalidate`); memoized verdicts and
-        lint reports leave their memos.  Siblings stay warm.
-        """
-        dirty = frozenset(dirty)
-        cone = self.cache.depgraph.cone(dirty)
-        counts = {"artifacts": 0, "results": 0, "memory": 0, "disk": 0}
-        for key in cone:
-            kind = cache_kind(key)
-            if kind in _RESULT_KINDS:
-                if self.verdicts.drop(key) or self.lints.drop(key):
-                    counts["results"] += 1
-                self.cache.depgraph.discard(key)
-                _INVALIDATED.labels(kind=kind).inc()
-            else:
-                dropped = self.cache.evict(key)
-                counts["artifacts"] += 1
-                counts["memory"] += dropped["memory"]
-                counts["disk"] += dropped["disk"]
-                _INVALIDATED.labels(kind=kind).inc()
-        return counts
-
-    # -- the delta pipeline -------------------------------------------------
 
     def _problems(self, mapping: "SchemaMapping") -> dict[str, object]:
         problems: dict[str, object] = {
@@ -439,6 +313,12 @@ class IncrementalEngine:
             )
         return problems
 
+    def _evictions(self) -> dict[str, int]:
+        return {
+            "artifacts": self.cache.evictions,
+            "results": self.verdicts.evictions + self.lints.evictions,
+        }
+
     def update(
         self,
         name: str,
@@ -448,10 +328,10 @@ class IncrementalEngine:
         """Apply revision *mapping* of the stream *name* and re-solve.
 
         Returns the full verdict set for the revision; everything whose
-        inputs the edit did not touch is served from the memos.  Given
-        text, the DTD sections and std lines the stream's previous
-        revision already had are not re-parsed: their objects, and the
-        memos those objects carry, are reused.
+        inputs are unchanged is served from the memos.  Given text, the
+        DTD sections and std lines the stream's previous revision
+        already had are not re-parsed: their objects, and the memos
+        those objects carry, are reused.
         """
         from repro.analysis.lint import lint_mapping
         from repro.engine.core import solve
@@ -468,6 +348,7 @@ class IncrementalEngine:
         parsed = time.perf_counter()
         reused_before = _family_total(_REUSED)
         recompiled_before = _family_total(_RECOMPILED)
+        evictions_before = self._evictions()
         new = fingerprint_mapping(mapping)
         with self._lock:
             old = self._revisions.get(name)
@@ -477,11 +358,6 @@ class IncrementalEngine:
         with observe_seconds(_DELTA_SECONDS), trace(
             "delta", mapping=name, cold=delta.cold or None
         ) as span:
-            invalidated = (
-                self.invalidate(delta.dirty)
-                if delta.dirty and not delta.cold
-                else {"artifacts": 0, "results": 0, "memory": 0, "disk": 0}
-            )
             fingerprinted = time.perf_counter()
             context = ExecutionContext(
                 budget, cache=self.cache, memo=self.verdicts
@@ -494,12 +370,15 @@ class IncrementalEngine:
             report = lint_mapping(
                 mapping, context, name=name, memo=self.lints
             )
+            invalidated = {
+                part: count - evictions_before[part]
+                for part, count in self._evictions().items()
+            }
             span.annotate(
-                dirty=len(delta.dirty),
+                dirty=delta.dirty,
                 invalidated=invalidated["artifacts"] + invalidated["results"],
             )
         finished = time.perf_counter()
-        _DEPGRAPH_ARTIFACTS.set(len(self.cache.depgraph))
         return DeltaResult(
             name=name,
             revision=new.digest,
@@ -529,7 +408,6 @@ class IncrementalEngine:
             "deltas": deltas,
             "memoized_verdicts": len(self.verdicts),
             "memoized_lints": len(self.lints),
-            **{f"depgraph_{k}": v for k, v in self.cache.depgraph.stats().items()},
         }
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import ParseError, check_nesting
 from repro.patterns.ast import (
     WILDCARD,
     Descendant,
@@ -82,14 +82,16 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {got!r}", self.text, offset)
 
     # path := node (('/' | '//') node)*
-    def parse_path(self) -> Pattern:
-        steps: list[tuple[str | None, Pattern]] = [(None, self.parse_node())]
+    # *depth* counts the pattern nodes above this one: each path step
+    # nests one level deeper, like an item list does
+    def parse_path(self, depth: int = 0) -> Pattern:
+        steps: list[tuple[str | None, Pattern]] = [(None, self.parse_node(depth))]
         while True:
             token = self.peek()
             if token is None or token[1] not in ("/", "//"):
                 break
             __, separator, __ = self.next()
-            steps.append((separator, self.parse_node()))
+            steps.append((separator, self.parse_node(depth + len(steps))))
         pattern = steps[-1][1]
         for index in range(len(steps) - 2, -1, -1):
             __, parent = steps[index]
@@ -100,10 +102,11 @@ class _Parser:
             pattern = Pattern(parent.label, parent.vars, parent.items + (item,))
         return pattern
 
-    def parse_node(self) -> Pattern:
+    def parse_node(self, depth: int) -> Pattern:
         kind, label, offset = self.next()
         if kind != "ident":
             raise ParseError(f"expected a label, got {label!r}", self.text, offset)
+        check_nesting(depth, self.text, offset)
         vars_: tuple[Term, ...] | None = None
         items: list[ListItem] = []
         token = self.peek()
@@ -121,15 +124,16 @@ class _Parser:
         if token is not None and token[1] == "[":
             self.next()
             if self.peek() is not None and self.peek()[1] != "]":
-                items.append(self.parse_item())
+                items.append(self.parse_item(depth + 1))
                 while self.peek() is not None and self.peek()[1] == ",":
                     self.next()
-                    items.append(self.parse_item())
+                    items.append(self.parse_item(depth + 1))
             self.expect("]")
         return Pattern(label, vars_, tuple(items))
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int = 0) -> Term:
         kind, value, offset = self.next()
+        check_nesting(depth, self.text, offset)
         if kind == "number":
             return Const(int(value))
         if kind == "string":
@@ -140,24 +144,24 @@ class _Parser:
                 self.next()
                 args: list[Term] = []
                 if self.peek() is not None and self.peek()[1] != ")":
-                    args.append(self.parse_term())
+                    args.append(self.parse_term(depth + 1))
                     while self.peek() is not None and self.peek()[1] == ",":
                         self.next()
-                        args.append(self.parse_term())
+                        args.append(self.parse_term(depth + 1))
                 self.expect(")")
                 return SkolemTerm(value, tuple(args))
             return Var(value)
         raise ParseError(f"expected a term, got {value!r}", self.text, offset)
 
-    def parse_item(self) -> ListItem:
+    def parse_item(self, depth: int) -> ListItem:
         token = self.peek()
         if token is not None and token[0] == "dslash":
             self.next()
-            return Descendant(self.parse_path())
-        return self.parse_sequence()
+            return Descendant(self.parse_path(depth))
+        return self.parse_sequence(depth)
 
-    def parse_sequence(self) -> Sequence:
-        elements = [self.parse_path()]
+    def parse_sequence(self, depth: int) -> Sequence:
+        elements = [self.parse_path(depth)]
         connectors: list[str] = []
         while True:
             token = self.peek()
@@ -165,12 +169,15 @@ class _Parser:
                 break
             kind, __, __ = self.next()
             connectors.append("next" if kind == "arrow" else "following")
-            elements.append(self.parse_path())
+            elements.append(self.parse_path(depth))
         return Sequence(tuple(elements), tuple(connectors))
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Parse a pattern from text; raise :class:`ParseError` on junk."""
+    """Parse a pattern from text; raise :class:`ParseError` on junk.
+
+    Patterns deeper than :data:`repro.errors.MAX_NESTING` count as junk.
+    """
     parser = _Parser(text)
     pattern = parser.parse_path()
     if parser.peek() is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import ParseError, check_nesting
 from repro.regex.ast import (
     EMPTY,
     EPSILON,
@@ -63,6 +63,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: open parentheses around the current position
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         if self.pos < len(self.tokens):
@@ -100,8 +102,12 @@ class _Parser:
 
     def parse_item(self) -> Regex:
         expr = self.parse_atom()
+        ops = 0
         while self.peek() is not None and self.peek()[1] in "*+?":
-            __, op, __ = self.next()
+            __, op, offset = self.next()
+            # each operator wraps the expression one level deeper
+            ops += 1
+            check_nesting(self.depth + ops, self.text, offset)
             if op == "*":
                 expr = Star(expr)
             elif op == "+":
@@ -113,7 +119,10 @@ class _Parser:
     def parse_atom(self) -> Regex:
         kind, value, offset = self.next()
         if value == "(":
+            self.depth += 1
+            check_nesting(self.depth, self.text, offset)
             expr = self.parse_expr()
+            self.depth -= 1
             kind, value, offset = self.next()
             if value != ")":
                 raise ParseError(f"expected ')', got {value!r}", self.text, offset)
@@ -131,6 +140,8 @@ def parse_regex(text: str) -> Regex:
     """Parse a regular expression in DTD production syntax.
 
     The empty string parses to epsilon (an element with no children).
+    Nesting deeper than :data:`repro.errors.MAX_NESTING` (parentheses
+    plus postfix operators) is a :class:`ParseError`.
     """
     if not text.strip():
         return EPSILON

@@ -528,9 +528,8 @@ class EngineSession:
 
         ``{"name": ..., "mapping": <text>}`` applies one revision of the
         named mapping stream: the edit is diffed against the previous
-        revision, only the invalidation cone of the changed inputs is
-        recompiled, and every verdict whose inputs are untouched is
-        served from the memo.  The response carries the full verdict set
+        revision, and every verdict whose inputs are unchanged is served
+        from the memo.  The response carries the full verdict set
         plus reuse accounting under ``"incremental"``.
         """
         return self._run("delta", request, self._delta_body)
@@ -566,7 +565,7 @@ class EngineSession:
                 ),
             },
             "incremental": {
-                "dirty": len(result.delta.dirty),
+                "dirty": result.delta.dirty,
                 "changed_stds": list(result.delta.changed_stds),
                 "invalidated": result.invalidated,
                 "reused": result.reused,

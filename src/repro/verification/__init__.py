@@ -21,6 +21,7 @@ from repro.verification.oracle import (
     oracle_is_consistent,
     oracle_solutions,
 )
+from repro.verification.reachability import reachable_states_naive
 
 __all__ = [
     "enumerate_label_trees",
@@ -32,4 +33,5 @@ __all__ = [
     "oracle_is_absolutely_consistent",
     "oracle_counterexample",
     "oracle_composition_contains",
+    "reachable_states_naive",
 ]

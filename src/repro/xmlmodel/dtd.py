@@ -133,7 +133,6 @@ class DTD:
     _MEMOS = (
         "_content_key",
         "_digest",
-        "_input_digests",
         "_recursive",
         "_nr_rows",
         "_nested_relational",

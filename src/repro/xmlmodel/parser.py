@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import ParseError
+from repro.errors import ParseError, check_nesting
 from repro.xmlmodel.tree import TreeNode
 
 _TOKEN_RE = re.compile(
@@ -88,10 +88,11 @@ def _parse_value(tokenizer: _Tokenizer) -> object:
     raise ParseError(f"expected a value, got {value!r}", tokenizer.text, offset)
 
 
-def _parse_node(tokenizer: _Tokenizer) -> TreeNode:
+def _parse_node(tokenizer: _Tokenizer, depth: int = 0) -> TreeNode:
     kind, label, offset = tokenizer.next()
     if kind != "ident":
         raise ParseError(f"expected an element label, got {label!r}", tokenizer.text, offset)
+    check_nesting(depth, tokenizer.text, offset)
     attrs: list[object] = []
     children: list[TreeNode] = []
     token = tokenizer.peek()
@@ -107,16 +108,19 @@ def _parse_node(tokenizer: _Tokenizer) -> TreeNode:
     if token is not None and token[1] == "[":
         tokenizer.next()
         if tokenizer.peek() is not None and tokenizer.peek()[1] != "]":
-            children.append(_parse_node(tokenizer))
+            children.append(_parse_node(tokenizer, depth + 1))
             while tokenizer.peek() is not None and tokenizer.peek()[1] == ",":
                 tokenizer.next()
-                children.append(_parse_node(tokenizer))
+                children.append(_parse_node(tokenizer, depth + 1))
         tokenizer.expect("]")
     return TreeNode(label, attrs, children)
 
 
 def parse_tree(text: str) -> TreeNode:
-    """Parse a tree from the compact syntax; raise :class:`ParseError` on junk."""
+    """Parse a tree from the compact syntax; raise :class:`ParseError` on junk.
+
+    Trees deeper than :data:`repro.errors.MAX_NESTING` count as junk.
+    """
     tokenizer = _Tokenizer(text)
     node = _parse_node(tokenizer)
     if not tokenizer.at_end():

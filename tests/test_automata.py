@@ -218,7 +218,7 @@ class TestReachabilityHooks:
             reachable_states(automaton, max_states=len(full) - 1)
 
     def test_worklist_agrees_with_naive_saturation(self):
-        from repro.automata.duta import reachable_states_naive
+        from repro.verification.reachability import reachable_states_naive
 
         automaton = self.automaton()
         fast = reachable_states(automaton)

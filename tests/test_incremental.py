@@ -1,10 +1,11 @@
-"""Incremental re-solving: dependency graph, delta invalidation, memos.
+"""Incremental re-solving: fingerprints, deltas, bounded memos.
 
 The load-bearing property is at the bottom: under random single-std
 edits, the incremental engine's verdicts must be *identical* to a cold
-solve of the same revision — under both automata kernels.  Everything
-above it pins the machinery that makes the property cheap: cone
-computation, two-tier eviction, memo registration and the file watcher.
+solve of the same revision — under both automata kernels, and also
+after the memos have evicted entries.  Everything above it pins the
+machinery that makes the property cheap: edit diffing, the LRU bound on
+the verdict and lint memos, undo reuse and the file watcher.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ import random
 import pytest
 
 from repro.analysis import lint_mapping
-from repro.engine import CompilationCache, DiskCacheTier, ExecutionContext
+from repro.engine import CompilationCache, ExecutionContext
 from repro.engine.cache import dtd_classification
-from repro.engine.depgraph import (
-    DependencyGraph,
-    alphabet_digest,
-    dtd_digests,
-    production_digest,
-)
 from repro.incremental import (
     FileWatcher,
     IncrementalEngine,
@@ -51,97 +46,6 @@ std: r[item(s)] -> w[product(s)]
 
 
 # ---------------------------------------------------------------------------
-# the graph
-# ---------------------------------------------------------------------------
-
-
-def test_depgraph_record_cone_discard():
-    graph = DependencyGraph()
-    graph.record(("a",), {"prod:1", "alpha:1"})
-    graph.record(("b",), {"prod:2", "alpha:1"})
-    assert graph.cone({"prod:1"}) == {("a",)}
-    assert graph.cone({"alpha:1"}) == {("a",), ("b",)}
-    assert graph.cone({"prod:zzz"}) == set()
-    assert graph.dependencies(("a",)) == {"prod:1", "alpha:1"}
-    graph.discard(("a",))
-    assert graph.cone({"prod:1"}) == set()
-    assert len(graph) == 1
-    stats = graph.stats()
-    assert stats == {"inputs": 2, "artifacts": 1, "edges": 2}
-
-
-def test_depgraph_rerecord_updates_edges():
-    graph = DependencyGraph()
-    graph.record(("k",), {"prod:1"})
-    graph.record(("k",), {"prod:2"})
-    assert graph.cone({"prod:1"}) == set()
-    assert graph.cone({"prod:2"}) == {("k",)}
-
-
-def test_depgraph_pickles_inside_cache():
-    import pickle
-
-    cache = CompilationCache()
-    mapping = parse_mapping(SIMPLE)
-    dtd_classification(mapping.source_dtd, ExecutionContext(cache=cache))
-    assert len(cache.depgraph) > 0
-    clone = pickle.loads(pickle.dumps(cache))
-    assert len(clone.depgraph) == len(cache.depgraph)
-
-
-# ---------------------------------------------------------------------------
-# two-tier eviction
-# ---------------------------------------------------------------------------
-
-
-def test_invalidate_evicts_memory_and_disk(tmp_path):
-    cache = CompilationCache(disk=DiskCacheTier(tmp_path))
-    mapping = parse_mapping(SIMPLE)
-    dtd = mapping.source_dtd
-    dtd_classification(dtd, ExecutionContext(cache=cache))
-    assert len(cache) == 1
-    on_disk = [p for p in tmp_path.rglob("*") if p.is_file()]
-    assert on_disk, "classification artifact must reach the disk tier"
-    counts = cache.invalidate({production_digest(dtd, "item")})
-    assert counts["artifacts"] == 1
-    assert counts["memory"] == 1
-    assert counts["disk"] == 1
-    assert len(cache) == 0
-    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
-    # the graph forgot the key too: a second invalidation is a no-op
-    assert cache.invalidate({production_digest(dtd, "item")})["artifacts"] == 0
-
-
-def test_invalidation_leaves_siblings_warm():
-    cache = CompilationCache()
-    mapping = parse_mapping(SIMPLE)
-    context = ExecutionContext(cache=cache)
-    dtd_classification(mapping.source_dtd, context)
-    dtd_classification(mapping.target_dtd, context)
-    assert len(cache) == 2
-    cache.invalidate({production_digest(mapping.source_dtd, "item")})
-    assert len(cache) == 1  # the target-side classification survives
-
-
-def test_disk_evict_is_corruption_safe(tmp_path):
-    disk = DiskCacheTier(tmp_path)
-    assert disk.evict(("never", "stored")) is False
-    assert disk.put(("k",), {"v": 1})
-    assert disk.evict(("k",)) is True
-    assert disk.get(("k",)) is not {"v": 1}  # gone: sentinel comes back
-    assert disk.stats()["disk_evictions"] == 1
-
-
-def test_cache_evict_reports_tiers(tmp_path):
-    cache = CompilationCache(disk=DiskCacheTier(tmp_path))
-    value = cache.lookup(("kind", "x"), lambda: 41, deps={"prod:x"})
-    assert value == 41
-    dropped = cache.evict(("kind", "x"))
-    assert dropped == {"memory": True, "disk": True}
-    assert cache.evict(("kind", "x")) == {"memory": False, "disk": False}
-
-
-# ---------------------------------------------------------------------------
 # fingerprints and deltas
 # ---------------------------------------------------------------------------
 
@@ -154,8 +58,8 @@ def test_fingerprint_diff_localizes_a_single_std_edit():
     assert not delta.cold
     assert delta.changed_stds == (0,)
     assert not delta.source_dtd_changed and not delta.target_dtd_changed
-    # dirty digests are std/pattern-level only; DTD inputs stay clean
-    assert all(not d.startswith(("prod:", "alpha:")) for d in delta.dirty)
+    # one changed std replaced one removed std; the DTDs are clean
+    assert delta.removed_stds == 1 and delta.dirty == 2
 
 
 def test_fingerprint_diff_sees_dtd_edits():
@@ -165,21 +69,14 @@ def test_fingerprint_diff_sees_dtd_edits():
         fingerprint_mapping(base), fingerprint_mapping(edited)
     )
     assert delta.source_dtd_changed and not delta.target_dtd_changed
-    dirty_families = {d.split(":", 1)[0] for d in delta.dirty}
-    assert "prod" in dirty_families
+    assert delta.changed_stds == () and delta.dirty == 1
 
 
 def test_cold_start_marks_everything_dirty():
     new = fingerprint_mapping(parse_mapping(SIMPLE))
     delta = diff_fingerprints(None, new)
-    assert delta.cold and delta.dirty == new.inputs
-
-
-def test_alphabet_digest_survives_regex_edit():
-    base = parse_mapping(SIMPLE).source_dtd
-    edited = parse_mapping(SIMPLE.replace("r -> item*", "r -> item+")).source_dtd
-    assert alphabet_digest(base) == alphabet_digest(edited)
-    assert dtd_digests(base) != dtd_digests(edited)
+    # every std plus both DTDs
+    assert delta.cold and delta.dirty == len(new.std_digests) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +95,56 @@ def test_noop_delta_reuses_every_decided_verdict():
     assert warm.elapsed < cold.elapsed
 
 
-def test_single_std_edit_invalidates_only_its_cone():
-    texts = {
-        0: SIMPLE,
-        1: SIMPLE.replace("w[product(s)]", "w[product(t)]"),
-    }
+def test_single_std_edit_keeps_every_artifact_warm():
     engine = IncrementalEngine(cache=CompilationCache())
-    engine.update("m", texts[0])
+    engine.update("m", SIMPLE)
     entries_before = len(engine.cache)
-    delta = engine.update("m", texts[1])
-    assert not delta.cold
-    assert delta.delta.changed_stds == (0,)
-    # DTD-derived artifacts survive: at most pattern-cone entries dropped
-    assert len(engine.cache) >= entries_before - delta.invalidated["artifacts"]
-    assert delta.invalidated["results"] > 0  # stale verdicts/lint dropped
+    delta = engine.update("m", SIMPLE.replace("w[product(s)]", "w[product(t)]"))
+    assert not delta.cold and delta.delta.changed_stds == (0,)
+    # an edit evicts nothing: a cache below its bound only grows
+    assert delta.invalidated == {"artifacts": 0, "results": 0}
+    assert len(engine.cache) >= entries_before
+    assert delta.reused > 0 and delta.recompiled > 0
+
+
+def _renamed(index: int) -> str:
+    """SIMPLE with its std's variable renamed: a distinct revision."""
+    return SIMPLE.replace("item(s)] -> w[product(s)", f"item(v{index})] -> w[product(v{index})")
+
+
+def test_memos_hold_at_most_max_entries():
+    engine = IncrementalEngine(cache=CompilationCache(max_entries=4))
+    evicted = 0
+    for index in range(8):
+        result = engine.update("m", _renamed(index))
+        evicted += result.invalidated["results"]
+        assert len(engine.verdicts) <= 4 and len(engine.lints) <= 4
+        assert len(engine.cache) <= 4
+    assert evicted == engine.verdicts.evictions + engine.lints.evictions > 0
+
+
+def test_cache_pickles_with_its_entries():
+    import pickle
+
+    cache = CompilationCache(max_entries=4)
+    mapping = parse_mapping(SIMPLE)
+    dtd_classification(mapping.source_dtd, ExecutionContext(cache=cache))
+    clone = pickle.loads(pickle.dumps(cache))
+    assert len(clone) == len(cache) == 1 and clone.max_entries == 4
+    dtd_classification(mapping.source_dtd, ExecutionContext(cache=clone))
+    assert clone.stats()["hits"] == 1  # served from the unpickled entry
+
+
+def test_undo_edit_is_served_from_the_memos():
+    engine = IncrementalEngine(cache=CompilationCache())
+    first = engine.update("m", SIMPLE)
+    assert not any(v.is_unknown for v in first.verdicts.values())
+    engine.update("m", _renamed(1))
+    undo = engine.update("m", SIMPLE)
+    assert undo.revision == first.revision
+    assert undo.recompiled == 0  # every verdict and the lint report reused
+    assert undo.reused == len(first.verdicts) + 1
+    assert _decisions(undo) == _decisions(first)
 
 
 def test_lint_memo_round_trip():
@@ -247,7 +180,8 @@ def test_session_delta_handler_and_stats():
     stats = session.stats()
     assert stats["incremental"]["revisions"] == 1
     assert stats["incremental"]["deltas"] == 2
-    assert stats["incremental"]["depgraph_artifacts"] > 0
+    assert stats["incremental"]["memoized_verdicts"] > 0
+    assert stats["incremental"]["memoized_lints"] == 1
     assert stats["cache_entries_by_kind"]  # per-kind live entry counts
     assert "delta" in EngineSession.HANDLERS
 
@@ -321,6 +255,26 @@ def test_incremental_verdicts_equal_cold_solve(kernel, seed):
                 f"incremental and cold verdicts diverged under {kernel}"
             )
             mapping = _mutate_one_std(rng, mapping)
+
+
+@pytest.mark.parametrize("kernel", [PURE, BITSET])
+def test_incremental_equals_cold_after_memo_eviction(kernel):
+    rng = random.Random(5100)
+    mapping = random_structural_mapping(rng)
+    engine = IncrementalEngine(cache=CompilationCache(max_entries=3))
+    history = [mapping]
+    with force_kernel(kernel):
+        for step in range(6):
+            # every third step undoes to an older revision
+            revision = history[-3] if step % 3 == 2 else mapping
+            incremental = engine.update("m", revision)
+            cold = IncrementalEngine(cache=CompilationCache()).update("m", revision)
+            assert _decisions(incremental) == _decisions(cold), (
+                f"incremental and cold verdicts diverged under {kernel}"
+            )
+            mapping = _mutate_one_std(rng, mapping)
+            history.append(mapping)
+    assert engine.verdicts.evictions > 0 and engine.cache.evictions > 0
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ def test_compact_engine_matches_object_engine(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_worklist_reachability_matches_naive(seed):
     from repro.automata.dtd_automaton import DTDAutomaton
-    from repro.automata.duta import reachable_states, reachable_states_naive, run
+    from repro.automata.duta import reachable_states, run
+    from repro.verification.reachability import reachable_states_naive
 
     rng = random.Random(4000 + seed)
     automaton = DTDAutomaton(random_arbitrary_dtd(rng, n_labels=5))
@@ -323,12 +324,8 @@ def _conforming_product(rng: random.Random, variant: str):
 @pytest.mark.parametrize("seed", range(20))
 def test_conformance_index_matches_pruning_oracle(seed, variant):
     """The label-indexed search realizes exactly what plain pruning does."""
-    from repro.automata.duta import (
-        ProductAutomaton,
-        reachable_states,
-        reachable_states_naive,
-        run,
-    )
+    from repro.automata.duta import ProductAutomaton, reachable_states, run
+    from repro.verification.reachability import reachable_states_naive
 
     rng = random.Random(5000 + seed)
     conformance, closure, patterns = _conforming_product(rng, variant)

@@ -185,7 +185,7 @@ class TestPickleRoundTrip:
 
     def test_dtd_sheds_class_facts_and_embedder(self):
         from repro.consistency.cons_nested import embedder_for
-        from repro.engine.depgraph import dtd_digest, dtd_digests
+        from repro.engine.cache import dtd_digest
         from repro.xmlmodel.dtd import DTD
 
         dtd = parse_dtd("r -> a*, b?\na(x) -> c\nb(y)\nc(z)")
@@ -197,7 +197,6 @@ class TestPickleRoundTrip:
             dtd.multiplicities(),
             dtd.minimal_tree(),
             dtd_digest(dtd),
-            dtd_digests(dtd),
         )
         embedder = embedder_for(dtd)
         assert embedder.embeddable(parse_pattern("r[a(x)[c(z)]]"), "r")
@@ -213,19 +212,18 @@ class TestPickleRoundTrip:
             clone.multiplicities(),
             clone.minimal_tree(),
             dtd_digest(clone),
-            dtd_digests(clone),
         ) == facts
         assert embedder_for(clone) is not embedder
         assert embedder_for(clone).embeddable(parse_pattern("r[b(y)]"), "r")
 
     def test_mapping_and_std_shed_their_memos(self):
         from repro.analysis import lint_mapping
-        from repro.engine.depgraph import mapping_digest, mapping_digests
+        from repro.engine.cache import mapping_digest, std_digests
 
         mapping = SchemaMapping.parse(
             "r -> a*\na(x)", "t -> b*\nb(x)", ["r[a(x)] -> t[b(x)]"]
         )
-        digest, digests = mapping_digest(mapping), mapping_digests(mapping)
+        digest, digests = mapping_digest(mapping), std_digests(mapping)
         report = lint_mapping(mapping)
         (std,) = mapping.stds
         assert std._memos and any(k.startswith("_") for k in vars(mapping))
@@ -233,7 +231,7 @@ class TestPickleRoundTrip:
         assert not any(name.startswith("_") for name in vars(clone))
         assert clone.stds[0]._memos == {}
         assert clone.stds == mapping.stds
-        assert (mapping_digest(clone), mapping_digests(clone)) == (digest, digests)
+        assert (mapping_digest(clone), std_digests(clone)) == (digest, digests)
         assert lint_mapping(clone).diagnostics == report.diagnostics
 
 

@@ -165,3 +165,20 @@ def patterns_st():
 @given(patterns_st())
 def test_roundtrip_random(pattern):
     assert parse_pattern(serialize_pattern(pattern)) == pattern
+
+
+@pytest.mark.parametrize("text", [
+    "a[" * 3000 + "b" + "]" * 3000,
+    "a" + "/a" * 3000,
+    "a" + "//a" * 3000,
+    "a(" + "f(" * 3000 + "x" + ")" * 3000 + ")",
+    "a[" * 101 + "b" + "]" * 101,
+])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_pattern(text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    text = "a[" * 100 + "b" + "]" * 100
+    assert serialize_pattern(parse_pattern(text)) == text

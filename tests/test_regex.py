@@ -296,3 +296,17 @@ def test_shortest_word_is_accepted_and_nullable_consistent(expr):
     else:
         assert automaton.accepts(word)
         assert (word == ()) == expr.nullable()
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "a" + ")" * 3000,
+    "a" + "*" * 3000,
+    "(" * 101 + "a" + ")" * 101,
+])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_regex(text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_regex("(" * 100 + "a" + ")" * 100) == parse_regex("a")

@@ -77,6 +77,14 @@ class TestEngineSession:
         assert response["exit_code"] == 3
         assert response["error"]["type"] == "ParseError"
 
+    def test_deeply_nested_mapping_is_a_parse_error(self):
+        deep = MAPPING_TEXT.replace("item*", "(" * 3000 + "item" + ")" * 3000 + "*")
+        response = EngineSession().handle("check", {"mappings": [deep]})
+        assert response["ok"] is False
+        assert response["exit_code"] == 3
+        assert response["error"]["type"] == "ParseError"
+        assert "nesting" in response["error"]["message"]
+
     def test_bad_request_shapes_are_rejected(self):
         session = EngineSession()
         assert session.check({})["error"]["type"] == "RequestError"

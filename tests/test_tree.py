@@ -143,3 +143,26 @@ def test_equality_reflexive_and_hash_stable(t):
 @given(trees_st())
 def test_descendants_are_nodes_minus_root(t):
     assert [id(n) for n in t.nodes()][1:] == [id(n) for n in t.descendants()]
+
+
+def test_importing_the_tree_model_leaves_the_automata_unloaded():
+    """``repro.xmlmodel`` sits below the automata: loading a tree is cheap."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, repro.xmlmodel.tree; "
+        "print(sorted(m for m in ('repro.automata', 'repro.patterns') "
+        "if m in sys.modules))"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert output.strip() == "[]"

@@ -106,3 +106,18 @@ def trees_st():
 @given(trees_st())
 def test_roundtrip(t):
     assert parse_tree(serialize_tree(t)) == t
+
+
+@pytest.mark.parametrize("depth", [101, 3000])
+def test_deep_nesting_is_a_parse_error(depth):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_tree("a[" * depth + "b" + "]" * depth)
+
+
+def test_nesting_up_to_the_limit_parses():
+    node = parse_tree("a[" * 100 + "b" + "]" * 100)
+    depth = 0
+    while node.children:
+        (node,) = node.children
+        depth += 1
+    assert depth == 100
