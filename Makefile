@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench-smoke stats-smoke serve-smoke watch-smoke lint lint-smoke bench baseline ci
+.PHONY: test smoke bench-smoke perfbench-smoke stats-smoke serve-smoke watch-smoke lint lint-smoke bench baseline ci
 
 # tier-1: the full unit/property suite
 test:
@@ -19,10 +19,12 @@ smoke:
 # plus the BENCH_trace_smoke.jsonl trace artifact CI uploads), the
 # linter latency gate (aggregate lint >= 2x below the bitset-accelerated
 # cold solve), the
-# kernel-equivalence gate (pure vs bitset verdicts must be identical),
+# kernel-equivalence gate (membership verdicts and match relations
+# identical under both pattern engines, production trigger-set tables
+# identical to the plain-automata reference's, F1.1 witnesses certified),
 # and the incremental gate (single-std-edit deltas >= 10x faster than a
-# cold solve, with incremental == cold equivalence with each kernel pinned
-# in turn; kernel selection itself depends on input size alone).
+# cold solve, with incremental == cold equivalence with each pattern engine
+# pinned in turn; engine selection itself depends on input size alone).
 # Every gate runs even when an earlier one fails, so one noisy gate cannot
 # hide the others' verdicts; the target lists the failed gates and fails
 # at the end.
@@ -45,6 +47,13 @@ bench-smoke:
 		exit 1; \
 	fi; \
 	echo "bench-smoke: every gate passed"
+
+# the benchmark's self-test (~25s): every perfbench workload at tiny scale,
+# untraced and traced, plus the check that the traced mode wraps every
+# binding of each probed function — so a change that breaks a probed name
+# fails here, not first in the benchmark pipeline
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 # self-checking metrics-exporter gate: solves a built-in batch over two
 # workers and fails on any Prometheus/JSON exporter or trace-merge regression
@@ -95,4 +104,4 @@ lint:
 lint-smoke:
 	$(PYTHON) examples/lint_gate.py
 
-ci: lint test bench-smoke lint-smoke stats-smoke serve-smoke watch-smoke
+ci: lint test bench-smoke perfbench-smoke lint-smoke stats-smoke serve-smoke watch-smoke

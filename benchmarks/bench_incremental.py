@@ -12,8 +12,9 @@ ladder of mapping sizes and journals the cold-vs-delta series into
   must be at least :data:`SPEEDUP_BAR` times faster than a cold solve;
 * **equivalence** — under random single-std edit sequences the
   incremental verdicts must be *identical* to a cold solve of the same
-  revision, under both the pure and the bitset automata kernels (the
-  correctness half: reuse may never change an answer).
+  revision, with each pattern engine (``pure`` object engine, ``bitset``
+  compact engine) pinned in turn (the correctness half: reuse may never
+  change an answer).
 
 Run directly (no flags) for the full series with more edits per point.
 """

@@ -1,17 +1,20 @@
 """Document-scale kernel ladder — ``BENCH_scale.json``.
 
-Two ladders, each run under **both** kernels (``pure`` and ``bitset``,
-pinned via :func:`repro.kernel.force_kernel` so the automatic size
-cutover does not blur the comparison), plus the sweep that sets that
-cutover:
+Three ladders plus the sweep that sets the pattern-engine cutover:
 
-* **document ladder** — trees of 10^3..10^6 nodes; per size, one
-  mapping-membership decision (``is_solution`` over flat documents) and
-  one pattern-evaluation pass (fresh engine build + a selective
-  ``find_matches`` + a sequence-existence query);
-* **F1.1 ladder** — the EXPTIME consistency family ``n = 1..6`` with a
-  fresh compilation cache per kernel, journaling the bitset speedup at
-  the top of the ladder (acceptance bar: >= 5x at ``n = 6``);
+* **document ladder** — trees of 10^3..10^6 nodes, under **both**
+  pattern-engine kernels (``pure`` and ``bitset``, pinned via
+  :func:`repro.kernel.force_kernel` so the automatic size cutover does
+  not blur the comparison); per size, one mapping-membership decision
+  (``is_solution`` over flat documents) and one pattern-evaluation pass
+  (fresh engine build + a selective ``find_matches`` + a
+  sequence-existence query);
+* **F1.1 ladder** — the trigger-set tables of the EXPTIME consistency
+  family ``n = 1..6``, on both DTDs of each mapping: production
+  ``achievable_sets`` (bitset automata, cold compilation cache) against
+  ``achievable_sets_reference`` (the plain automata, uncached),
+  journaling the production speedup at the top of the ladder
+  (acceptance bar: >= 5x at ``n = 6``);
 * **engine-size sweep** — ``PatternEngine`` vs ``CompactPatternEngine``,
   both built directly, on documents of 1..10^4 nodes; the smallest size
   from which the compact engine is faster is the pattern-engine cutover
@@ -19,8 +22,9 @@ cutover:
   ``--cutover`` runs and journals only this sweep.
 
 ``--smoke`` runs a reduced ladder and doubles as the **kernel
-equivalence gate**: membership verdicts, match relations and
-consistency verdicts must be identical under both kernels, and the
+equivalence gate**: membership verdicts and match relations must be
+identical under both pattern-engine kernels, the production trigger-set
+tables must have exactly the reference's trigger sets, and the F1.1
 consistency witnesses must certify.  Exits non-zero on any mismatch.
 """
 
@@ -41,12 +45,15 @@ if True:  # make both `pytest benchmarks` and direct execution work
 from harness import emit_json, print_table, series_payload, sweep
 
 from repro.consistency import is_consistent_automata
+from repro.consistency.cons_automata import _pattern_labels
 from repro.engine import CompilationCache, ExecutionContext
+from repro.engine.cache import achievable_sets
 from repro.kernel import BITSET, PURE, force_kernel
 from repro.mappings.membership import is_solution
 from repro.patterns.compact import CompactPatternEngine
 from repro.patterns.matching import PatternEngine, engine_for
 from repro.patterns.parser import parse_pattern
+from repro.verification.reachability import achievable_sets_reference
 from repro.workloads.families import (
     cons_arbitrary_family,
     flat_document,
@@ -57,6 +64,10 @@ from repro.xmlmodel.tree import TreeNode
 
 KERNELS = (PURE, BITSET)
 
+#: The F1.1 arms: the plain-automata reference and production.
+REFERENCE = "reference"
+F11_ARMS = (REFERENCE, BITSET)
+
 #: Document ladder (node counts, approximate: + root / group framing).
 FULL_SIZES = [1_000, 10_000, 100_000, 1_000_000]
 SMOKE_SIZES = [1_000, 10_000]
@@ -65,7 +76,7 @@ SMOKE_SIZES = [1_000, 10_000]
 FULL_CHOICES = range(1, 7)
 SMOKE_CHOICES = range(1, 4)
 
-#: Acceptance bar for the bitset kernel at the top of the F1.1 ladder.
+#: Acceptance bar for production over the reference at the F1.1 ladder top.
 SPEEDUP_BAR = 5.0
 
 #: Engine-size sweep: document sizes (nodes), interleaved samples per
@@ -149,18 +160,34 @@ def membership_rows(sizes, kernel: str):
     return sweep(sizes, make)
 
 
-def consistency_rows(choices, kernel: str):
-    """The F1.1 EXPTIME family, compiled fresh under *kernel*."""
+def trigger_set_tables(mapping, arm: str) -> list[dict]:
+    """The trigger-set tables cons-automata reads, one per DTD of *mapping*.
+
+    The ``bitset`` arm is production ``achievable_sets`` on a cold
+    compilation cache; the ``reference`` arm is the uncached plain-automata
+    ``achievable_sets_reference``.  Both search over the labels of all the
+    mapping's patterns, as cons-automata does.
+    """
+    extra = _pattern_labels(mapping)
+    sides = (
+        (mapping.source_dtd, [std.source for std in mapping.stds]),
+        (mapping.target_dtd, [std.target for std in mapping.stds]),
+    )
+    if arm == REFERENCE:
+        return [achievable_sets_reference(dtd, patterns, extra)
+                for dtd, patterns in sides]
+    context = ExecutionContext(cache=CompilationCache())
+    return [achievable_sets(dtd, patterns, extra, context=context)
+            for dtd, patterns in sides]
+
+
+def trigger_set_rows(choices, arm: str):
+    """The F1.1 family's trigger-set tables under *arm*, per size."""
 
     def make(n):
         mapping = cons_arbitrary_family(n)
-
-        def action():
-            context = ExecutionContext(cache=CompilationCache())
-            with force_kernel(kernel):
-                return is_consistent_automata(mapping, context)
-
-        return action
+        # the result is the table sizes: witnesses would bloat the journal
+        return lambda: tuple(map(len, trigger_set_tables(mapping, arm)))
 
     return sweep(choices, make)
 
@@ -293,9 +320,8 @@ def engine_size_sweep(sizes=CUTOVER_SIZES, samples=CUTOVER_SAMPLES) -> dict:
 
 
 def run_ladders(sizes, choices) -> tuple[dict, float]:
-    """All ladders under both kernels; returns (records, f11_speedup)."""
+    """All ladders; returns (records, f11_speedup)."""
     records: dict[str, dict] = {}
-    f11_top: dict[str, float] = {}
     for kernel in KERNELS:
         rows = membership_rows(sizes, kernel)
         print_table(
@@ -329,43 +355,61 @@ def run_ladders(sizes, choices) -> tuple[dict, float]:
             size_label="nodes",
         )
 
-        rows = consistency_rows(choices, kernel)
-        print_table(
-            f"scale-F1.1[{kernel}]",
-            "CONS(⇓) arbitrary DTDs: EXPTIME-complete",
-            rows,
-            size_label="choices",
-            note=f"kernel={kernel}; fresh compilation cache per sample",
-        )
-        records[f"F1.1/{kernel}"] = series_payload(
-            rows,
-            claim="CONS(⇓) arbitrary DTDs under both kernels",
-            note="fresh compilation cache per sample",
-            kernel=kernel,
-            size_label="choices",
-        )
-        f11_top[kernel] = rows[-1].seconds
-
     records["find-matches-materialization"] = materialization_record(sizes)
+    f11_records, speedup = f11_ladder(choices)
+    records.update(f11_records)
+    return records, speedup
 
-    speedup = f11_top[PURE] / f11_top[BITSET] if f11_top[BITSET] > 0 else float("inf")
+
+def f11_ladder(choices) -> tuple[dict, float]:
+    """The F1.1 trigger-set ladder per arm; returns (records, speedup)."""
+    records: dict[str, dict] = {}
+    f11_top: dict[str, float] = {}
+    for arm in F11_ARMS:
+        rows = trigger_set_rows(choices, arm)
+        note = (
+            "achievable_sets_reference: plain automata, uncached"
+            if arm == REFERENCE
+            else "achievable_sets: bitset automata, fresh compilation cache "
+                 "per sample"
+        )
+        print_table(
+            f"scale-F1.1[{arm}]",
+            "CONS(⇓) arbitrary DTDs: trigger-set tables of both DTDs "
+            "(EXPTIME-complete)",
+            rows,
+            size_label="choices",
+            note=note,
+        )
+        records[f"F1.1/{arm}"] = series_payload(
+            rows,
+            claim="F1.1 trigger-set tables: production vs the plain reference",
+            note=f"{note}; result = trigger sets per DTD",
+            kernel=arm,
+            size_label="choices",
+        )
+        f11_top[arm] = rows[-1].seconds
+
+    reference, production = f11_top[REFERENCE], f11_top[BITSET]
+    speedup = reference / production if production > 0 else float("inf")
     records["F1.1-speedup"] = {
-        "claim": f"bitset kernel >= {SPEEDUP_BAR}x on the F1.1 ladder top",
+        "claim": f"production achievable_sets >= {SPEEDUP_BAR}x faster than "
+                 "achievable_sets_reference on the F1.1 ladder top",
         "n": max(choices),
-        "pure_seconds": f11_top[PURE],
-        "bitset_seconds": f11_top[BITSET],
+        "reference_seconds": reference,
+        "bitset_seconds": production,
         "speedup": speedup,
     }
     print()
     print(
         f"[scale-F1.1] speedup at n={max(choices)}: {speedup:.2f}x "
-        f"(pure {f11_top[PURE]:.3f}s / bitset {f11_top[BITSET]:.3f}s)"
+        f"(reference {reference:.3f}s / bitset {production:.3f}s)"
     )
     return records, speedup
 
 
 def equivalence_gate(sizes, choices) -> list[str]:
-    """Differential gate: both kernels must agree everywhere; returns errors."""
+    """Differential gate: each side must agree with the other; returns errors."""
     from repro.engine.certify import CertificationError, certify
     from repro.engine.problems import ConsistencyProblem
 
@@ -419,26 +463,29 @@ def equivalence_gate(sizes, choices) -> list[str]:
     for n in choices:
         for consistent in (True, False):
             mapping = cons_arbitrary_family(n, consistent=consistent)
-            verdicts = {}
-            for kernel in KERNELS:
-                context = ExecutionContext(cache=CompilationCache())
-                with force_kernel(kernel):
-                    verdicts[kernel] = is_consistent_automata(mapping, context)
-            if verdicts[PURE].is_proved != verdicts[BITSET].is_proved:
+            tables = {arm: trigger_set_tables(mapping, arm) for arm in F11_ARMS}
+            for side, reference, production in zip(
+                ("source", "target"), tables[REFERENCE], tables[BITSET]
+            ):
+                if reference.keys() != production.keys():
+                    errors.append(
+                        f"F1.1 {side} trigger sets differ from the reference "
+                        f"at n={n} consistent={consistent}"
+                    )
+            context = ExecutionContext(cache=CompilationCache())
+            verdict = is_consistent_automata(mapping, context)
+            if verdict.is_proved != consistent:
                 errors.append(
-                    f"F1.1 verdict mismatch at n={n} consistent={consistent}"
+                    f"F1.1 verdict wrong at n={n} consistent={consistent}"
                 )
-                continue
-            for kernel, verdict in verdicts.items():
-                if verdict.is_proved:
-                    try:
-                        with force_kernel(PURE):  # re-check on the oracle path
-                            certify(verdict, ConsistencyProblem(mapping))
-                    except CertificationError as exc:
-                        errors.append(
-                            f"F1.1 witness fails certification at n={n} "
-                            f"under {kernel}: {exc}"
-                        )
+            if verdict.is_proved:
+                try:
+                    with force_kernel(PURE):  # re-check on the oracle path
+                        certify(verdict, ConsistencyProblem(mapping))
+                except CertificationError as exc:
+                    errors.append(
+                        f"F1.1 witness fails certification at n={n}: {exc}"
+                    )
     return errors
 
 
@@ -483,7 +530,7 @@ def main(argv=None) -> int:
         print("[scale] kernel equivalence gate: OK")
     elif speedup < SPEEDUP_BAR:
         print(
-            f"[scale] FAILURE: F1.1 bitset speedup {speedup:.2f}x "
+            f"[scale] FAILURE: F1.1 production speedup {speedup:.2f}x "
             f"below the {SPEEDUP_BAR}x bar",
             file=sys.stderr,
         )

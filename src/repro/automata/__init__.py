@@ -19,9 +19,9 @@ exactly as the paper's EXPTIME bounds predict.
   set of variable-free patterns: its state at a node records which
   subpatterns are satisfied at / strictly below the node.
 * :mod:`repro.automata.bitset` — integer-encoded twins of the two
-  automata above (the fast path :mod:`repro.kernel` selects for
-  problems of size 16 or more), backed by the interning tables of
-  :mod:`repro.automata.interning`.
+  automata above, the encoding every compiled product search runs on,
+  backed by the interning tables of :mod:`repro.automata.interning`.
+  The plain automata are the reference they are tested against.
 """
 
 from repro.automata.duta import (

@@ -1,9 +1,9 @@
-"""Bitset-encoded tree automata: the integer fast path of the kernel.
+"""Bitset-encoded tree automata: the production encoding of the automata.
 
 These classes compute exactly the same functions as
 :class:`~repro.automata.dtd_automaton.DTDAutomaton` and
 :class:`~repro.automata.pattern_automaton.PatternClosureAutomaton` — the
-pure implementations remain the differential oracle — but every state is
+pure implementations remain the differential reference — but every state is
 one machine integer instead of a tuple of frozensets:
 
 * **DTD conformance** — labels are interned through a

@@ -8,7 +8,7 @@ DTD's root symbol and ``ok`` holds.
 
 The automaton ignores attribute values (structure only); a witness tree
 extracted from it can be decorated with values afterwards using
-:meth:`decorate`.
+:func:`decorate`.
 """
 
 from __future__ import annotations
@@ -87,22 +87,25 @@ class DTDAutomaton(TreeAutomaton):
         """
         return state[1]
 
-    def decorate(
-        self, witness: TreeNode, value_factory: Callable[[str, str], object] | None = None
-    ) -> TreeNode:
-        """Attach attribute values to a bare witness tree, per the DTD's arities.
 
-        ``value_factory(label, attribute_name)`` defaults to the constant 0
-        (all data values equal).
-        """
-        if value_factory is None:
-            value_factory = lambda label, attribute: 0
+def decorate(
+    dtd: DTD,
+    witness: TreeNode,
+    value_factory: Callable[[str, str], object] | None = None,
+) -> TreeNode:
+    """Attach attribute values to a bare witness tree, per *dtd*'s arities.
 
-        def build(node: TreeNode) -> TreeNode:
-            attrs = tuple(
-                value_factory(node.label, attribute)
-                for attribute in self.dtd.attributes.get(node.label, ())
-            )
-            return TreeNode(node.label, attrs, tuple(build(c) for c in node.children))
+    ``value_factory(label, attribute_name)`` defaults to the constant 0
+    (all data values equal).
+    """
+    if value_factory is None:
+        value_factory = lambda label, attribute: 0
 
-        return build(witness)
+    def build(node: TreeNode) -> TreeNode:
+        attrs = tuple(
+            value_factory(node.label, attribute)
+            for attribute in dtd.attributes.get(node.label, ())
+        )
+        return TreeNode(node.label, attrs, tuple(build(c) for c in node.children))
+
+    return build(witness)

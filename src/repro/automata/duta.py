@@ -196,7 +196,7 @@ def reachable_states(
     recorded nor offered as a child later.  Sound whenever pruned states
     can never occur inside an accepted tree.
 
-    *conformance* is the DTD automaton (any kernel) that is component 0
+    *conformance* is the DTD automaton (either encoding) that is component 0
     of the :class:`ProductAutomaton` *automaton*; it makes the search a
     conforming-product search.  States whose DTD component records a
     non-conforming subtree are pruned, and so are horizontal states whose

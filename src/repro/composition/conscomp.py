@@ -25,7 +25,8 @@ when its bounds are exhausted.
 from __future__ import annotations
 
 from repro.engine.budget import ExecutionContext, resolve_budget
-from repro.engine.cache import achievable_sets, dtd_automaton
+from repro.automata.dtd_automaton import decorate
+from repro.engine.cache import achievable_sets
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Proved,
@@ -141,10 +142,7 @@ def is_composition_consistent(
     # the final stage's "triggered" sets are all empty frozensets; success
     chain = min(feasible.values(), key=lambda trees: sum(t.size for t in trees))
     dtds = [mappings[0].source_dtd] + [m.target_dtd for m in mappings]
-    decorated = tuple(
-        dtd_automaton(dtd, context=context).decorate(tree)
-        for dtd, tree in zip(dtds, chain)
-    )
+    decorated = tuple(decorate(dtd, tree) for dtd, tree in zip(dtds, chain))
     return Proved(WitnessChain(decorated))
 
 

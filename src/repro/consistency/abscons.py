@@ -40,7 +40,7 @@ the certificate re-checker.
 
 from __future__ import annotations
 
-from repro.automata.dtd_automaton import DTDAutomaton
+from repro.automata.dtd_automaton import decorate
 from repro.consistency.bounded import default_value_domain
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
@@ -124,7 +124,7 @@ def is_absolutely_consistent_sm0(
     for triggered, witness in source_sets.items():
         if not any(triggered <= satisfied for satisfied in maximal_targets):
             return Refuted(
-                Counterexample(DTDAutomaton(mapping.source_dtd).decorate(witness))
+                Counterexample(decorate(mapping.source_dtd, witness))
             )
     return Proved(
         AnalysisCertificate(
@@ -143,7 +143,7 @@ def sm0_counterexample(
     source_sets, target_sets = _sm0_sets(mapping, context)
     for triggered, witness in source_sets.items():
         if not any(triggered <= satisfied for satisfied in target_sets):
-            return DTDAutomaton(mapping.source_dtd).decorate(witness)
+            return decorate(mapping.source_dtd, witness)
     return None
 
 

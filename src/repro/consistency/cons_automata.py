@@ -26,7 +26,8 @@ matching the EXPTIME-completeness of the problem.
 from __future__ import annotations
 
 from repro.engine.budget import ExecutionContext
-from repro.engine.cache import achievable_sets, dtd_automaton
+from repro.automata.dtd_automaton import decorate
+from repro.engine.cache import achievable_sets
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Proved,
@@ -132,12 +133,8 @@ def decide_consistency_automata(
         for satisfied, target_witness in target_sets:
             if triggered <= satisfied:
                 pair = WitnessPair(
-                    dtd_automaton(mapping.source_dtd, context=context).decorate(
-                        source_witness
-                    ),
-                    dtd_automaton(mapping.target_dtd, context=context).decorate(
-                        target_witness
-                    ),
+                    decorate(mapping.source_dtd, source_witness),
+                    decorate(mapping.target_dtd, target_witness),
                 )
                 return Proved(pair)
     if not source_sets:
@@ -146,9 +143,7 @@ def decide_consistency_automata(
             AnalysisCertificate("cons-automata", "source DTD is unsatisfiable")
         )
     triggered, source_witness = source_sets[0]
-    source = dtd_automaton(mapping.source_dtd, context=context).decorate(
-        source_witness
-    )
+    source = decorate(mapping.source_dtd, source_witness)
     return Refuted(TriggerRefutation(source, tuple(sorted(triggered))))
 
 

@@ -21,18 +21,10 @@ bounded fallback yields ``Unknown`` instead of raising
 from __future__ import annotations
 
 from repro.engine.budget import Budget, ExecutionContext
-from repro.engine.core import nested_ptime_applicable, uses_constants
 from repro.engine.problems import ConsistencyProblem
 from repro.engine.verdicts import Verdict, WitnessPair
 from repro.mappings.mapping import SchemaMapping
 from repro.xmlmodel.tree import TreeNode
-
-def _uses_constants(mapping: SchemaMapping) -> bool:
-    return uses_constants(mapping)
-
-
-def _nested_ptime_applicable(mapping: SchemaMapping) -> bool:
-    return nested_ptime_applicable(mapping)
 
 
 def _context_for(

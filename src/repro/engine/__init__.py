@@ -8,8 +8,8 @@ Every decision procedure in the library routes through this layer:
   default bounds) and :class:`ExecutionContext` (budget + cache + cost
   accounting, threaded through every solver);
 * :mod:`repro.engine.cache` — the content-hash-keyed
-  :class:`CompilationCache` of DTD automata, closure automata, production
-  DFAs, classifications and achievable trigger-set tables, its
+  :class:`CompilationCache` of DTD automata, closure automata,
+  classifications and achievable trigger-set tables, its
   :class:`~repro.engine.cache.LRU` policy (which also bounds the
   incremental engine's verdict and lint memos) and the content digests
   keying those memos;

@@ -1,12 +1,12 @@
 """The content-hash-keyed compilation cache shared by every procedure.
 
-Solvers spend their time in compiled artifacts — DTD automata, pattern
-closure automata, determinized production DFAs, DTD classifications and
-the achievable trigger-set tables read off their products.  Each artifact
-depends only on the *content* of its inputs, so the cache keys are content
-hashes (a DTD's deterministic ``repr``; patterns hash structurally), and
-two structurally equal DTDs hit the same entry regardless of object
-identity.  A benchmark sweep or CLI session compiles each artifact once.
+Solvers spend their time in compiled artifacts — the bitset DTD automata
+and pattern closure automata of :mod:`repro.automata.bitset`, DTD
+classifications and the achievable trigger-set tables read off their
+products.  Each artifact depends only on the *content* of its inputs, so
+the cache keys are content hashes (a DTD's deterministic ``repr``;
+patterns hash structurally), and two structurally equal DTDs hit the same
+entry regardless of object identity.  A benchmark sweep or CLI session compiles each artifact once.
 
 The cache is a bounded LRU with exact hit/miss/eviction counters
 (``--stats`` prints them).  ``CompilationCache(enabled=False)`` gives the
@@ -34,14 +34,11 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
-from repro.automata.dtd_automaton import DTDAutomaton
 from repro.automata.duta import ProductAutomaton, reachable_states
-from repro.automata.pattern_automaton import PatternClosureAutomaton
 from repro.engine.diskcache import MISS, DiskCacheTier
-from repro.kernel import BITSET, PURE, select_kernel
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
@@ -53,7 +50,7 @@ from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 #: Per-kind cache traffic in the global registry (kind = key[0]: the
-#: artifact family — "closure", "dtd-automaton", "regex-dfa", ...).
+#: artifact family — "bitset-closure", "achievable", ...).
 _CACHE_HITS = REGISTRY.counter(
     "repro_cache_hits_total",
     "Compilation-cache memory hits by artifact kind",
@@ -385,85 +382,21 @@ def dtd_classification(
     )
 
 
-def regex_dfa(
-    dtd: DTD, label: str, alphabet: frozenset[str],
-    context: "ExecutionContext | None" = None,
-) -> Any:
-    """The determinized production DFA of *label*, total over *alphabet*."""
-    cache = resolve_cache(context)
-    return cache.lookup(
-        ("regex-dfa", dtd_key(dtd), label, alphabet),
-        lambda: dtd.production_nfa(label).determinize(alphabet),
-    )
-
-
-class CompiledDTDAutomaton(DTDAutomaton):
-    """A :class:`DTDAutomaton` stepping through cached production DFAs.
-
-    The subset construction is paid once per (DTD, alphabet) and stored in
-    the compilation cache; ``step_horizontal`` then becomes two dict
-    lookups instead of an NFA subset union.  DFA states are the same
-    frozensets the NFA stepping produces, so pruning and state identity
-    are unchanged.
-    """
-
-    def __init__(self, dtd: DTD, extra_labels: Iterable[str] = (),
-                 context: "ExecutionContext | None" = None):
-        super().__init__(dtd, extra_labels)
-        alphabet = self._labels
-        self._dfas = {
-            label: regex_dfa(dtd, label, alphabet, context)
-            for label in dtd.productions
-        }
-
-    def initial_horizontal(self, label: str) -> Any:
-        dfa = self._dfas.get(label)
-        if dfa is None:
-            return None  # unknown label: sink
-        return (dfa.initial, True)
-
-    def step_horizontal(self, label: str, hstate: Any, child_state: Any) -> Any:
-        if hstate is None:
-            return None
-        subset, children_ok = hstate
-        child_label, child_ok = child_state
-        return (
-            self._dfas[label].transitions[subset][child_label],
-            children_ok and child_ok,
-        )
-
-    def finish(self, label: str, hstate: Any) -> tuple[str, bool]:
-        if hstate is None:
-            return (label, False)
-        subset, children_ok = hstate
-        return (label, children_ok and subset in self._dfas[label].accepting)
-
-
 def dtd_automaton(
     dtd: DTD, extra_labels: frozenset[str] = frozenset(),
     context: "ExecutionContext | None" = None,
-    kernel: str = PURE,
-) -> DTDAutomaton:
+) -> BitsetDTDAutomaton:
     """A cached conformance automaton for *dtd* over its labels + extras.
 
-    *kernel* selects the implementation: ``"pure"`` (the default — keys
-    and artifacts are byte-identical to the pre-kernel cache) or
-    ``"bitset"`` for the integer-encoded fast path.  The two kernels use
-    distinct artifact kinds, so a disk tier never serves one in place of
-    the other.  Only the undeclared extras enter the key: the automaton's
-    alphabet is ``dtd.labels | extra_labels``, so patterns over declared
-    labels share one compiled automaton.
+    Only the undeclared extras enter the key: the automaton's alphabet is
+    ``dtd.labels | extra_labels``, so patterns over declared labels share
+    one compiled automaton.
     """
     cache = resolve_cache(context)
     extra = frozenset(extra_labels) - dtd.labels
-    if kernel == BITSET:
-        return cache.lookup(
-            ("bitset-dtd-automaton", dtd_key(dtd), extra),
-            lambda: BitsetDTDAutomaton(dtd, extra),
-        )
     return cache.lookup(
-        ("dtd-automaton", dtd_key(dtd), extra),
-        lambda: CompiledDTDAutomaton(dtd, extra, context),
+        ("bitset-dtd-automaton", dtd_key(dtd), extra),
+        lambda: BitsetDTDAutomaton(dtd, extra),
     )
 
 
@@ -473,46 +406,19 @@ def closure_automaton(
     extra_labels: frozenset[str] = frozenset(),
     with_arity: bool = True,
     context: "ExecutionContext | None" = None,
-    kernel: str = PURE,
-) -> PatternClosureAutomaton:
-    """A cached pattern closure automaton over *dtd*'s label alphabet.
-
-    See :func:`dtd_automaton` for the *kernel* contract.
-    """
+) -> BitsetClosureAutomaton:
+    """A cached pattern closure automaton over *dtd*'s label alphabet."""
     cache = resolve_cache(context)
     patterns = tuple(patterns)
-    if kernel == BITSET:
-        return cache.lookup(
-            (
-                "bitset-closure",
-                dtd_key(dtd),
-                patterns,
-                frozenset(extra_labels),
-                with_arity,
-            ),
-            lambda: BitsetClosureAutomaton(
-                patterns,
-                extra_labels=dtd.labels | frozenset(extra_labels),
-                arity_of=dtd.arity if with_arity else None,
-            ),
-        )
     return cache.lookup(
-        ("closure", dtd_key(dtd), patterns, frozenset(extra_labels), with_arity),
-        lambda: PatternClosureAutomaton(
+        ("bitset-closure", dtd_key(dtd), patterns, frozenset(extra_labels),
+         with_arity),
+        lambda: BitsetClosureAutomaton(
             patterns,
             extra_labels=dtd.labels | frozenset(extra_labels),
             arity_of=dtd.arity if with_arity else None,
         ),
     )
-
-
-def automata_size(dtd: DTD, patterns: Iterable[Pattern]) -> int:
-    """The kernel-selection size of an automata problem.
-
-    Subpattern count plus alphabet size — the quantities that scale the
-    closure-automaton state space and the per-step work.
-    """
-    return sum(p.size for p in patterns) + len(dtd.labels)
 
 
 def achievable_sets(
@@ -532,24 +438,15 @@ def achievable_sets(
     This table is what the Section-5/6/7 trigger-set algorithms consume;
     caching it is the big win on repeated-DTD sweeps, since the reachability
     pass *is* the exponential part.
-
-    The automata kernel (pure vs bitset, chosen by problem size alone)
-    is part of the cache key: the table's
-    *content* is kernel-independent, but witnesses may legitimately
-    differ between kernels, so artifacts are never reused across them.
+    :func:`repro.verification.reachability.achievable_sets_reference`
+    computes the same table over the plain automata, uncached.
     """
     from repro.engine.budget import resolve_context
 
     cache = resolve_cache(context)
     patterns = tuple(patterns)
-    kernel = select_kernel("automata", automata_size(dtd, patterns))
     key = (
-        "achievable",
-        dtd_key(dtd),
-        patterns,
-        frozenset(extra_labels),
-        with_arity,
-        kernel,
+        "achievable", dtd_key(dtd), patterns, frozenset(extra_labels), with_arity
     )
     if cache.enabled and key in cache._entries:
         return cache.lookup(key, lambda: None)  # pure hit, no charging
@@ -559,11 +456,9 @@ def achievable_sets(
 
     def build() -> dict[frozenset[int], TreeNode]:
         closure = closure_automaton(
-            patterns, dtd, extra_labels, with_arity, context, kernel=kernel
+            patterns, dtd, extra_labels, with_arity, context
         )
-        conformance = dtd_automaton(
-            dtd, frozenset(extra_labels), context, kernel=kernel
-        )
+        conformance = dtd_automaton(dtd, frozenset(extra_labels), context)
         product = ProductAutomaton([conformance, closure])
         realized = reachable_states(
             product, conformance=conformance, charge=charge

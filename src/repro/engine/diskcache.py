@@ -2,7 +2,7 @@
 
 The in-memory :class:`~repro.engine.cache.CompilationCache` dies with the
 interpreter, so every CLI invocation and every worker process of a
-parallel batch used to recompile the same DTD automata and regex DFAs.
+parallel batch used to recompile the same DTD and closure automata.
 :class:`DiskCacheTier` persists the compiled artifacts:
 
 * **content-keyed** — the same key tuples the memory cache uses are

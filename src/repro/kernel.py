@@ -1,22 +1,19 @@
-"""Kernel selection: pure-Python oracle vs bitset fast path.
+"""Kernel selection for the pattern engine: object vs array-backed.
 
-Two independent surfaces carry a vectorized "bitset" implementation next
-to the original pure-Python one:
+Documents are evaluated either over linked ``TreeNode`` objects (the
+object engine) or over a contiguous array layout (preorder arrays of
+label ids, the compact engine).  Both engines decide the same relations,
+and the differential tests (``tests/test_kernels.py``) hold them to
+byte-identical verdicts.  Selection is a function of the document size
+alone: there is no user setting.  :func:`force_kernel` exists only so
+the differential tests and the benchmarks can run each engine against
+the other.  Every decision increments ``repro_kernel_selected_total`` so
+``--stats`` shows which engine actually ran.
 
-* **automata** — the closure/DTD automata and their product emptiness
-  check encode states as machine integers (bit-packed subpattern sets,
-  dense DFA state ids) instead of frozensets of tuples;
-* **pattern-engine** — documents are evaluated over a contiguous array
-  layout (preorder arrays of label ids) instead of linked ``TreeNode``
-  objects.
-
-Both kernels decide the same relations, and the differential tests
-(``tests/test_kernels.py``) hold them to byte-identical verdicts.
-Selection is a function of the input size alone: there is no user
-setting.  :func:`force_kernel` exists only so the differential tests and
-``benchmarks/bench_scale.py`` can run each implementation against the
-other.  Every decision increments ``repro_kernel_selected_total`` so
-``--stats`` shows which kernels actually ran.
+The automata have one production encoding, the bitset automata of
+:mod:`repro.automata.bitset`; the plain automata they mirror are the
+reference :func:`repro.verification.reachability.achievable_sets_reference`
+builds on.
 """
 
 from __future__ import annotations
@@ -30,20 +27,18 @@ PURE = "pure"
 BITSET = "bitset"
 
 #: Size thresholds per surface: below the size the pure path runs, at
-#: or above it the bitset path.  "Size" is surface-specific —
-#: subpatterns+labels for automata, node count for the pattern engine.
+#: or above it the bitset path.  "Size" is the document's node count.
 #: The pattern-engine cutover is the crossover measured by the
 #: engine-size sweep of ``benchmarks/bench_scale.py --cutover``
 #: (``_meta.engine-cutover`` in ``BENCH_scale.json``): the array-backed
 #: engine is faster from 8 nodes up, the object engine wins or ties below.
 AUTO_THRESHOLDS = {
-    "automata": 16,
     "pattern-engine": 8,
 }
 
 _SELECTED = REGISTRY.counter(
     "repro_kernel_selected_total",
-    "Kernel selections by surface (automata / pattern-engine)",
+    "Kernel selections by surface (pattern-engine)",
     ("kernel", "surface"),
 )
 
@@ -53,7 +48,7 @@ _FORCED: list[str] = []
 
 @contextmanager
 def force_kernel(kernel: str) -> Iterator[None]:
-    """Pin kernel selection on every surface within the block.
+    """Pin the pattern-engine kernel within the block.
 
     A test and benchmark seam for running one implementation against the
     other; production code never forces a kernel.

@@ -5,8 +5,8 @@ certify pass, a worker chunk.  Spans nest: whatever is opened while a
 span is live becomes its child, so one solve produces a tree like::
 
     solve(problem=ConsistencyProblem, algorithm=cons-automata)
-      compile(kind=closure)
-      compile(kind=dtd-automaton)
+      compile(kind=bitset-closure)
+      compile(kind=bitset-dtd-automaton)
       compile(kind=achievable)
 
 Each span records monotonic wall-clock timing (``time.perf_counter``),

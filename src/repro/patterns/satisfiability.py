@@ -60,21 +60,19 @@ def structural_witness(
     stepped with children whose labels ``L``'s production reads.  That
     finds a witness exactly when the plain search that merely prunes
     non-conforming states does (``tests/test_satisfiability.py`` checks
-    both kernels against that search).  The witness carries labels only;
-    :meth:`~repro.automata.dtd_automaton.DTDAutomaton.decorate` adds
-    values.
+    it against that search over the plain automata).  The witness
+    carries labels only; :func:`~repro.automata.dtd_automaton.decorate`
+    adds values.
     """
     # imported here: repro.automata (which the engine cache compiles)
     # depends on repro.patterns.ast, so top-level imports would be circular
     from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
-    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
-    from repro.kernel import select_kernel
+    from repro.engine.cache import closure_automaton, dtd_automaton
 
     extra = frozenset(pattern.labels_used())
-    kernel = select_kernel("automata", automata_size(dtd, [pattern]))
-    closure = closure_automaton([pattern], dtd, extra, context=context, kernel=kernel)
-    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    closure = closure_automaton([pattern], dtd, extra, context=context)
+    conformance = dtd_automaton(dtd, extra, context=context)
     product = ProductAutomaton(
         [conformance, closure],
         predicate=lambda state: (
@@ -182,7 +180,7 @@ def _unlift(witness: TreeNode) -> TreeNode:
 
 def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
     """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable."""
-    from repro.automata.dtd_automaton import DTDAutomaton
+    from repro.automata.dtd_automaton import decorate
     from repro.automata.duta import ProductAutomaton, find_accepted
 
     if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
@@ -192,7 +190,7 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
         return None
     constants = [t.value for t in pattern.terms() if isinstance(t, Const)]
     if not constants:
-        witness = DTDAutomaton(dtd).decorate(skeleton)
+        witness = decorate(dtd, skeleton)
         assert matches_at_root(pattern, witness), "structural witness must match"
         return witness
 

@@ -44,10 +44,10 @@ def find_separating_tree(
     """
     # imported here: repro.automata (which the engine cache compiles)
     # depends on repro.patterns.ast, so top-level imports would be circular
+    from repro.automata.dtd_automaton import decorate
     from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
-    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
-    from repro.kernel import select_kernel
+    from repro.engine.cache import closure_automaton, dtd_automaton
 
     positives = list(positives)
     negatives = list(negatives)
@@ -55,9 +55,8 @@ def find_separating_tree(
     extra = frozenset(
         label for pattern in patterns for label in pattern.labels_used()
     )
-    kernel = select_kernel("automata", automata_size(dtd, patterns))
-    closure = closure_automaton(patterns, dtd, extra, context=context, kernel=kernel)
-    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    closure = closure_automaton(patterns, dtd, extra, context=context)
+    conformance = dtd_automaton(dtd, extra, context=context)
 
     def separated(state) -> bool:
         if not conformance.is_accepting(state[0]):
@@ -76,7 +75,7 @@ def find_separating_tree(
     )
     if found is None:
         return None
-    return conformance.decorate(found[1])
+    return decorate(dtd, found[1])
 
 
 def separation_verdict(

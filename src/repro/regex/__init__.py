@@ -9,9 +9,8 @@ states.  It provides
   (concatenation, union, ``*``, ``+``, ``?``, epsilon),
 * a parser for the DTD production syntax (:mod:`repro.regex.parser`),
 * Glushkov-construction NFAs with product/union/emptiness/membership
-  (:mod:`repro.regex.nfa`),
-* determinization, complementation and minimization
-  (:mod:`repro.regex.dfa`).
+  and their bitset encoding (:mod:`repro.regex.nfa`),
+* the bitset DFAs that encoding determinizes into (:mod:`repro.regex.dfa`).
 """
 
 from repro.regex.ast import (
@@ -31,7 +30,6 @@ from repro.regex.ast import (
 )
 from repro.regex.parser import parse_regex
 from repro.regex.nfa import NFA
-from repro.regex.dfa import DFA
 
 __all__ = [
     "Regex",
@@ -49,5 +47,4 @@ __all__ = [
     "union",
     "parse_regex",
     "NFA",
-    "DFA",
 ]

@@ -1,179 +1,14 @@
-"""Deterministic finite automata: complement, product, minimization.
+"""Deterministic finite automata over dense integer symbols.
 
-DFAs here are *total* over an explicit alphabet (the subset construction in
-:meth:`repro.regex.nfa.NFA.determinize` produces them with the empty subset
-as dead state), which makes complementation a matter of flipping acceptance.
+:class:`BitsetDFA` is what :meth:`repro.regex.nfa.BitsetNFA.determinize`
+produces: the production DFAs the bitset DTD automaton of
+:mod:`repro.automata.bitset` steps through.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Hashable, Iterable, Sequence
-
-
-class DFA:
-    """A total deterministic finite automaton over an explicit alphabet."""
-
-    __slots__ = ("states", "initial", "transitions", "accepting", "alphabet")
-
-    def __init__(
-        self,
-        states: Iterable[Hashable],
-        initial: Hashable,
-        transitions: dict,
-        accepting: Iterable[Hashable],
-        alphabet: Iterable[Hashable],
-    ):
-        self.states = frozenset(states)
-        self.initial = initial
-        self.transitions = {
-            state: dict(row) for state, row in transitions.items()
-        }
-        self.accepting = frozenset(accepting)
-        self.alphabet = frozenset(alphabet)
-
-    def step(self, state: Hashable, letter: Hashable) -> Hashable:
-        return self.transitions[state][letter]
-
-    def accepts(self, word: Sequence[Hashable]) -> bool:
-        state = self.initial
-        for letter in word:
-            state = self.transitions[state][letter]
-        return state in self.accepting
-
-    def complement(self) -> "DFA":
-        """The complement language wrt this DFA's alphabet."""
-        return DFA(
-            self.states,
-            self.initial,
-            self.transitions,
-            self.states - self.accepting,
-            self.alphabet,
-        )
-
-    def product(self, other: "DFA", accept_both: bool = True) -> "DFA":
-        """Product automaton; intersection by default, union otherwise."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("product requires identical alphabets")
-        initial = (self.initial, other.initial)
-        states = {initial}
-        transitions: dict = {}
-        worklist = deque([initial])
-        while worklist:
-            a, b = worklist.popleft()
-            row = {}
-            for letter in self.alphabet:
-                target = (self.transitions[a][letter], other.transitions[b][letter])
-                row[letter] = target
-                if target not in states:
-                    states.add(target)
-                    worklist.append(target)
-            transitions[(a, b)] = row
-        if accept_both:
-            accepting = {
-                (a, b)
-                for (a, b) in states
-                if a in self.accepting and b in other.accepting
-            }
-        else:
-            accepting = {
-                (a, b)
-                for (a, b) in states
-                if a in self.accepting or b in other.accepting
-            }
-        return DFA(states, initial, transitions, accepting, self.alphabet)
-
-    def is_empty(self) -> bool:
-        return self.shortest_word() is None
-
-    def shortest_word(self) -> tuple | None:
-        """A shortest accepted word, or None if the language is empty."""
-        if self.initial in self.accepting:
-            return ()
-        backlink: dict = {self.initial: None}
-        queue = deque([self.initial])
-        while queue:
-            state = queue.popleft()
-            for letter, target in self.transitions[state].items():
-                if target in backlink:
-                    continue
-                backlink[target] = (state, letter)
-                if target in self.accepting:
-                    word: list = []
-                    node = target
-                    while backlink[node] is not None:
-                        node, letter = backlink[node]
-                        word.append(letter)
-                    word.reverse()
-                    return tuple(word)
-                queue.append(target)
-        return None
-
-    def is_universal(self) -> bool:
-        """True iff every word over the alphabet is accepted."""
-        return self.complement().is_empty()
-
-    def minimize(self) -> "DFA":
-        """Hopcroft-style partition refinement on reachable states."""
-        reachable = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            state = queue.popleft()
-            for target in self.transitions[state].values():
-                if target not in reachable:
-                    reachable.add(target)
-                    queue.append(target)
-        accepting = self.accepting & reachable
-        non_accepting = reachable - accepting
-        partition = [block for block in (accepting, non_accepting) if block]
-        changed = True
-        while changed:
-            changed = False
-            block_of = {}
-            for index, block in enumerate(partition):
-                for state in block:
-                    block_of[state] = index
-            new_partition: list[set] = []
-            for block in partition:
-                signature_groups: dict[tuple, set] = {}
-                for state in block:
-                    signature = tuple(
-                        block_of[self.transitions[state][letter]]
-                        for letter in sorted(self.alphabet, key=repr)
-                    )
-                    signature_groups.setdefault(signature, set()).add(state)
-                new_partition.extend(signature_groups.values())
-                if len(signature_groups) > 1:
-                    changed = True
-            partition = new_partition
-        block_of = {}
-        for index, block in enumerate(partition):
-            for state in block:
-                block_of[state] = index
-        transitions = {}
-        for index, block in enumerate(partition):
-            representative = next(iter(block))
-            transitions[index] = {
-                letter: block_of[self.transitions[representative][letter]]
-                for letter in self.alphabet
-            }
-        accepting_blocks = {
-            index for index, block in enumerate(partition) if block & self.accepting
-        }
-        return DFA(
-            range(len(partition)),
-            block_of[self.initial],
-            transitions,
-            accepting_blocks,
-            self.alphabet,
-        )
-
-    def equivalent(self, other: "DFA") -> bool:
-        """Language equivalence via symmetric-difference emptiness."""
-        difference_a = self.product(other.complement())
-        difference_b = other.product(self.complement())
-        return difference_a.is_empty() and difference_b.is_empty()
+from typing import Sequence
 
 
 class BitsetDFA:

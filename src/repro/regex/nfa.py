@@ -219,32 +219,6 @@ class NFA:
                 }
         return NFA(states, initial, transitions, accepting)
 
-    def determinize(self, alphabet: Iterable[Hashable] | None = None):
-        """Subset construction; returns a :class:`~repro.regex.dfa.DFA`.
-
-        The DFA is total over *alphabet* (defaults to the NFA's own
-        alphabet); the empty subset acts as the dead state.
-        """
-        from repro.regex.dfa import DFA
-
-        sigma = frozenset(alphabet) if alphabet is not None else self.alphabet()
-        initial = self.initial
-        states = {initial}
-        transitions: dict = {}
-        worklist = deque([initial])
-        while worklist:
-            subset = worklist.popleft()
-            row: dict = {}
-            for letter in sigma:
-                successor = self.step(subset, letter)
-                row[letter] = successor
-                if successor not in states:
-                    states.add(successor)
-                    worklist.append(successor)
-            transitions[subset] = row
-        accepting = {s for s in states if s & self.accepting}
-        return DFA(states, initial, transitions, accepting, sigma)
-
     def to_bitset(
         self,
         symbol_ids: "dict | Callable[[Hashable], int | None]",

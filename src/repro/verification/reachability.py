@@ -1,27 +1,36 @@
-"""The round-based reachability saturation, kept as a differential oracle.
+"""Reference reachability procedures, kept as differential oracles.
 
-:func:`repro.automata.duta.reachable_states` replaced it: the worklist
-there steps each horizontal state only with newly realized children,
-and only under parents whose content model can read the child's label.
-The tests check the realized state set and the label index against
-this version, which re-runs every label's horizontal BFS each round.
+* :func:`reachable_states_naive` — the round-based saturation that
+  :func:`repro.automata.duta.reachable_states` replaced: the worklist
+  there steps each horizontal state only with newly realized children,
+  and only under parents whose content model can read the child's label.
+  The tests check the realized state set and the label index against
+  this version, which re-runs every label's horizontal BFS each round.
+* :func:`achievable_sets_reference` — the trigger-set table of
+  :func:`repro.engine.cache.achievable_sets`, computed uncached over the
+  plain :class:`~repro.automata.dtd_automaton.DTDAutomaton` and
+  :class:`~repro.automata.pattern_automaton.PatternClosureAutomaton`
+  that the production bitset automata re-encode.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Iterable
 
+from repro.automata.dtd_automaton import DTDAutomaton
 from repro.automata.duta import (
     HState,
+    ProductAutomaton,
     State,
     TreeAutomaton,
     _conformance_hooks,
+    reachable_states,
 )
+from repro.automata.pattern_automaton import PatternClosureAutomaton
+from repro.patterns.ast import Pattern
+from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
-
-if TYPE_CHECKING:
-    from repro.automata.dtd_automaton import DTDAutomaton
 
 
 def reachable_states_naive(
@@ -89,3 +98,34 @@ def reachable_states_naive(
                         f"reachability exceeded {max_states} states"
                     )
     return realized
+
+
+def achievable_sets_reference(
+    dtd: DTD,
+    patterns: Iterable[Pattern],
+    extra_labels: frozenset[str] = frozenset(),
+    with_arity: bool = True,
+) -> dict[frozenset[int], TreeNode]:
+    """:func:`~repro.engine.cache.achievable_sets` over the plain automata.
+
+    Builds an uncached :class:`DTDAutomaton` x
+    :class:`PatternClosureAutomaton` conforming product and reads the
+    same ``{trigger set: witness}`` table off its accepting states.  The
+    trigger sets must equal the production table's; the witnesses may
+    differ, since the two encodings order their states differently.
+    """
+    patterns = tuple(patterns)
+    closure = PatternClosureAutomaton(
+        patterns,
+        extra_labels=dtd.labels | frozenset(extra_labels),
+        arity_of=dtd.arity if with_arity else None,
+    )
+    conformance = DTDAutomaton(dtd, frozenset(extra_labels) - dtd.labels)
+    realized = reachable_states(
+        ProductAutomaton([conformance, closure]), conformance=conformance
+    )
+    sets: dict[frozenset[int], TreeNode] = {}
+    for state, witness in realized.items():
+        if conformance.is_accepting(state[0]):
+            sets.setdefault(closure.trigger_set(state[1]), witness)
+    return sets

@@ -11,7 +11,7 @@ attribute tuple has one length).
 
 from __future__ import annotations
 
-from repro.automata.dtd_automaton import DTDAutomaton
+from repro.automata.dtd_automaton import DTDAutomaton, decorate
 from repro.automata.duta import ProductAutomaton, find_accepted
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
@@ -49,7 +49,7 @@ def dtd_inclusion_counterexample(smaller: DTD, larger: DTD) -> TreeNode | None:
     found = find_accepted(product, conformance=automaton_small)
     if found is None:
         return None
-    return automaton_small.decorate(found[1])
+    return decorate(smaller, found[1])
 
 
 def dtd_included(smaller: DTD, larger: DTD) -> bool:
@@ -78,4 +78,4 @@ def dtd_common_tree(first: DTD, second: DTD) -> TreeNode | None:
     )
     if found is None:
         return None
-    return automaton_a.decorate(found[1])
+    return decorate(first, found[1])

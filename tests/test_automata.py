@@ -4,7 +4,7 @@ reachability, the DTD automaton and the pattern closure automaton."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dtd_automaton import DTDAutomaton
+from repro.automata.dtd_automaton import DTDAutomaton, decorate
 from repro.automata.duta import (
     ProductAutomaton,
     accepts,
@@ -57,10 +57,9 @@ class TestDTDAutomaton:
 
     def test_decorate(self):
         dtd = parse_dtd("r -> a\na(x, y)")
-        automaton = DTDAutomaton(dtd)
-        decorated = automaton.decorate(parse_tree("r[a]"))
+        decorated = decorate(dtd, parse_tree("r[a]"))
         assert decorated.children[0].attrs == (0, 0)
-        named = automaton.decorate(parse_tree("r[a]"), lambda l, a: f"{l}.{a}")
+        named = decorate(dtd, parse_tree("r[a]"), lambda l, a: f"{l}.{a}")
         assert named.children[0].attrs == ("a.x", "a.y")
 
     @settings(max_examples=80, deadline=None)

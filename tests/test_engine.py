@@ -126,11 +126,10 @@ class TestCompilationCache:
         again = dtd_automaton(dtd2, context=context)
         assert again is first
         stats = context.cache.stats()
-        # building the automaton compiles one production DFA per label with
-        # a production (r, a) plus the automaton itself: 3 misses, then the
-        # second call is a single hit
+        # the bitset automaton compiles its production DFAs itself, so the
+        # first call is the automaton's one miss and the second a hit
         assert stats["hits"] == 1
-        assert stats["misses"] == 3
+        assert stats["misses"] == 1
         assert stats["evictions"] == 0
 
     def test_different_content_misses(self):
@@ -206,8 +205,8 @@ def _routing_cases():
             "r -> a, b", "t -> c, d", ["r[a -> b] -> t[c -> d]"],
             "cons-automata",
         ),
-        # disjunctive production: not nested-relational, so the
-        # _nested_ptime_applicable fallback lands on the automata route
+        # disjunctive production: not nested-relational, so
+        # nested_ptime_applicable fails and the automata route runs
         _consistency_case(
             "r -> a | b", "t -> c?", ["r[a] -> t[c]"],
             "cons-automata",
@@ -218,7 +217,8 @@ def _routing_cases():
             ["r[a(x), b(y)], x != y -> t[c(x)]"],
             "cons-bounded",
         ),
-        # constants count like comparisons (the _uses_constants fallback)
+        # constants count like comparisons (uses_constants routes them
+        # to the bounded search)
         _consistency_case(
             "r -> a\na(x)", "t -> c*\nc(u)", ["r[a(5)] -> t[c(5)]"],
             "cons-bounded",

@@ -1,8 +1,9 @@
-"""Differential tests: the bitset kernels against the pure oracle.
+"""Differential tests: the fast kernels against their references.
 
-The pure-Python path is the semantic reference (DESIGN.md §7).  Kernel
-selection follows input size alone, so these tests pin each side with
-``force_kernel`` and hold the bitset side to the pure one:
+The pure-Python paths are the semantic reference (DESIGN.md §7).  The
+pattern engine is selected by document size alone, so the engine tests
+pin each side with ``force_kernel``; the automata have one production
+encoding (bitset), held to the plain automata it re-encodes:
 
 * ``engine.solve`` verdicts over every example mapping and the workload
   families must be *identical* under ``force_kernel("pure")`` and
@@ -10,13 +11,16 @@ selection follows input size alone, so these tests pin each side with
 * consistency verdicts over random structural mappings must agree, and
   both witnesses must certify;
 * satisfiability decisions and structural witnesses must agree;
+* the production trigger-set tables must have exactly the trigger sets
+  of ``achievable_sets_reference`` over the plain automata, on the
+  Figure 1 families and random structural mappings;
 * the object engine, the compact (array-backed) engine and the naive
   oracle matcher must produce the same relations on random documents
   on both sides of the pattern-engine cutover;
 * the worklist ``reachable_states`` must realize the same states as the
   round-based ``reachable_states_naive`` it replaced, and its label
   index (``conformance=``) must realize exactly what plain conformance
-  pruning does, on random DTD x closure products under every kernel.
+  pruning does, on random DTD x closure products in both encodings.
 """
 
 import json
@@ -57,6 +61,19 @@ from repro.xmlmodel.tree import TreeNode
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+#: The Figure 1 families, each with the problem it poses and its sizes.
+F1_CELLS = [
+    (ConsistencyProblem, families.cons_arbitrary_family, (1, 2, 3)),
+    (ConsistencyProblem, families.cons_nested_family, (1, 3, 6)),
+    (ConsistencyProblem, families.cons_next_sibling_family, (2, 3)),
+    (ConsistencyProblem, families.distinct_values_family, (2, 3)),
+    (ConsistencyProblem, families.equality_case_split_family, (1, 2)),
+    (AbsoluteConsistencyProblem, families.abscons_sm0_family, (1, 3)),
+    (AbsoluteConsistencyProblem, families.abscons_ptime_family, (1, 3)),
+    (AbsoluteConsistencyProblem, families.abscons_wildcard_family, (3,)),
+]
+
+
 def _differential_problems() -> list:
     """Every example mapping, and the family sizes the other tests use."""
     params = []
@@ -64,17 +81,7 @@ def _differential_problems() -> list:
         mapping = parse_mapping(path.read_text())
         for kind in (ConsistencyProblem, AbsoluteConsistencyProblem):
             params.append(pytest.param(kind(mapping), id=f"{path.stem}-{kind.__name__}"))
-    cells = [
-        (ConsistencyProblem, families.cons_arbitrary_family, (1, 2, 3)),
-        (ConsistencyProblem, families.cons_nested_family, (1, 3, 6)),
-        (ConsistencyProblem, families.cons_next_sibling_family, (2, 3)),
-        (ConsistencyProblem, families.distinct_values_family, (2, 3)),
-        (ConsistencyProblem, families.equality_case_split_family, (1, 2)),
-        (AbsoluteConsistencyProblem, families.abscons_sm0_family, (1, 3)),
-        (AbsoluteConsistencyProblem, families.abscons_ptime_family, (1, 3)),
-        (AbsoluteConsistencyProblem, families.abscons_wildcard_family, (3,)),
-    ]
-    for kind, family, sizes in cells:
+    for kind, family, sizes in F1_CELLS:
         for n in sizes:
             for consistent in (True, False):
                 params.append(pytest.param(
@@ -181,12 +188,11 @@ def test_satisfiability_agrees_across_kernels(seed):
             )
     # the pattern matches its own source tree, so both must prove it
     assert answers[PURE].is_proved and answers[BITSET].is_proved
-    from repro.automata.dtd_automaton import DTDAutomaton
+    from repro.automata.dtd_automaton import decorate
 
-    decorate = DTDAutomaton(dtd).decorate
     for kernel, witness in witnesses.items():
         assert witness is not None, f"{kernel} found no witness"
-        assert dtd.conforms(decorate(witness)), (
+        assert dtd.conforms(decorate(dtd, witness)), (
             f"{kernel} witness does not conform"
         )
 
@@ -300,7 +306,6 @@ def _conforming_product(rng: random.Random, variant: str):
     from repro.automata.dtd_automaton import DTDAutomaton
     from repro.automata.duta import ProductAutomaton
     from repro.automata.pattern_automaton import PatternClosureAutomaton
-    from repro.engine.cache import CompiledDTDAutomaton
 
     dtd = random_recursive_dtd(rng)
     patterns = [
@@ -312,7 +317,6 @@ def _conforming_product(rng: random.Random, variant: str):
     extra = frozenset(label for p in patterns for label in p.labels_used())
     closure_kind, dtd_kind = {
         "pure": (PatternClosureAutomaton, DTDAutomaton),
-        "compiled": (PatternClosureAutomaton, CompiledDTDAutomaton),
         "bitset": (BitsetClosureAutomaton, BitsetDTDAutomaton),
     }[variant]
     conformance = dtd_kind(dtd, extra)
@@ -320,7 +324,7 @@ def _conforming_product(rng: random.Random, variant: str):
     return conformance, closure, patterns
 
 
-@pytest.mark.parametrize("variant", ["pure", "compiled", "bitset"])
+@pytest.mark.parametrize("variant", ["pure", "bitset"])
 @pytest.mark.parametrize("seed", range(20))
 def test_conformance_index_matches_pruning_oracle(seed, variant):
     """The label-indexed search realizes exactly what plain pruning does."""
@@ -385,14 +389,16 @@ def test_conformance_index_matches_pruning_oracle(seed, variant):
 
 
 def test_kernel_selection_thresholds(monkeypatch):
+    # the pattern engine is the one selected surface
+    assert set(AUTO_THRESHOLDS) == {"pattern-engine"}
     # size alone decides: no environment setting is consulted
     monkeypatch.setenv("REPRO_KERNEL", "bitset")
-    for surface, threshold in AUTO_THRESHOLDS.items():
-        assert select_kernel(surface, threshold - 1) == PURE
-        assert select_kernel(surface, threshold) == BITSET
-    # the differential seam pins a kernel on every surface and size
+    threshold = AUTO_THRESHOLDS["pattern-engine"]
+    assert select_kernel("pattern-engine", threshold - 1) == PURE
+    assert select_kernel("pattern-engine", threshold) == BITSET
+    # the differential seam pins a kernel at every size
     with force_kernel(PURE):
-        assert select_kernel("automata", 10**6) == PURE
+        assert select_kernel("pattern-engine", 10**6) == PURE
     with force_kernel(BITSET):
         assert select_kernel("pattern-engine", 1) == BITSET
     with pytest.raises(ValueError):
@@ -416,19 +422,49 @@ def test_engine_cutover_is_the_journaled_crossover():
     assert AUTO_THRESHOLDS["pattern-engine"] == meta["engine-cutover"]["crossover"]
 
 
-def test_cache_keys_do_not_cross_kernels():
-    """A compiled pure artifact must never serve a bitset request."""
-    from repro.engine.cache import achievable_sets, automata_size
-    from repro.workloads.families import cons_arbitrary_family
+def _achievable_cases():
+    """(name, mapping) over the Figure 1 families and random mappings."""
+    for __, family, sizes in F1_CELLS:
+        for n in sizes:
+            for consistent in (True, False):
+                yield (
+                    f"{family.__name__}-{n}-{consistent}",
+                    family(n, consistent=consistent),
+                )
+    for seed in range(20):
+        yield f"random-{seed}", random_structural_mapping(random.Random(1000 + seed))
 
-    mapping = cons_arbitrary_family(2)
-    context = ExecutionContext(cache=CompilationCache())
-    dtd = mapping.source_dtd
-    patterns = tuple(std.source for std in mapping.stds)
-    with force_kernel(PURE):
-        pure_sets = achievable_sets(dtd, patterns, context=context)
-    misses_after_pure = context.cache.stats()["misses"]
-    with force_kernel(BITSET):
-        bitset_sets = achievable_sets(dtd, patterns, context=context)
-    assert context.cache.stats()["misses"] > misses_after_pure  # no reuse
-    assert pure_sets == bitset_sets  # but identical trigger sets
+
+def test_achievable_sets_match_reference():
+    """The bitset trigger-set table has the plain automata's trigger sets.
+
+    Both sides of every mapping, over the labels of all its patterns (the
+    alphabet cons-automata searches).  Witnesses may differ between the
+    encodings, but each must conform and match exactly its trigger set.
+    """
+    from repro.automata.dtd_automaton import decorate
+    from repro.consistency.cons_automata import _pattern_labels
+    from repro.engine.cache import achievable_sets
+    from repro.patterns.matching import matches_at_root
+    from repro.verification.reachability import achievable_sets_reference
+
+    for name, mapping in _achievable_cases():
+        extra = _pattern_labels(mapping)
+        sides = (
+            (mapping.source_dtd, [std.source for std in mapping.stds]),
+            (mapping.target_dtd, [std.target for std in mapping.stds]),
+        )
+        for dtd, patterns in sides:
+            context = ExecutionContext(cache=CompilationCache())
+            production = achievable_sets(dtd, patterns, extra, context=context)
+            reference = achievable_sets_reference(dtd, patterns, extra)
+            assert production.keys() == reference.keys(), (name, dtd)
+            for table in (production, reference):
+                for triggered, witness in table.items():
+                    tree = decorate(dtd, witness)
+                    assert dtd.conforms(tree), (name, witness)
+                    matched = {
+                        index for index, pattern in enumerate(patterns)
+                        if matches_at_root(pattern, tree)
+                    }
+                    assert matched == triggered, (name, witness)

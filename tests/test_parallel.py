@@ -254,7 +254,7 @@ class TestDiskCache:
 
     def test_corrupt_entry_is_a_silent_miss(self, tmp_path):
         tier = DiskCacheTier(tmp_path)
-        key = ("regex-dfa", "dtd", "label")
+        key = ("bitset-closure", "dtd", "label")
         tier.put(key, [1, 2, 3])
         path = tier.path_for(key)
         assert path.name == f"{key_digest(key, CACHE_FORMAT_VERSION)}.pkl"

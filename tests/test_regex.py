@@ -1,11 +1,10 @@
-"""Tests for regexes, the Glushkov NFA and DFA operations (repro.regex)."""
+"""Tests for regexes, the Glushkov NFA and its bitset DFA (repro.regex)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParseError
 from repro.regex import (
-    DFA,
     EMPTY,
     EPSILON,
     NFA,
@@ -167,63 +166,40 @@ class TestGlushkovNFA:
         assert automaton.is_accepting_set(states)
 
 
+def bitset_dfa(automaton: NFA, symbols: str):
+    """The automaton determinized over the bitset encoding of *symbols*."""
+    ids = {symbol: index for index, symbol in enumerate(symbols)}
+    dfa = automaton.to_bitset(ids, n_symbols=len(symbols)).determinize()
+    return dfa, ids
+
+
 class TestDFA:
     def test_determinize_preserves_language(self):
         automaton = nfa("(a|b)*, a, b")
-        dfa = automaton.determinize()
+        dfa, ids = bitset_dfa(automaton, "ab")
         for word in [("a", "b"), ("b", "a", "b"), ("a",), (), ("a", "b", "a")]:
-            assert dfa.accepts(word) == automaton.accepts(word)
-
-    def test_complement(self):
-        dfa = nfa("a, b").determinize(alphabet={"a", "b"})
-        comp = dfa.complement()
-        assert not comp.accepts(("a", "b"))
-        assert comp.accepts(("a",))
-        assert comp.accepts(())
-
-    def test_product_intersection_and_union(self):
-        d1 = nfa("a*").determinize(alphabet={"a", "b"})
-        d2 = nfa("a, a").determinize(alphabet={"a", "b"})
-        inter = d1.product(d2)
-        assert inter.accepts(("a", "a"))
-        assert not inter.accepts(("a",))
-        union_dfa = d1.product(d2, accept_both=False)
-        assert union_dfa.accepts(("a",))
-
-    def test_product_alphabet_mismatch(self):
-        d1 = nfa("a").determinize(alphabet={"a"})
-        d2 = nfa("b").determinize(alphabet={"b"})
-        with pytest.raises(ValueError):
-            d1.product(d2)
-
-    def test_is_universal(self):
-        dfa = nfa("(a|b)*").determinize(alphabet={"a", "b"})
-        assert dfa.is_universal()
-        assert not nfa("a*").determinize(alphabet={"a", "b"}).is_universal()
-
-    def test_minimize_preserves_language(self):
-        dfa = nfa("(a|b)*, a").determinize(alphabet={"a", "b"})
-        minimal = dfa.minimize()
-        for word in [("a",), ("b",), ("b", "a"), (), ("a", "b")]:
-            assert minimal.accepts(word) == dfa.accepts(word)
-
-    def test_minimize_reduces_states(self):
-        dfa = nfa("a | a").determinize(alphabet={"a"})
-        assert len(dfa.minimize().states) <= len(dfa.states)
-
-    def test_equivalent(self):
-        d1 = nfa("a, a*").determinize(alphabet={"a"})
-        d2 = nfa("a+").determinize(alphabet={"a"})
-        assert d1.equivalent(d2)
-        d3 = nfa("a*").determinize(alphabet={"a"})
-        assert not d1.equivalent(d3)
+            encoded = [ids[letter] for letter in word]
+            assert dfa.accepts(encoded) == automaton.accepts(word)
 
     def test_shortest_word(self):
-        dfa = nfa("a, b | c").determinize(alphabet={"a", "b", "c"})
-        assert dfa.shortest_word() == ("c",)
+        dfa, ids = bitset_dfa(nfa("a, b | c"), "abc")
+        letters = {index: symbol for symbol, index in ids.items()}
+        # breadth-first over the transition rows: the first accepting
+        # state reached spells a shortest accepted word
+        words = {dfa.initial: ()}
+        queue = [dfa.initial]
+        for state in queue:
+            if dfa.is_accepting(state):
+                break
+            for symbol, target in enumerate(dfa.rows[state]):
+                if target not in words:
+                    words[target] = words[state] + (letters[symbol],)
+                    queue.append(target)
+        assert words[state] == ("c",)
+        assert not dfa.is_accepting(dfa.DEAD)
 
 
-# -- randomized cross-validation: regex membership vs NFA vs DFA -----------
+# -- randomized cross-validation: regex membership vs NFA vs bitset DFA ----
 
 symbols_st = st.sampled_from(["a", "b"])
 
@@ -283,8 +259,8 @@ def test_nfa_agrees_with_naive_semantics(expr, word):
 @given(regex_st(), st.lists(symbols_st, max_size=4).map(tuple))
 def test_dfa_agrees_with_nfa(expr, word):
     automaton = NFA.from_regex(expr)
-    dfa = automaton.determinize(alphabet={"a", "b"})
-    assert dfa.accepts(word) == automaton.accepts(word)
+    dfa, ids = bitset_dfa(automaton, "ab")
+    assert dfa.accepts([ids[letter] for letter in word]) == automaton.accepts(word)
 
 
 @given(regex_st())

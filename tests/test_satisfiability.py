@@ -1,7 +1,6 @@
 """Tests for pattern satisfiability wrt a DTD (repro.patterns.satisfiability,
 Lemma 4.1), cross-validated against exhaustive enumeration."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.patterns import is_satisfiable, satisfying_tree, structural_witness
@@ -178,21 +177,23 @@ def test_satisfiability_agrees_with_enumeration(dtd_text, pattern):
 # ---------------------------------------------------------------------------
 
 
-def _prune_only_witness(dtd, pattern, context):
+def _prune_only_witness(dtd, pattern):
     """The plain product search: prune non-conforming states, index nothing.
 
     The reference the conformance-routed :func:`structural_witness` is
-    differential-tested against: same automata, no label index, no
-    dead-row pruning.
+    differential-tested against: the plain (uncached) automata that the
+    production bitset automata re-encode, no label index, no dead-row
+    pruning.
     """
+    from repro.automata.dtd_automaton import DTDAutomaton
     from repro.automata.duta import ProductAutomaton, find_accepted
-    from repro.engine.cache import automata_size, closure_automaton, dtd_automaton
-    from repro.kernel import select_kernel
+    from repro.automata.pattern_automaton import PatternClosureAutomaton
 
     extra = frozenset(pattern.labels_used())
-    kernel = select_kernel("automata", automata_size(dtd, [pattern]))
-    closure = closure_automaton([pattern], dtd, extra, context=context, kernel=kernel)
-    conformance = dtd_automaton(dtd, extra, context=context, kernel=kernel)
+    closure = PatternClosureAutomaton(
+        [pattern], extra_labels=dtd.labels | extra, arity_of=dtd.arity
+    )
+    conformance = DTDAutomaton(dtd, extra - dtd.labels)
     product = ProductAutomaton(
         [conformance, closure],
         predicate=lambda state: (
@@ -250,26 +251,23 @@ def _random_pairs(seed: int, count: int):
     return pairs
 
 
-@pytest.mark.parametrize("kernel", ["pure", "bitset"])
-def test_structural_witness_agrees_with_prune_only_search(kernel):
-    from repro.automata.dtd_automaton import DTDAutomaton
+def test_structural_witness_agrees_with_prune_only_search():
+    from repro.automata.dtd_automaton import decorate
     from repro.engine import CompilationCache
     from repro.engine.budget import ExecutionContext
-    from repro.kernel import force_kernel
 
     found = empty = 0
-    with force_kernel(kernel):
-        for dtd, pattern in _random_pairs(seed=1500, count=120):
-            context = ExecutionContext(cache=CompilationCache())
-            witness = structural_witness(dtd, pattern, context)
-            reference = _prune_only_witness(dtd, pattern, context)
-            assert (witness is None) == (reference is None), (dtd, pattern)
-            if witness is None:
-                empty += 1
-                continue
-            found += 1
-            decorated = DTDAutomaton(dtd).decorate(witness)
-            assert dtd.conforms(decorated), (dtd, pattern, witness)
-            assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
+    for dtd, pattern in _random_pairs(seed=1500, count=120):
+        context = ExecutionContext(cache=CompilationCache())
+        witness = structural_witness(dtd, pattern, context)
+        reference = _prune_only_witness(dtd, pattern)
+        assert (witness is None) == (reference is None), (dtd, pattern)
+        if witness is None:
+            empty += 1
+            continue
+        found += 1
+        decorated = decorate(dtd, witness)
+        assert dtd.conforms(decorated), (dtd, pattern, witness)
+        assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
     # the seeded pairs exercise both answers
     assert found >= 20 and empty >= 20, (found, empty)
