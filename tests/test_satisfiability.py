@@ -1,6 +1,7 @@
 """Tests for pattern satisfiability wrt a DTD (repro.patterns.satisfiability,
 Lemma 4.1), cross-validated against exhaustive enumeration."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.patterns import is_satisfiable, satisfying_tree, structural_witness
@@ -251,23 +252,28 @@ def _random_pairs(seed: int, count: int):
     return pairs
 
 
-def test_structural_witness_agrees_with_prune_only_search():
+@pytest.mark.parametrize("kernel", ["pure", "bitset"])
+def test_structural_witness_agrees_with_prune_only_search(kernel):
+    """The automata have one encoding; *kernel* pins the pattern engine
+    that checks each decorated witness against its pattern."""
     from repro.automata.dtd_automaton import decorate
     from repro.engine import CompilationCache
     from repro.engine.budget import ExecutionContext
+    from repro.kernel import force_kernel
 
     found = empty = 0
-    for dtd, pattern in _random_pairs(seed=1500, count=120):
-        context = ExecutionContext(cache=CompilationCache())
-        witness = structural_witness(dtd, pattern, context)
-        reference = _prune_only_witness(dtd, pattern)
-        assert (witness is None) == (reference is None), (dtd, pattern)
-        if witness is None:
-            empty += 1
-            continue
-        found += 1
-        decorated = decorate(dtd, witness)
-        assert dtd.conforms(decorated), (dtd, pattern, witness)
-        assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
+    with force_kernel(kernel):
+        for dtd, pattern in _random_pairs(seed=1500, count=120):
+            context = ExecutionContext(cache=CompilationCache())
+            witness = structural_witness(dtd, pattern, context)
+            reference = _prune_only_witness(dtd, pattern)
+            assert (witness is None) == (reference is None), (dtd, pattern)
+            if witness is None:
+                empty += 1
+                continue
+            found += 1
+            decorated = decorate(dtd, witness)
+            assert dtd.conforms(decorated), (dtd, pattern, witness)
+            assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
     # the seeded pairs exercise both answers
     assert found >= 20 and empty >= 20, (found, empty)
