@@ -22,9 +22,12 @@ smoke:
 # kernel-equivalence gate (membership verdicts and match relations
 # identical under both pattern engines, production trigger-set tables
 # identical to the plain-automata reference's, F1.1 witnesses certified),
-# and the incremental gate (single-std-edit deltas >= 10x faster than a
+# the incremental gate (single-std-edit deltas >= 10x faster than a
 # cold solve, with incremental == cold equivalence with each pattern engine
-# pinned in turn; engine selection itself depends on input size alone).
+# pinned in turn; engine selection itself depends on input size alone),
+# and the university membership gate (ladder verdicts equal the known
+# answers, the per-obligation reference agrees at <= 12 professors, and
+# the median growth from 24 to 48 professors is at most 3x).
 # Every gate runs even when an earlier one fails, so one noisy gate cannot
 # hide the others' verdicts; the target lists the failed gates and fails
 # at the end.
@@ -34,7 +37,8 @@ BENCH_GATES := \
 	benchmarks/bench_obs.py \
 	benchmarks/bench_lint.py \
 	benchmarks/bench_scale.py \
-	benchmarks/bench_incremental.py
+	benchmarks/bench_incremental.py \
+	benchmarks/bench_fig2_membership.py
 
 bench-smoke:
 	@failed=""; \

@@ -270,7 +270,7 @@ def predict_membership(mapping: "SchemaMapping") -> CellPrediction:
     return CellPrediction(
         "MEMBERSHIP", fragment, "membership",
         "PTIME data complexity, NP-complete combined (Theorem 4.4)", True,
-        "plain stds: conformance plus per-obligation semi-joins "
+        "plain stds: conformance plus one semi-join per std "
         "(Definition 3.2)",
     )
 

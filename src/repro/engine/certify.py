@@ -206,17 +206,20 @@ def _certify_obligations_met(certificate: ObligationsMet, problem: Any) -> bool:
 
 
 def _certify_violation_witness(certificate: ViolationWitness, problem: Any) -> bool:
-    mapping = problem.mapping
-    if certificate.std_index < 0 or certificate.std_index >= len(mapping.stds):
-        return _fail("violation names a non-existent std")
-    if _membership_holds(mapping, problem.source_tree, problem.target_tree):
-        return _fail("membership re-check disagrees with Refuted")
-    from repro.mappings.membership import violations
+    from repro.mappings.membership import SolutionChecker, _unmet, witness_valuation
 
-    failing = violations(mapping, problem.source_tree, problem.target_tree)
-    std = mapping.stds[certificate.std_index]
-    if not any(failed is std for failed, __ in failing):
-        return _fail("the named std has no failing source match")
+    if not 0 <= certificate.std_index < len(problem.mapping.stds):
+        return _fail("violation names a non-existent std")
+    try:
+        checker = SolutionChecker(problem.mapping, problem.source_tree)
+    except XsmError as error:
+        return _fail(str(error))
+    std, exports = checker.obligations[certificate.std_index]
+    named = [e for e in exports if witness_valuation(e) == certificate.valuation]
+    if not named:
+        return _fail("the valuation is not an exported assignment of the named std")
+    if not _unmet(std, named, problem.target_tree):
+        return _fail("the named std's obligation under the valuation is met")
     return True
 
 

@@ -10,14 +10,15 @@ polynomial pass for a fixed mapping); combined complexity is
 ``Pi_2^p``-complete — the exponential lives in the number of variables per
 pattern, which is exactly what the Figure-2 benchmarks sweep.
 
-The check runs on the pattern engine of :mod:`repro.patterns.matching`:
-source-side obligations are deduplicated down to their *exported*
-shared-variable assignments (distinct source matches exporting the same
-values impose the same requirement), and target sides without conditions
-are decided in the engine's Boolean semi-join mode, which short-circuits
-without materializing valuation sets.  :class:`SolutionChecker` exposes
-the "one fixed source, many candidate targets" shape used by the bounded
-searches and the oracles, computing the obligations once.
+Source-side obligations are deduplicated down to their *exported*
+shared-variable assignments.  Each std's target side is then evaluated
+once per target tree, as a semi-join (:func:`_unmet`): the target
+pattern's relation, projected onto the variables the join and the target
+conditions need (other target-only variables stay existential and are
+never materialized), is grouped by its shared values, and each export
+probes its group.  :class:`SolutionChecker` holds one fixed source's
+obligations; :func:`is_solution`, :func:`violations`, the bounded
+searches, the oracles and ``certify()`` all check targets through it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from repro.engine.verdicts import (
 from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
-from repro.patterns.ast import Pattern
-from repro.patterns.matching import find_matches, matches_at_root
+from repro.patterns.matching import engine_for, find_matches, join_variables
 from repro.values import Var
 from repro.xmlmodel.tree import TreeNode
 
@@ -48,9 +48,7 @@ def _source_matches(std: STD, source_tree: TreeNode) -> Iterator[dict[Var, objec
             yield valuation
 
 
-def _exported_assignments(
-    std: STD, source_tree: TreeNode
-) -> list[dict[Var, object]]:
+def _exported_assignments(std: STD, source_tree: TreeNode) -> list[dict[Var, object]]:
     """Deduplicated shared-variable assignments the source side fires.
 
     Target satisfaction depends only on the exported values, so source
@@ -58,80 +56,88 @@ def _exported_assignments(
     obligation.
     """
     shared = set(std.shared_variables())
-    seen: set[frozenset] = set()
-    exports: list[dict[Var, object]] = []
+    exports: dict[frozenset, dict[Var, object]] = {}
     for valuation in _source_matches(std, source_tree):
         exported = {var: value for var, value in valuation.items() if var in shared}
-        key = frozenset(exported.items())
-        if key not in seen:
-            seen.add(key)
-            exports.append(exported)
-    return exports
+        exports.setdefault(frozenset(exported.items()), exported)
+    return list(exports.values())
 
 
-def _target_satisfied(
-    std: STD, target_pattern: Pattern, exported: dict[Var, object], target_tree: TreeNode
-) -> bool:
-    """Does some extension of *exported* match the target side on *target_tree*?"""
-    if not std.target_conditions:
-        # pure existence: Boolean semi-join mode, no valuation sets built
-        return matches_at_root(target_pattern, target_tree)
-    for extension in find_matches(target_pattern, target_tree):
-        combined = {**exported, **extension}
-        if all(c.evaluate(combined) for c in std.target_conditions):
-            return True
-    return False
+def _semi_join_plan(std: STD) -> tuple[frozenset[Var], frozenset[Var]]:
+    """``(probe, keep)``: the target pattern's shared variables (the group
+    key), and those plus its join and target-condition variables."""
+    pattern_vars = frozenset(std.target.variables())
+    probe = frozenset(std.shared_variables()) & pattern_vars
+    condition_vars = {var for c in std.target_conditions for var in c.variables()}
+    keep = join_variables(std.target) | probe | (condition_vars & pattern_vars)
+    return probe, keep
+
+
+def _unmet(
+    std: STD, exports: list[dict[Var, object]], target_tree: TreeNode
+) -> list[dict[Var, object]]:
+    """The exported assignments of *exports* that no extension matches: one
+    evaluation of ``std.target``, kept on ``keep`` and grouped by its shared
+    values, serves every export; target conditions run on one group each."""
+    if not exports:
+        return []
+    probe, keep = std._memo("semi-join-plan", lambda: _semi_join_plan(std))
+    groups: dict[frozenset, list[frozenset]] = {}
+    for valuation in engine_for(target_tree).relation_at_root(std.target, keep):
+        key = frozenset(pair for pair in valuation if pair[0] in probe)
+        groups.setdefault(key, []).append(valuation)
+    conditions = std.target_conditions
+    unmet = []
+    for exported in exports:
+        members = groups.get(frozenset(p for p in exported.items() if p[0] in probe))
+        if not members or conditions and not any(
+            all(c.evaluate({**exported, **dict(member)}) for c in conditions)
+            for member in members
+        ):
+            unmet.append(exported)
+    return unmet
+
+
+def witness_valuation(exported: dict[Var, object]) -> tuple[tuple[str, object], ...]:
+    """The :class:`ViolationWitness` form of an export: ``(name, value)``
+    pairs sorted by name (names are unique, so values are never compared)."""
+    return tuple(sorted((var.name, value) for var, value in exported.items()))
 
 
 class SolutionChecker:
     """Checks many candidate targets against one fixed ``(mapping, T)``.
 
-    Source-side obligations (std, substituted target pattern, exported
-    assignment) are computed once in the constructor; each
-    :meth:`is_solution_for` call then only evaluates target sides, and
-    the substituted patterns are shared across calls so the candidate
-    trees' engines can reuse their memo entries.
+    ``obligations`` holds one ``(std, exports)`` pair per std, computed
+    once; each target check runs :func:`_unmet` once per triggered std.
     """
 
     def __init__(self, mapping: SchemaMapping, source_tree: TreeNode):
         self.mapping = mapping
         self.source_tree = source_tree
-        self.obligations: list[tuple[STD, Pattern, dict[Var, object]]] = []
+        self.obligations: list[tuple[STD, list[dict[Var, object]]]] = []
         for std in mapping.stds:
             if std.skolem_functions():
                 raise XsmError(
-                    "std uses Skolem functions; use "
-                    "repro.mappings.skolem.SkolemSolutionChecker"
+                    "std uses Skolem functions; use repro.mappings.skolem "
+                    "(is_skolem_solution / SkolemSolutionChecker)"
                 )
-            for exported in _exported_assignments(std, source_tree):
-                self.obligations.append(
-                    (std, std.target.substitute(exported), exported)
-                )
+            self.obligations.append((std, _exported_assignments(std, source_tree)))
 
-    def is_solution_for(
-        self, target_tree: TreeNode, check_conformance: bool = True
-    ) -> bool:
+    def first_violation(
+        self, target_tree: TreeNode
+    ) -> tuple[int, list[dict[Var, object]]] | None:
+        """The index of the first std with unmet exports, and those exports."""
+        for index, (std, exports) in enumerate(self.obligations):
+            unmet = _unmet(std, exports, target_tree)
+            if unmet:
+                return index, unmet
+        return None
+
+    def is_solution_for(self, target_tree: TreeNode, check_conformance: bool = True) -> bool:
         """``(T, target_tree) ∈ [[M]]`` for the fixed source ``T``."""
         if check_conformance and not self.mapping.target_dtd.conforms(target_tree):
             return False
-        return all(
-            _target_satisfied(std, pattern, exported, target_tree)
-            for std, pattern, exported in self.obligations
-        )
-
-
-def std_is_satisfied(
-    std: STD, source_tree: TreeNode, target_tree: TreeNode
-) -> bool:
-    """Do ``(T, T')`` satisfy this single std?"""
-    if std.skolem_functions():
-        raise XsmError(
-            "std uses Skolem functions; use repro.mappings.skolem.is_skolem_solution"
-        )
-    return all(
-        _target_satisfied(std, std.target.substitute(exported), exported, target_tree)
-        for exported in _exported_assignments(std, source_tree)
-    )
+        return self.first_violation(target_tree) is None
 
 
 def is_solution(
@@ -144,34 +150,22 @@ def is_solution(
 
     Returns a :class:`~repro.engine.verdicts.Verdict` (membership is
     decidable, so never ``Unknown``): ``Proved`` carries the number of
-    checked obligations, ``Refuted`` either the non-conforming side or the
-    first exported valuation with no target match.
+    checked obligations, ``Refuted`` either the non-conforming side or
+    the first std with an unmet export and its least unmet export under
+    the ``(name, repr(value))`` order (so it does not depend on hash order).
     """
     if check_conformance:
         if not mapping.source_dtd.conforms(source_tree):
             return Refuted(ConformanceFailure("source"))
         if not mapping.target_dtd.conforms(target_tree):
             return Refuted(ConformanceFailure("target"))
-    obligations = 0
-    for index, std in enumerate(mapping.stds):
-        if std.skolem_functions():
-            raise XsmError(
-                "std uses Skolem functions; use "
-                "repro.mappings.skolem.is_skolem_solution"
-            )
-        for exported in _exported_assignments(std, source_tree):
-            obligations += 1
-            if not _target_satisfied(
-                std, std.target.substitute(exported), exported, target_tree
-            ):
-                valuation = tuple(
-                    sorted(
-                        ((var.name, value) for var, value in exported.items()),
-                        key=lambda item: (item[0], repr(item[1])),
-                    )
-                )
-                return Refuted(ViolationWitness(index, valuation))
-    return Proved(ObligationsMet(obligations))
+    checker = SolutionChecker(mapping, source_tree)
+    violation = checker.first_violation(target_tree)
+    if violation is None:
+        return Proved(ObligationsMet(sum(len(e) for __, e in checker.obligations)))
+    index, unmet = violation
+    least = min(map(witness_valuation, unmet), key=lambda pairs: [(n, repr(v)) for n, v in pairs])
+    return Refuted(ViolationWitness(index, least))
 
 
 def violations(
@@ -181,11 +175,13 @@ def violations(
     failures: list[tuple[STD, dict[Var, object]]] = []
     for std in mapping.stds:
         shared = set(std.shared_variables())
-        for valuation in _source_matches(std, source_tree):
-            exported = {v: value for v, value in valuation.items() if v in shared}
-            target_pattern = std.target.substitute(exported)
-            if not _target_satisfied(std, target_pattern, exported, target_tree):
-                failures.append((std, valuation))
+        matches = [
+            (valuation, frozenset(p for p in valuation.items() if p[0] in shared))
+            for valuation in _source_matches(std, source_tree)
+        ]
+        exports = [dict(key) for key in dict.fromkeys(key for __, key in matches)]
+        unmet = {frozenset(e.items()) for e in _unmet(std, exports, target_tree)}
+        failures.extend((std, valuation) for valuation, key in matches if key in unmet)
     return failures
 
 

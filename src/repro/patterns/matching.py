@@ -217,9 +217,9 @@ class _Evaluator:
 
     # -- public evaluation --------------------------------------------------
 
-    def relation_at_root(self, pattern: Pattern) -> frozenset:
-        """The full valuation set of *pattern* at the root."""
-        return self.match_at(self._top, pattern)
+    def relation_at_root(self, pattern: Pattern, keep: frozenset | None = None) -> frozenset:
+        """The valuation set of *pattern* at the root (projected onto *keep*)."""
+        return self.match_at(self._top, pattern, keep)
 
     def find_matches(self, pattern: Pattern) -> list[dict[Var, object]]:
         """All valuations of ``(T, root) |= pattern``, as dicts."""

@@ -19,6 +19,7 @@ from repro.verification.oracle import (
     oracle_has_solution,
     oracle_is_absolutely_consistent,
     oracle_is_consistent,
+    oracle_is_solution,
     oracle_solutions,
 )
 from repro.verification.reachability import reachable_states_naive
@@ -31,6 +32,7 @@ __all__ = [
     "oracle_solutions",
     "oracle_is_consistent",
     "oracle_is_absolutely_consistent",
+    "oracle_is_solution",
     "oracle_counterexample",
     "oracle_composition_contains",
     "reachable_states_naive",

@@ -10,7 +10,9 @@ nested-loop matcher that predates the query engine of
 :mod:`repro.patterns.matching`.  It has no index, no hash joins and no
 semi-join mode, which makes it the reference both for the randomized
 equivalence tests and for the before/after series of
-``benchmarks/bench_matching_engine.py``.
+``benchmarks/bench_matching_engine.py``.  :func:`oracle_is_solution` runs
+membership on it one obligation at a time, as the reference for the
+production semi-join of :mod:`repro.mappings.membership`.
 
 Domain guidance (used throughout the test suite):
 
@@ -199,6 +201,42 @@ def naive_evaluate(pattern: Pattern, root: TreeNode) -> set[tuple]:
 # ---------------------------------------------------------------------------
 # Brute-force decision oracles
 # ---------------------------------------------------------------------------
+
+
+def oracle_is_solution(
+    mapping: SchemaMapping, source_tree: TreeNode, target_tree: TreeNode
+) -> tuple[bool, list[tuple[int, dict[Var, object]]]]:
+    """Reference membership: one whole-tree query per source match.
+
+    Returns ``(member, failures)``: whether ``(T, T') ∈ [[M]]`` (DTD
+    conformance included) and every ``(std index, source match)`` whose
+    exported assignment has no target extension, in std order.  Each
+    obligation substitutes its exported values into the target pattern
+    and runs the result through :class:`NaiveMatcher`; target conditions
+    are checked over every :func:`naive_find_matches` extension.  This is
+    the per-obligation path that production membership replaced by one
+    semi-join per std.
+    """
+    failures: list[tuple[int, dict[Var, object]]] = []
+    for index, std in enumerate(mapping.stds):
+        shared = set(std.shared_variables())
+        for valuation in naive_find_matches(std.source, source_tree):
+            if not all(c.evaluate(valuation) for c in std.source_conditions):
+                continue
+            exported = {var: value for var, value in valuation.items() if var in shared}
+            pattern = std.target.substitute(exported)
+            met = any(
+                all(c.evaluate({**exported, **extension}) for c in std.target_conditions)
+                for extension in naive_find_matches(pattern, target_tree)
+            )
+            if not met:
+                failures.append((index, valuation))
+    member = (
+        mapping.source_dtd.conforms(source_tree)
+        and mapping.target_dtd.conforms(target_tree)
+        and not failures
+    )
+    return member, failures
 
 
 def oracle_has_solution(

@@ -1,18 +1,35 @@
 """Tests for membership (T, T') in [[M]] (repro.mappings.membership),
 including the paper's running university example."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.engine import MembershipProblem, certify
+from repro.engine.certify import CertificationError
+from repro.engine.verdicts import Refuted, ViolationWitness
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import (
+    SolutionChecker,
     is_solution,
-    std_is_satisfied,
     triggered_requirements,
     violations,
+    witness_valuation,
 )
-from repro.mappings.std import parse_std
 from repro.errors import XsmError
+from repro.verification.enumeration import enumerate_trees
+from repro.verification.oracle import oracle_is_solution
+from repro.workloads.random_instances import (
+    random_fully_specified_mapping,
+    random_tree_from_dtd,
+)
 from repro.xmlmodel.parser import parse_tree
+from tests.test_kernels import random_structural_mapping
 
 
 D1 = """
@@ -146,9 +163,15 @@ class TestSemanticsDetails:
         assert not is_solution(m, parse_tree("x"), parse_tree("t"))
 
     def test_skolem_std_rejected_by_plain_membership(self):
-        std = parse_std("r[a(x)] -> t[b(f(x))]")
-        with pytest.raises(XsmError):
-            std_is_satisfied(std, parse_tree("r[a(1)]"), parse_tree("t[b(1)]"))
+        m = SchemaMapping.parse(
+            "r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)] -> t[b(f(x))]"]
+        )
+        source, target = parse_tree("r[a(1)]"), parse_tree("t[b(1)]")
+        with pytest.raises(XsmError) as plain:
+            is_solution(m, source, target)
+        with pytest.raises(XsmError) as checker:
+            SolutionChecker(m, source)
+        assert str(plain.value) == str(checker.value)
 
     def test_triggered_requirements_dedup(self):
         m = SchemaMapping.parse(
@@ -190,8 +213,6 @@ class TestSolutionChecker:
     ]
 
     def test_agrees_with_is_solution(self, paper_mapping):
-        from repro.mappings.membership import SolutionChecker
-
         checker = SolutionChecker(paper_mapping, SOURCE)
         for text in self.TARGETS:
             target = parse_tree(text)
@@ -200,8 +221,6 @@ class TestSolutionChecker:
             ), text
 
     def test_conformance_flag(self, paper_mapping):
-        from repro.mappings.membership import SolutionChecker
-
         checker = SolutionChecker(paper_mapping, SOURCE)
         nonconforming = parse_tree("r[course(a, 1)]")
         assert not checker.is_solution_for(nonconforming)
@@ -211,8 +230,6 @@ class TestSolutionChecker:
         ) is False
 
     def test_untriggered_source_accepts_empty_target(self, paper_mapping):
-        from repro.mappings.membership import SolutionChecker
-
         source = parse_tree(
             "r[prof(Ada)[teach[year(2009)[course(db1), course(db1)]], "
             "supervise[student(s1)]]]"
@@ -220,3 +237,138 @@ class TestSolutionChecker:
         assert SolutionChecker(paper_mapping, source).is_solution_for(
             parse_tree("r")
         )
+
+
+# ---------------------------------------------------------------------------
+# differential test against the per-obligation reference
+# ---------------------------------------------------------------------------
+
+#: Hand-written stds over ``r -> a*`` / ``t -> b*, b -> b*``: target
+#: conditions, repeated and existential variables, constants, wildcard,
+#: descendant, next-sibling and following-sibling.
+DIFFERENTIAL_STDS = [
+    ["r[a(x)] -> t[b(x, z)]"],
+    ["r[a(x)] -> t[b(x, z)], z = x"],
+    ["r[a(x)] -> t[b(x, z)], z != x"],
+    ["r[a(x)] -> t[b(z, w)], z = x, w != z"],
+    ["r[a(x), a(y)] -> t[b(x, y)], x != y"],
+    ["r[a(x)] -> t[b(x, x)]"],
+    ["r[a(x)] -> t[b(x, z), b(z, x)]"],
+    ["r[a(x)] -> t[b(x, 1)]"],
+    ["r[a(x)] -> t[_(z, x)]"],
+    ["r[a(x)] -> t//b(x, z)"],
+    ["r[a(x)] -> t[b(z, w)[b(x, z)]]"],
+    ["r[a(x) -> a(y)] -> t[b(x, z) -> b(y, z)]"],
+    ["r[a(x) ->* a(y)], x != y -> t[b(x, y) ->* b(y, x)]"],
+    ["r[a(x)] -> t[b(x, z)]", "r[a(x), a(y)] -> t[b(x, y)]"],
+    ["r -> t[b(z, z)]", "r[a(x)] -> t//b(z, x), z != x"],
+]
+
+SOURCE_DTD = "r -> a*\na(x)"
+TARGET_DTD = "t -> b*\nb(u, v) -> b*"
+
+
+def _check_against_reference(mapping, source, target):
+    """Every membership entry point agrees with ``oracle_is_solution``."""
+    member, failures = oracle_is_solution(mapping, source, target)
+    verdict = is_solution(mapping, source, target)
+    assert verdict.is_proved == member, (source, target)
+    checker = SolutionChecker(mapping, source)
+    assert checker.is_solution_for(target) == member
+    requirements_met = not failures
+    assert checker.is_solution_for(target, check_conformance=False) == requirements_met
+    unchecked = is_solution(mapping, source, target, check_conformance=False)
+    assert unchecked.is_proved == requirements_met
+    if not requirements_met:
+        witness = unchecked.certificate
+        assert isinstance(witness, ViolationWitness)
+        assert witness.std_index == failures[0][0]
+        shared = set(mapping.stds[witness.std_index].shared_variables())
+        assert witness.valuation in {
+            witness_valuation({v: x for v, x in valuation.items() if v in shared})
+            for index, valuation in failures
+            if index == witness.std_index
+        }
+        assert certify(unchecked, MembershipProblem(mapping, source, target))
+    index_of = {id(std): index for index, std in enumerate(mapping.stds)}
+    assert {
+        (index_of[id(std)], frozenset(valuation.items()))
+        for std, valuation in violations(mapping, source, target)
+    } == {(index, frozenset(valuation.items())) for index, valuation in failures}
+
+
+@pytest.mark.parametrize(
+    "stds", DIFFERENTIAL_STDS, ids=[" ; ".join(s) for s in DIFFERENTIAL_STDS]
+)
+def test_membership_agrees_with_reference_on_small_trees(stds):
+    mapping = SchemaMapping.parse(SOURCE_DTD, TARGET_DTD, stds)
+    sources = list(enumerate_trees(mapping.source_dtd, 3, (0, 1)))
+    targets = list(enumerate_trees(mapping.target_dtd, 4, (0, 1)))
+    rng = random.Random(" ; ".join(stds))
+    for source in sources:
+        for target in rng.sample(targets, 24):
+            _check_against_reference(mapping, source, target)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_membership_agrees_with_reference_on_random_mappings(seed):
+    rng = random.Random(9100 + seed)
+    if seed % 2 == 0:
+        mapping = random_fully_specified_mapping(rng, n_stds=2)
+    else:
+        mapping = random_structural_mapping(rng)
+    sources = list(itertools.islice(enumerate_trees(mapping.source_dtd, 4, (0, 1)), 12))
+    sources += [random_tree_from_dtd(mapping.source_dtd, rng, max_nodes=8) for __ in range(3)]
+    targets = list(itertools.islice(enumerate_trees(mapping.target_dtd, 4, (0, 1)), 30))
+    targets += [
+        random_tree_from_dtd(mapping.target_dtd, rng, (0, 1, 2), max_nodes=8)
+        for __ in range(6)
+    ]
+    for source in sources:
+        for target in targets:
+            _check_against_reference(mapping, source, target)
+
+
+class TestViolationWitness:
+    MAPPING = ("r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)] -> t[b(x)]"])
+
+    def _certify(self, valuation):
+        mapping = SchemaMapping.parse(*self.MAPPING)
+        problem = MembershipProblem(
+            mapping, parse_tree("r[a(1), a(2)]"), parse_tree("t[b(1)]")
+        )
+        return certify(Refuted(ViolationWitness(0, valuation)), problem)
+
+    def test_unmet_export_certifies(self):
+        assert self._certify((("x", 2),))
+
+    def test_met_export_is_rejected(self):
+        with pytest.raises(CertificationError):
+            self._certify((("x", 1),))
+
+    def test_non_exported_valuation_is_rejected(self):
+        with pytest.raises(CertificationError):
+            self._certify((("x", 7),))
+
+    def test_witness_is_independent_of_hash_seed(self):
+        script = (
+            "from repro.mappings.membership import is_solution\n"
+            "from repro.workloads.university import *\n"
+            "from repro.xmlmodel.tree import TreeNode\n"
+            "source = university_source_document(12, 5, seed=7)\n"
+            "target = university_target_document(source)\n"
+            "target = TreeNode('r', (), target.children[1:])\n"
+            "verdict = is_solution(university_mapping(False), source, target)\n"
+            "print(repr(verdict.certificate))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in ("0", "1", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, outputs
+        assert "ViolationWitness(std_index=0" in outputs.pop()
