@@ -1,6 +1,6 @@
 """Document-scale kernel ladder — ``BENCH_scale.json``.
 
-Three ladders plus the sweep that sets the pattern-engine cutover:
+Four ladders plus the sweep that sets the pattern-engine cutover:
 
 * **document ladder** — trees of 10^3..10^6 nodes, under **both**
   pattern-engine kernels (``pure`` and ``bitset``, pinned via
@@ -19,18 +19,25 @@ Three ladders plus the sweep that sets the pattern-engine cutover:
   both built directly, on documents of 1..10^4 nodes; the smallest size
   from which the compact engine is faster is the pattern-engine cutover
   in :mod:`repro.kernel`, journaled under ``_meta.engine-cutover``.
-  ``--cutover`` runs and journals only this sweep.
+  ``--cutover`` runs and journals only this sweep;
+* **XML-read ladder** — ``from_xml`` of ``to_xml(grouped_document(n))``
+  under :data:`GROUPED_DTD` for 10^3..10^5 nodes, one fresh call per
+  sample, median and IQR with nodes/s.  ``--xml-read`` runs and
+  journals only this ladder.
 
 ``--smoke`` runs a reduced ladder and doubles as the **kernel
 equivalence gate**: membership verdicts and match relations must be
 identical under both pattern-engine kernels, the production trigger-set
-tables must have exactly the reference's trigger sets, and the F1.1
-consistency witnesses must certify.  Exits non-zero on any mismatch.
+tables must have exactly the reference's trigger sets, the F1.1
+consistency witnesses must certify, and ``from_xml(to_xml(t)) == t``
+must hold for the grouped document at every rung.  Exits non-zero on
+any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
 import time
@@ -42,7 +49,7 @@ if True:  # make both `pytest benchmarks` and direct execution work
         if str(entry) not in sys.path:
             sys.path.insert(0, str(entry))
 
-from harness import emit_json, print_table, series_payload, sweep
+from harness import REPO_ROOT, emit_json, print_table, series_payload, sweep
 
 from repro.consistency import is_consistent_automata
 from repro.consistency.cons_automata import _pattern_labels
@@ -60,7 +67,9 @@ from repro.workloads.families import (
     membership_mapping,
     target_document,
 )
+from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.tree import TreeNode
+from repro.xmlmodel.xml_io import from_xml, to_xml
 
 KERNELS = (PURE, BITSET)
 
@@ -90,6 +99,20 @@ CUTOVER_SAMPLE_SECONDS = 0.005
 #: pattern for the document ladder; see :func:`grouped_document`.
 FIND_PATTERN = 'r//group(g)[item(g,"7")]'
 EXISTS_PATTERN = "r//group(g)[item(g,x) -> item(g,y)]"
+
+#: XML-read ladder: document sizes (nodes) and samples per size.
+XML_READ_SIZES = [1_000, 10_000, 100_000]
+XML_READ_SAMPLES = 15
+
+#: The DTD of :func:`grouped_document`, which names its attributes.
+GROUPED_DTD = "r -> group*\ngroup(gid) -> item*\nitem(gid, v)"
+
+#: The ``_meta`` note journaled with the XML-read ladder.
+XML_READ_NOTE = (
+    "cold from_xml per size (see the record's operation); xml-read/parent "
+    "is the same harness run against the regex tokenizer that the expat "
+    "reader replaced, on the same machine"
+)
 
 #: Full-enumeration pattern: one valuation per distinct (group, payload)
 #: pair — the shape the vectorized ``find_matches`` materialization serves.
@@ -319,6 +342,58 @@ def engine_size_sweep(sizes=CUTOVER_SIZES, samples=CUTOVER_SAMPLES) -> dict:
     }
 
 
+def xml_read_record(sizes=XML_READ_SIZES, samples=XML_READ_SAMPLES) -> dict:
+    """``from_xml`` of ``to_xml(grouped_document(n))`` per size, cold.
+
+    Each sample is one fresh call (``from_xml`` keeps nothing between
+    calls); samples visit the sizes round-robin so drift hits them alike.
+    """
+    dtd = parse_dtd(GROUPED_DTD)
+    documents = {n: grouped_document(n) for n in sizes}
+    texts = {n: to_xml(root, dtd) for n, root in documents.items()}
+    times: dict[int, list[float]] = {n: [] for n in sizes}
+    for __ in range(samples):
+        for n, text in texts.items():
+            started = time.perf_counter()
+            from_xml(text, dtd)
+            times[n].append(time.perf_counter() - started)
+    points = []
+    for n in sizes:
+        q1, median, q3 = statistics.quantiles(times[n], n=4)
+        nodes = documents[n].size
+        points.append({
+            "n": n,
+            "nodes": nodes,
+            "samples": samples,
+            "median_ms": median * 1e3,
+            "iqr_ms": (q3 - q1) * 1e3,
+            "nodes_per_s": nodes / median,
+        })
+        print(
+            f"[scale-xml-read] {nodes:>7} nodes: {median * 1e3:9.2f} ms "
+            f"(IQR {(q3 - q1) * 1e3:.2f} ms, {nodes / median:,.0f} nodes/s)"
+        )
+    return {
+        "claim": "XML reading speed at document scale",
+        "operation": "from_xml(to_xml(grouped_document(n), dtd), dtd) "
+                     "with dtd = GROUPED_DTD",
+        "statistic": "median and IQR of per-call milliseconds over one "
+                     "fresh call per sample, sizes round-robin",
+        "points": points,
+    }
+
+
+def scale_meta(**notes) -> dict:
+    """The ``_meta`` notes already in ``BENCH_scale.json``, *notes* on top,
+    so a run that journals one ladder keeps the other ladders' notes."""
+    try:
+        meta = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())["_meta"]
+    except (OSError, ValueError, KeyError, TypeError):
+        meta = {}
+    meta.update(notes)
+    return meta
+
+
 def run_ladders(sizes, choices) -> tuple[dict, float]:
     """All ladders; returns (records, f11_speedup)."""
     records: dict[str, dict] = {}
@@ -460,6 +535,12 @@ def equivalence_gate(sizes, choices) -> list[str]:
                 f"full-enumeration find_matches mismatch at {n} nodes"
             )
 
+    dtd = parse_dtd(GROUPED_DTD)
+    for n in sizes:
+        root = grouped_document(n)
+        if from_xml(to_xml(root, dtd), dtd, coerce=None) != root:
+            errors.append(f"XML round trip changed the tree at {n} nodes")
+
     for n in choices:
         for consistent in (True, False):
             mapping = cons_arbitrary_family(n, consistent=consistent)
@@ -501,12 +582,21 @@ def main(argv=None) -> int:
         action="store_true",
         help="run and journal only the engine-size sweep",
     )
+    parser.add_argument(
+        "--xml-read",
+        action="store_true",
+        help="run and journal only the XML-read ladder",
+    )
     args = parser.parse_args(argv)
 
     if args.cutover:
-        emit_json("scale", None, None, meta={
-            "kernels": list(KERNELS), "engine-cutover": engine_size_sweep()
-        })
+        emit_json("scale", None, None, meta=scale_meta(
+            kernels=list(KERNELS), **{"engine-cutover": engine_size_sweep()}
+        ))
+        return 0
+    if args.xml_read:
+        emit_json("scale", "xml-read", xml_read_record(),
+                  meta=scale_meta(**{"xml-read": XML_READ_NOTE}))
         return 0
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
@@ -515,7 +605,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     records, speedup = run_ladders(sizes, choices)
     if not args.smoke:  # smoke gates only — never clobber the full ladder
-        meta = {"kernels": list(KERNELS), "engine-cutover": engine_size_sweep()}
+        records["xml-read"] = xml_read_record()
+        meta = scale_meta(kernels=list(KERNELS), **{
+            "engine-cutover": engine_size_sweep(), "xml-read": XML_READ_NOTE,
+        })
         for experiment, payload in records.items():
             emit_json("scale", experiment, payload, meta=meta)
         print(f"\n[scale] journaled {len(records)} records to BENCH_scale.json "

@@ -85,6 +85,17 @@ class TestEngineSession:
         assert response["error"]["type"] == "ParseError"
         assert "nesting" in response["error"]["message"]
 
+    def test_deeply_nested_member_source_is_a_parse_error(self):
+        response = EngineSession().member({
+            "mapping": MAPPING_TEXT,
+            "source": "<f>" * 3000 + "</f>" * 3000,
+            "targets": [{"name": "t", "text": "<w/>"}],
+        })
+        assert response["ok"] is False
+        assert response["exit_code"] == 3
+        assert response["error"]["type"] == "ParseError"
+        assert "nesting" in response["error"]["message"]
+
     def test_bad_request_shapes_are_rejected(self):
         session = EngineSession()
         assert session.check({})["error"]["type"] == "RequestError"

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ParseError
+from repro.errors import MAX_NESTING, ParseError, XsmError
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.parser import parse_tree
 from repro.xmlmodel.tree import tree
@@ -38,6 +38,19 @@ class TestExport:
     def test_escaping(self):
         xml = to_xml(tree("b", attrs=('say "<hi>" & bye',)), DTD)
         assert "&quot;" in xml and "&lt;hi&gt;" in xml and "&amp;" in xml
+
+    def test_whitespace_in_values_is_written_as_character_references(self):
+        node = tree("q", attrs=("x\ny\tz\r",))
+        xml = to_xml(node)
+        assert xml == '<q a0="x&#10;y&#9;z&#13;"/>\n'
+        assert from_xml(xml) == node
+
+    @pytest.mark.parametrize(
+        "value", ["\x00", "a\x1fb", "\x0b", "\ufffe", "x\uffff", "\ud800"]
+    )
+    def test_code_points_xml_cannot_carry_are_refused(self, value):
+        with pytest.raises(XsmError, match="cannot carry"):
+            to_xml(tree("q", attrs=(value,)))
 
 
 class TestImport:
@@ -85,6 +98,62 @@ class TestImport:
     def test_entity_unescaping(self):
         result = from_xml('<q a="&lt;x&gt; &amp; &quot;y&quot;"/>')
         assert result.attrs == ('<x> & "y"',)
+
+    def test_character_references_are_read(self):
+        assert from_xml('<q v="&#65;&#x42;"/>').attrs == ("AB",)
+
+    def test_raw_ampersand_rejected(self):
+        with pytest.raises(ParseError):
+            from_xml('<q v="a&b"/>')
+
+    def test_duplicate_attribute_rejected(self):
+        with pytest.raises(ParseError, match="duplicate attribute"):
+            from_xml('<q v="1" v="2"/>')
+
+    @pytest.mark.parametrize(
+        "doctype",
+        [
+            '<!DOCTYPE r [<!ENTITY e "x">]>',
+            '<!DOCTYPE r [<!ENTITY a "aaaaaaaa"><!ENTITY b "&a;&a;&a;&a;">'
+            '<!ENTITY c "&b;&b;&b;&b;">]>',
+            '<!DOCTYPE r SYSTEM "r.dtd">',
+        ],
+    )
+    def test_dtd_subsets_rejected(self, doctype):
+        # no entity expansion, so no billion-laughs amplification either
+        with pytest.raises(ParseError, match="DTD subset"):
+            from_xml(doctype + '<r v="&c;"/>')
+
+    def test_plain_doctype_skipped(self):
+        assert from_xml("<!DOCTYPE r><r><a/></r>") == parse_tree("r[a]")
+
+    def test_error_position_is_a_character_offset(self):
+        text = '<r><a x="é" y="ü"/><zzz/></r>'
+        with pytest.raises(ParseError) as unknown:
+            from_xml(text, DTD)
+        assert unknown.value.position == text.index("<zzz")
+        text = '<r v="ééé"><q></r>'
+        with pytest.raises(ParseError, match="mismatched tag") as mismatched:
+            from_xml(text)
+        assert mismatched.value.position == text.index("</r>") + len("</")
+
+    def test_unencodable_text_rejected(self):
+        with pytest.raises(ParseError) as error:
+            from_xml('<r v="\ud800"/>')
+        assert error.value.position == len('<r v="')
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+    def test_deep_nesting_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError, match="nesting"):
+            from_xml("<a>" * depth + "<b/>" + "</a>" * depth)
+
+    def test_nesting_up_to_the_limit_parses(self):
+        node = from_xml("<a>" * MAX_NESTING + "<b/>" + "</a>" * MAX_NESTING)
+        depth = 0
+        while node.children:
+            (node,) = node.children
+            depth += 1
+        assert depth == MAX_NESTING
 
 
 labels_st = st.sampled_from(["r", "a", "b"])
