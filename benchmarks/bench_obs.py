@@ -123,9 +123,10 @@ def run_session_overhead_guard(
 
     The service layer wraps every request in ID generation, ambient span
     tags, a request span, metric observations and response-dict
-    building.  Both arms share one warm compilation cache and re-parse
-    the mapping text per request (the session's contract), so the
-    measured difference is exactly that envelope — it must stay within
+    building.  Both arms share the session's warm compilation cache and
+    result memo and re-parse the mapping text per request (the session's
+    contract), so the measured difference is exactly that envelope — it
+    must stay within
     ``SESSION_TOLERANCE`` (default 10%, override with
     ``REPRO_SESSION_TOLERANCE``).
     """
@@ -136,12 +137,13 @@ def run_session_overhead_guard(
 
     texts = [render_mapping(cons_nested_family(n)) for n in range(2, 2 + scale)]
     session = EngineSession()
-    cache = session.cache
 
     def direct() -> None:
         for text in texts:
             mapping = parse_mapping(text)
-            context = ExecutionContext(cache=cache)
+            context = ExecutionContext(
+                cache=session.cache, memo=session.incremental.memo
+            )
             solve(ConsistencyProblem(mapping), context)
             solve(AbsoluteConsistencyProblem(mapping), context)
 

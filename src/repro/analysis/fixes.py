@@ -44,7 +44,7 @@ from repro.analysis.diagnostics import (
     SourceLocation,
 )
 from repro.analysis.lint import lint_mapping
-from repro.analysis.passes import _satisfiability_pattern
+from repro.analysis.passes import satisfiability_pattern
 from repro.engine import (
     CertificationError,
     ExecutionContext,
@@ -329,7 +329,7 @@ def _witness(
 ) -> "object | None":
     """A Lemma 4.1 satisfying tree for *pattern*, or None (incl. budget)."""
     try:
-        return satisfying_tree(dtd, _satisfiability_pattern(pattern), context)
+        return satisfying_tree(dtd, satisfiability_pattern(pattern), context)
     except BoundExceededError:
         return None
 
@@ -822,10 +822,9 @@ def fix_mapping(
     *,
     name: str = "",
     only_codes: TypingSequence[str] | None = None,
-    memo: object | None = None,
 ) -> tuple[LintReport, tuple[Fix, ...]]:
     """Lint *mapping* and compute verified fixes for its diagnostics."""
-    report = lint_mapping(mapping, context, name=name, memo=memo)
+    report = lint_mapping(mapping, context, name=name)
     return report, fixes_for_report(
         mapping, report, context, only_codes=only_codes
     )

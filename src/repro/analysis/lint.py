@@ -10,6 +10,7 @@ series, mirroring the engine's ``repro_solves_total`` conventions.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
@@ -50,7 +51,6 @@ def lint_mapping(
     *,
     name: str = "",
     only: Sequence[str] | None = None,
-    memo: object | None = None,
 ) -> LintReport:
     """Run the analysis passes over *mapping* and aggregate a report.
 
@@ -60,10 +60,11 @@ def lint_mapping(
     names (``fragment``, ``dtd``, ``hygiene``, ``composition``,
     ``redundancy``) —
     ``engine.solve`` uses it to skip passes irrelevant to routing.
-    *memo* is an optional report memo (duck-typed after
-    :class:`repro.incremental.ResultMemo`): content-identical mappings
-    get the stored report back without re-running any pass.
+    When ``context.memo`` is set, a content-identical mapping gets the
+    stored report back, under *name*, without re-running any pass.
     """
+    from repro.incremental import lint_key
+
     if context is None:
         context = current_context() or ExecutionContext()
     selected: list[tuple[str, PassFn]] = [
@@ -76,10 +77,11 @@ def lint_mapping(
         if unknown:
             raise ValueError(f"unknown lint pass(es): {sorted(unknown)}")
     pass_names = tuple(pass_name for pass_name, __ in selected)
-    if memo is not None:
-        cached = memo.lookup(mapping, pass_names)
-        if cached is not None:
-            return cached
+    memo = context.memo
+    key = None if memo is None else lint_key(mapping, pass_names, context.budget)
+    cached = None if key is None else memo.lookup(key)
+    if cached is not None:
+        return cached if cached.name == name else replace(cached, name=name)
     diagnostics: list[Diagnostic] = []
     started = time.perf_counter()
     with context.activate(), trace("lint", mapping=name or None) as span:
@@ -97,8 +99,8 @@ def lint_mapping(
         elapsed=elapsed,
         passes=pass_names,
     )
-    if memo is not None:
-        memo.store(mapping, pass_names, report)
+    if key is not None:
+        memo.store(key, report)
     _LINTS.labels(outcome=_outcome(report.max_severity())).inc()
     _LINT_LATENCY.observe(elapsed)
     for diagnostic in diagnostics:

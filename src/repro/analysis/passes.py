@@ -276,7 +276,7 @@ def _structural_checks(
     return diagnostics
 
 
-def _satisfiability_pattern(pattern: Pattern) -> Pattern:
+def satisfiability_pattern(pattern: Pattern) -> Pattern:
     """The pattern whose satisfiability we test.
 
     Skolem terms (legal on target sides) are outside Lemma 4.1; dropping
@@ -441,7 +441,7 @@ def _dead_and_unsafe(
     for side, pattern, dtd, code, consequence in sides:
         if side in structural_errors:
             continue
-        probe = _satisfiability_pattern(pattern)
+        probe = satisfiability_pattern(pattern)
         if probes[side].certify(probe):
             continue  # small witness found: the std can fire
         try:

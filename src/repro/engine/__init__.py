@@ -11,8 +11,7 @@ Every decision procedure in the library routes through this layer:
   :class:`CompilationCache` of DTD automata, closure automata,
   classifications and achievable trigger-set tables, its
   :class:`~repro.engine.cache.LRU` policy (which also bounds the
-  incremental engine's verdict and lint memos) and the content digests
-  keying those memos;
+  warm engine's result memo) and the content digests keying it;
 * :mod:`repro.engine.core` — :func:`solve`, the front door routing each
   :mod:`problem <repro.engine.problems>` to the strongest applicable
   algorithm per Figures 1–2 and attaching a

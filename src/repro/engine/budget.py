@@ -89,9 +89,9 @@ class ExecutionContext:
 
         self.budget = budget if budget is not None else Budget.default()
         self.cache = cache if cache is not None else DEFAULT_CACHE
-        #: Optional verdict memo (see :mod:`repro.incremental`): when
-        #: set, ``engine.solve`` returns memoized decided verdicts for
-        #: content-identical problems instead of re-running the route.
+        #: Optional result memo (:class:`repro.incremental.ResultMemo`):
+        #: when set, ``engine.solve`` and ``lint_mapping`` return stored
+        #: results for content-identical inputs instead of recomputing.
         self.memo = memo
         self.expansions = 0
         self._deadline_at: float | None = None

@@ -21,8 +21,8 @@ LRU capacity (default 256) and ``REPRO_CACHE_DIR`` attaches a disk tier
 to the process-wide :data:`DEFAULT_CACHE`.
 
 The content digests at the bottom (:func:`dtd_digest`,
-:func:`mapping_digest`, ...) key the incremental engine's verdict and
-lint memos, which are bounded by the same :class:`LRU` policy and size.
+:func:`mapping_digest`, ...) key the warm engine's result memo, which is
+bounded by the same :class:`LRU` policy and size.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class LRU:
     ``max_entries=None`` reads ``REPRO_CACHE_SIZE`` (default 256).  A read
     marks its entry most recently used; a store past capacity drops the
     least recently used entries and counts them in ``evictions``.  The
-    compilation cache and the incremental engine's result memos share
-    this one policy.
+    compilation cache and the warm engine's result memo share this one
+    policy.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -160,6 +160,14 @@ class LRU:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    def entries_by_kind(self) -> dict[str, int]:
+        """Live entry counts per key kind (``/stats``)."""
+        with self._lock:
+            counts: Counter[str] = Counter(
+                cache_kind(key) for key in self._entries
+            )
+        return dict(sorted(counts.items()))
 
 
 class CompilationCache(LRU):
@@ -262,14 +270,6 @@ class CompilationCache(LRU):
                 }
                 for kind in kinds
             }
-
-    def entries_by_kind(self) -> dict[str, int]:
-        """Live in-memory entry counts per artifact kind (``/stats``)."""
-        with self._lock:
-            counts: Counter[str] = Counter(
-                cache_kind(key) for key in self._entries
-            )
-        return dict(sorted(counts.items()))
 
 
 def cache_from_env() -> CompilationCache:

@@ -20,7 +20,9 @@ level, so importing them from here at module level would be circular.
 
 from __future__ import annotations
 
+import copy
 import time
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.engine.budget import ExecutionContext, current_context
@@ -268,6 +270,7 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     :class:`~repro.errors.BoundExceededError`.
     """
     from repro.analysis.passes import diagnostics_for_problem
+    from repro.incremental import verdict_key
 
     route = _ROUTES.get(type(problem))
     if route is None:
@@ -280,15 +283,16 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     if context is None:
         context = ExecutionContext()
     problem_name = type(problem).__name__
-    # Incremental re-solving (repro.incremental): a context carrying a
-    # verdict memo gets content-identical, still-valid decided verdicts
-    # back without re-running the route (memo keys are content digests,
-    # so a stored verdict is never stale).
-    memo = getattr(context, "memo", None)
-    if memo is not None:
-        reused = memo.lookup(problem, context.budget)
-        if reused is not None:
-            return reused
+    # A context carrying a result memo (repro.incremental) gets a
+    # content-identical decided verdict back without re-running the
+    # route: memo keys are content digests, so a stored verdict is never
+    # stale.  The copy's report names the request it now serves.
+    key = None if context.memo is None else verdict_key(problem, context.budget)
+    reused = None if key is None else context.memo.lookup(key)
+    if reused is not None:
+        served = copy.copy(reused)
+        served.report = replace(reused.report, request_id=current_tags().get("request"))
+        return served
     info = {"algorithm": problem_name, "reason": ""}
     cache_before = context.cache.stats()
     expansions_before = context.expansions
@@ -327,8 +331,8 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
         request_id=current_tags().get("request"),
     )
     verdict.problem = problem
-    if memo is not None:
-        memo.store(problem, context.budget, verdict)
+    if key is not None:
+        context.memo.store(key, verdict)
     _SOLVES.labels(
         problem=problem_name, algorithm=info["algorithm"], outcome=outcome
     ).inc()

@@ -370,7 +370,7 @@ def _solve_serial(
             enabled=cache.enabled,
             disk=DiskCacheTier(cache_dir),
         )
-    run_context = ExecutionContext(budget, cache=cache)
+    run_context = ExecutionContext(budget, cache=cache, memo=context.memo)
     before = run_context.cache.stats()
     verdicts = []
     for problem in problems:

@@ -1,34 +1,38 @@
 """Incremental re-solving: diff a mapping edit, reuse what did not change.
 
-Every edit used to pay a cold solve.  The compiled artifacts were
-already content-keyed in the :class:`~repro.engine.cache.CompilationCache`
-(and its disk tier); this module adds the per-revision pieces:
+Compiled artifacts are content-keyed in the
+:class:`~repro.engine.cache.CompilationCache` (and its disk tier); this
+module adds the per-revision pieces and the result memo:
 
 * :func:`fingerprint_mapping` reduces a mapping revision to its content
   digests (the whole mapping, each std, each DTD);
 * :func:`diff_fingerprints` maps an edit to the parts it changed (stds
   changed or removed, DTDs changed);
-* :class:`IncrementalEngine` owns per-revision bookkeeping.
+* :class:`ResultMemo` holds decided verdicts and lint reports in one LRU.
+  ``engine.solve`` and ``lint_mapping`` read and fill the memo of their
+  context (``ExecutionContext.memo``, the only channel); without one
+  they memoize nothing;
+* :class:`IncrementalEngine` owns per-revision bookkeeping and the memo.
   ``update(name, text)`` parses the revision (taking over the previous
   revision's DTD and std objects, and the memos they carry, wherever
   their text is unchanged), diffs it against the previous one, then
   re-solves the standard problem set — whole-mapping consistency and
   absolute consistency plus per-std source/target satisfiability — and
-  re-lints.  Decided verdicts whose inputs are unchanged come straight
-  out of a verdict :class:`ResultMemo` (consulted by ``engine.solve``
-  through ``context.memo``), so a single-std edit of a 20-std mapping
-  re-solves one std and reuses nineteen.
+  re-lints.  A single-std edit of a 20-std mapping re-solves one std and
+  reuses nineteen.  An :class:`~repro.service.session.EngineSession`
+  attaches the same memo to every request, so ``/check``, ``/lint``,
+  ``/member``, ``/compose`` and ``/delta`` reuse each other's work.
 
-Correctness story: memo keys are *content* digests (problem inputs plus
-the budget), so a reused verdict is byte-for-byte the verdict a cold
-solve of identical content would compute, and an edit never has to
-evict anything.  ``Unknown`` verdicts are never memoized — a larger
-budget or a warmer cache may decide them, so they are re-solved each
-time.  Memory is bounded by the cache's LRU size (``REPRO_CACHE_SIZE``
-/ ``--cache-size``), which also bounds both memos; an eviction only
-costs a recompute, and an undo edit back to a recent revision is served
-from the memos.  The equivalence property (incremental ≡ cold, both
-kernels) is pinned by ``tests/test_incremental.py`` and gated in
+Correctness story: memo keys are *content* digests plus the budget, so
+a reused verdict is byte-for-byte the verdict a cold solve of identical
+content would compute (served as a copy whose report names the current
+request), and an edit never has to evict anything.  ``Unknown`` verdicts
+are never memoized — a larger budget or a warmer cache may decide them.
+Memory is bounded by the cache's LRU size (``REPRO_CACHE_SIZE`` /
+``--cache-size``), which also bounds the memo; an eviction only costs a
+recompute, and an undo edit back to a recent revision is served from
+the memo.  The equivalence property (incremental ≡ cold, both kernels)
+is pinned by ``tests/test_incremental.py`` and gated in
 ``benchmarks/bench_incremental.py --smoke``.
 
 Front-ends: ``repro lint --watch`` (a :class:`FileWatcher` polling loop
@@ -45,7 +49,7 @@ import time
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.budget import Budget, ExecutionContext
 from repro.engine.cache import (
@@ -63,13 +67,11 @@ from repro.engine.problems import (
     SatisfiabilityProblem,
 )
 from repro.obs import REGISTRY, observe_seconds, trace
-from repro.values import SkolemTerm
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import LintReport
     from repro.engine.verdicts import Verdict
     from repro.mappings.mapping import SchemaMapping
-    from repro.patterns.ast import Pattern
 
 _REUSED = REGISTRY.counter(
     "repro_incremental_reused_total",
@@ -168,7 +170,7 @@ def diff_fingerprints(
 
 
 # ---------------------------------------------------------------------------
-# memos: verdicts and lint reports, bounded by the cache's LRU size
+# the result memo: verdicts and lint reports, bounded by the cache's LRU size
 # ---------------------------------------------------------------------------
 
 
@@ -188,59 +190,35 @@ def verdict_key(problem: object, budget: Budget) -> tuple | None:
     return None
 
 
-def lint_key(mapping: "SchemaMapping", passes: tuple[str, ...]) -> tuple:
-    """The memo key of a whole-mapping :class:`LintReport`."""
-    return ("lint-report", mapping_digest(mapping), passes)
+def lint_key(mapping: "SchemaMapping", passes: tuple[str, ...], budget: Budget) -> tuple:
+    """The memo key of a whole-mapping :class:`LintReport` (budgets as above)."""
+    return ("lint", mapping_digest(mapping), passes, budget)
 
 
 class ResultMemo(LRU):
-    """Results keyed by content digests, in an :class:`LRU`.
+    """Decided verdicts and lint reports under content keys, in one :class:`LRU`.
 
-    ``engine.solve`` consults a verdict memo (``context.memo``) before
-    routing and stores every decided verdict afterwards; ``lint_mapping``
-    does the same with a lint memo.  *key* maps the two arguments of
-    ``lookup``/``store`` to a content key (``None``: not memoizable, the
-    memo is bypassed).  ``Unknown`` verdicts are never stored: re-solving
-    may decide them.
+    A key's first element (``verdict`` or ``lint``) labels the reuse
+    counters.  ``Unknown`` verdicts are never stored: re-solving may
+    decide them.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        key: Callable[[object, object], Hashable | None],
-        max_entries: int | None = None,
-    ) -> None:
-        super().__init__(max_entries)
-        self.kind = kind
-        self._key = key
-
-    def lookup(self, subject: object, qualifier: object) -> object | None:
-        key = self._key(subject, qualifier)
-        value = MISS if key is None else self.get(key)
+    def lookup(self, key: tuple) -> object | None:
+        value = self.get(key)
         if value is MISS:
             return None
-        _REUSED.labels(kind=self.kind).inc()
+        _REUSED.labels(kind=key[0]).inc()
         return value
 
-    def store(self, subject: object, qualifier: object, value: object) -> None:
-        _RECOMPILED.labels(kind=self.kind).inc()
-        key = self._key(subject, qualifier)
-        if key is not None and not getattr(value, "is_unknown", False):
+    def store(self, key: tuple, value: object) -> None:
+        _RECOMPILED.labels(kind=key[0]).inc()
+        if not getattr(value, "is_unknown", False):
             self.put(key, value)
 
 
 # ---------------------------------------------------------------------------
 # the incremental engine
 # ---------------------------------------------------------------------------
-
-
-def _sat_pattern(pattern: "Pattern") -> "Pattern":
-    # Skolem terms (legal on target sides) are outside Lemma 4.1;
-    # stripping values keeps the check sound, mirroring the linter's
-    # dead/unsafe-std probe.
-    if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
-        return pattern.strip_values()
-    return pattern
 
 
 @dataclass
@@ -255,7 +233,7 @@ class DeltaResult:
     verdicts: dict[str, "Verdict"]
     lint: "LintReport"
     #: LRU evictions during the update: compiled ``artifacts`` from the
-    #: cache, memoized ``results`` from the verdict and lint memos
+    #: cache, memoized ``results`` from the result memo
     invalidated: dict[str, int]
     reused: int
     recompiled: int
@@ -270,14 +248,15 @@ class DeltaResult:
 
 
 class IncrementalEngine:
-    """Per-revision state: fingerprints, memos, and the delta pipeline.
+    """Per-revision state: fingerprints, the result memo, the delta pipeline.
 
     One engine is owned by an :class:`~repro.service.session.EngineSession`
-    (the ``/delta`` handler) or by a ``repro lint --watch`` loop; it
-    shares the session's compilation cache, so artifact reuse spans
-    one-shot requests and deltas alike.  Its verdict and lint memos hold
-    at most the cache's ``max_entries`` each.  ``update`` is safe to call
-    from concurrent handler threads.
+    (the ``/delta`` handler, also behind ``repro lint --watch``); it
+    shares the session's compilation cache, and the session attaches its
+    :attr:`memo` to every request, so one-shot requests and deltas reuse
+    each other's artifacts and results.  The memo holds at most the
+    cache's ``max_entries``.  ``update`` is safe to call from concurrent
+    handler threads.
     """
 
     #: Problem labels solved per revision, in response order.
@@ -290,8 +269,7 @@ class IncrementalEngine:
     ) -> None:
         self.cache = cache if cache is not None else CompilationCache()
         self.budget = budget if budget is not None else Budget.default()
-        self.verdicts = ResultMemo("verdict", verdict_key, self.cache.max_entries)
-        self.lints = ResultMemo("lint", lint_key, self.cache.max_entries)
+        self.memo = ResultMemo(self.cache.max_entries)
         self._revisions: dict[str, MappingFingerprint] = {}
         #: per stream: the parsed sections of its last revision (see
         #: ``parse_mapping(reuse=)``)
@@ -300,24 +278,23 @@ class IncrementalEngine:
         self.deltas = 0
 
     def _problems(self, mapping: "SchemaMapping") -> dict[str, object]:
+        from repro.analysis.passes import satisfiability_pattern
+
         problems: dict[str, object] = {
             "consistency": ConsistencyProblem(mapping),
             "absolutely_consistent": AbsoluteConsistencyProblem(mapping),
         }
         for index, std in enumerate(mapping.stds):
             problems[f"std[{index}].source"] = SatisfiabilityProblem(
-                mapping.source_dtd, _sat_pattern(std.source)
+                mapping.source_dtd, satisfiability_pattern(std.source)
             )
             problems[f"std[{index}].target"] = SatisfiabilityProblem(
-                mapping.target_dtd, _sat_pattern(std.target)
+                mapping.target_dtd, satisfiability_pattern(std.target)
             )
         return problems
 
     def _evictions(self) -> dict[str, int]:
-        return {
-            "artifacts": self.cache.evictions,
-            "results": self.verdicts.evictions + self.lints.evictions,
-        }
+        return {"artifacts": self.cache.evictions, "results": self.memo.evictions}
 
     def update(
         self,
@@ -328,7 +305,7 @@ class IncrementalEngine:
         """Apply revision *mapping* of the stream *name* and re-solve.
 
         Returns the full verdict set for the revision; everything whose
-        inputs are unchanged is served from the memos.  Given text, the
+        inputs are unchanged is served from the memo.  Given text, the
         DTD sections and std lines the stream's previous revision
         already had are not re-parsed: their objects, and the memos
         those objects carry, are reused.
@@ -359,17 +336,13 @@ class IncrementalEngine:
             "delta", mapping=name, cold=delta.cold or None
         ) as span:
             fingerprinted = time.perf_counter()
-            context = ExecutionContext(
-                budget, cache=self.cache, memo=self.verdicts
-            )
+            context = ExecutionContext(budget, cache=self.cache, memo=self.memo)
             verdicts = {
                 label: solve(problem, context)
                 for label, problem in self._problems(mapping).items()
             }
             solved = time.perf_counter()
-            report = lint_mapping(
-                mapping, context, name=name, memo=self.lints
-            )
+            report = lint_mapping(mapping, context, name=name)
             invalidated = {
                 part: count - evictions_before[part]
                 for part, count in self._evictions().items()
@@ -403,11 +376,12 @@ class IncrementalEngine:
         with self._lock:
             revisions = len(self._revisions)
             deltas = self.deltas
+        memoized = self.memo.entries_by_kind()
         return {
             "revisions": revisions,
             "deltas": deltas,
-            "memoized_verdicts": len(self.verdicts),
-            "memoized_lints": len(self.lints),
+            "memoized_verdicts": memoized.get("verdict", 0),
+            "memoized_lints": memoized.get("lint", 0),
         }
 
 

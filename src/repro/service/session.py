@@ -3,8 +3,10 @@
 A session owns the long-lived state a serving system amortizes across
 requests — one thread-safe :class:`~repro.engine.cache.CompilationCache`
 (optionally backed by a :class:`~repro.engine.diskcache.DiskCacheTier`),
-the default :class:`~repro.engine.budget.Budget`, the worker-pool fanout
-of :func:`~repro.engine.parallel.solve_many` and the process metrics
+one :class:`~repro.incremental.ResultMemo` of decided verdicts and lint
+reports that every request's context carries, the default
+:class:`~repro.engine.budget.Budget`, the worker-pool fanout of
+:func:`~repro.engine.parallel.solve_many` and the process metrics
 registry — and exposes the engine's commands as **plain-dict handlers**:
 
     session = EngineSession(jobs=2, cache_dir="/tmp/cache")
@@ -181,6 +183,9 @@ def _exit_code(consistency: Any, absolute: Any) -> int:
 #: Small but non-trivial mapping for the ``stats`` self-test batch:
 #: routes through cons-automata and the rigidity analysis, exercising the
 #: compilation cache, certify and (with jobs > 1) the worker plumbing.
+#: Every copy of every run names its variable apart (``{copy}``), so no
+#: copy is served from the session's result memo: each opens a ``solve``
+#: span, which the self-test counts.
 _SELFTEST_MAPPING = """\
 source:
     f -> item*
@@ -188,7 +193,7 @@ source:
 target:
     w -> product*
     product(sku)
-std: f[item(s)] -> w[product(s)]
+std: f[item({copy})] -> w[product({copy})]
 """
 
 #: Series the stats self-test requires after its batch.
@@ -232,9 +237,10 @@ class EngineSession:
         disk = DiskCacheTier(self.cache_dir) if self.cache_dir else None
         self.cache = CompilationCache(max_entries=cache_size, disk=disk)
         self.budget = budget if budget is not None else Budget.default()
-        #: Per-revision incremental state (the ``delta`` handler); shares
-        #: the session cache, so artifact reuse spans one-shot requests
-        #: and deltas alike.
+        #: Per-revision incremental state (the ``delta`` handler).  It
+        #: shares the session cache, and its result memo rides on every
+        #: request context, so one-shot requests and deltas reuse each
+        #: other's artifacts, verdicts and lint reports.
         self.incremental = IncrementalEngine(cache=self.cache, budget=self.budget)
         self.registry = registry
         self.flight = flight if flight is not None else FlightRecorder()
@@ -242,6 +248,7 @@ class EngineSession:
         self.requests: Counter[str] = Counter()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+        self._selftests = itertools.count()
         self._id_prefix = f"r{os.getpid():x}-{int(self.started_wall) & 0xFFFF:04x}"
 
     # -- request plumbing ---------------------------------------------------
@@ -270,7 +277,8 @@ class EngineSession:
         return budget
 
     def _context(self, request: dict) -> ExecutionContext:
-        return ExecutionContext(self._request_budget(request), cache=self.cache)
+        budget = self._request_budget(request)
+        return ExecutionContext(budget, cache=self.cache, memo=self.incremental.memo)
 
     def _jobs(self, request: dict) -> int:
         jobs = request.get("jobs")
@@ -618,9 +626,10 @@ class EngineSession:
         from repro.obs import walk as walk_spans
 
         jobs = self._jobs(request)
-        mapping = parse_mapping(_SELFTEST_MAPPING)
+        run = next(self._selftests)
         problems: list[object] = []
-        for __ in range(max(2, jobs)):
+        for copy in range(max(2, jobs)):
+            mapping = parse_mapping(_SELFTEST_MAPPING.format(copy=f"s{run}_{copy}"))
             problems.append(ConsistencyProblem(mapping))
             problems.append(AbsoluteConsistencyProblem(mapping))
         context = self._context(request)

@@ -141,9 +141,20 @@ def _serialize_value(value: object) -> str:
 
 def serialize_tree(node: TreeNode) -> str:
     """Render *node* back into the compact syntax parsed by :func:`parse_tree`."""
-    parts = [node.label]
-    if node.attrs:
-        parts.append("(" + ", ".join(_serialize_value(v) for v in node.attrs) + ")")
-    if node.children:
-        parts.append("[" + ", ".join(serialize_tree(c) for c in node.children) + "]")
+    parts: list[str] = []
+    stack: list[TreeNode | str] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(item.label)
+        if item.attrs:
+            parts.append("(" + ", ".join(_serialize_value(v) for v in item.attrs) + ")")
+        if item.children:
+            parts.append("[")
+            stack.append("]")
+            for position in range(len(item.children) - 1, 0, -1):
+                stack += (item.children[position], ", ")
+            stack.append(item.children[0])
     return "".join(parts)

@@ -56,24 +56,40 @@ class TreeNode:
 
     # -- structural identity ------------------------------------------------
 
+    # Equality, hashing and rendering walk the tree with explicit stacks,
+    # so a tree of any depth built in code compares, hashes and prints.
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, TreeNode):
             return NotImplemented
-        if (
-            self.label != other.label
-            or self.attrs != other.attrs
-            or len(self.children) != len(other.children)
-        ):
-            return False
-        return all(a == b for a, b in zip(self.children, other.children))
+        pairs = [(self, other)]
+        while pairs:
+            mine, theirs = pairs.pop()
+            if mine is theirs:
+                continue
+            if (
+                mine.label != theirs.label
+                or mine.attrs != theirs.attrs
+                or len(mine.children) != len(theirs.children)
+            ):
+                return False
+            pairs += zip(mine.children, theirs.children)
+        return True
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (self.label, self.attrs, tuple(hash(c) for c in self.children))
-            )
+            # the nodes not hashed yet, parents before children; hashed
+            # in reverse, so every child's hash is there for its parent
+            order = [self]
+            for node in order:  # a breadth-first walk that extends itself
+                if node.children:
+                    order += [c for c in node.children if c._hash is None]
+            for node in reversed(order):
+                node._hash = hash(
+                    (node.label, node.attrs, tuple([c._hash for c in node.children]))
+                )
         return self._hash
 
     def __repr__(self) -> str:

@@ -64,23 +64,30 @@ def _attribute_names(dtd: DTD | None, label: str, arity: int) -> tuple[str, ...]
 
 def to_xml(node: TreeNode, dtd: DTD | None = None, indent: int = 2) -> str:
     """Render *node* as an XML document string."""
-
-    def render(current: TreeNode, depth: int) -> list[str]:
+    lines: list[str] = []
+    names: dict[tuple[str, int], tuple[str, ...]] = {}
+    # (node, depth) still to render, or (None, closing tag) to write
+    stack: list[tuple] = [(node, 0)]
+    while stack:
+        current, depth = stack.pop()
+        if current is None:
+            lines.append(depth)
+            continue
         pad = " " * (indent * depth)
-        names = _attribute_names(dtd, current.label, len(current.attrs))
+        label, values = current.label, current.attrs
+        key = (label, len(values))
+        if key not in names:
+            names[key] = _attribute_names(dtd, *key)
         attrs = "".join(
-            f' {name}="{_escape(str(value))}"'
-            for name, value in zip(names, current.attrs)
+            f' {name}="{_escape(str(value))}"' for name, value in zip(names[key], values)
         )
         if not current.children:
-            return [f"{pad}<{current.label}{attrs}/>"]
-        lines = [f"{pad}<{current.label}{attrs}>"]
-        for child in current.children:
-            lines.extend(render(child, depth + 1))
-        lines.append(f"{pad}</{current.label}>")
-        return lines
-
-    return "\n".join(render(node, 0)) + "\n"
+            lines.append(f"{pad}<{label}{attrs}/>")
+            continue
+        lines.append(f"{pad}<{label}{attrs}>")
+        stack.append((None, f"{pad}</{label}>"))
+        stack += [(child, depth + 1) for child in reversed(current.children)]
+    return "\n".join(lines) + "\n"
 
 
 def int_coercion(value: str):

@@ -5,7 +5,7 @@ edits, the incremental engine's verdicts must be *identical* to a cold
 solve of the same revision — under both automata kernels, and also
 after the memos have evicted entries.  Everything above it pins the
 machinery that makes the property cheap: edit diffing, the LRU bound on
-the verdict and lint memos, undo reuse and the file watcher.
+the result memo, undo reuse and the file watcher.
 """
 
 from __future__ import annotations
@@ -15,18 +15,21 @@ import random
 import pytest
 
 from repro.analysis import lint_mapping
-from repro.engine import CompilationCache, ExecutionContext
+from repro.engine import CompilationCache, ExecutionContext, solve_many
 from repro.engine.cache import dtd_classification
+from repro.engine.problems import ConsistencyProblem
 from repro.incremental import (
     FileWatcher,
     IncrementalEngine,
     diff_fingerprints,
     fingerprint_mapping,
+    verdict_key,
 )
 from repro.kernel import BITSET, PURE, force_kernel
 from repro.mappings.io import parse_mapping
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
+from repro.obs import REGISTRY
 from repro.service.session import EngineSession
 from repro.workloads.random_instances import (
     abstract_pattern_from_tree,
@@ -118,9 +121,9 @@ def test_memos_hold_at_most_max_entries():
     for index in range(8):
         result = engine.update("m", _renamed(index))
         evicted += result.invalidated["results"]
-        assert len(engine.verdicts) <= 4 and len(engine.lints) <= 4
+        assert len(engine.memo) <= 4
         assert len(engine.cache) <= 4
-    assert evicted == engine.verdicts.evictions + engine.lints.evictions > 0
+    assert evicted == engine.memo.evictions > 0
 
 
 def test_cache_pickles_with_its_entries():
@@ -150,23 +153,21 @@ def test_undo_edit_is_served_from_the_memos():
 def test_lint_memo_round_trip():
     engine = IncrementalEngine(cache=CompilationCache())
     mapping = parse_mapping(SIMPLE)
-    context = ExecutionContext(cache=engine.cache)
-    first = lint_mapping(mapping, context, name="m", memo=engine.lints)
-    second = lint_mapping(mapping, context, name="m", memo=engine.lints)
+    context = ExecutionContext(cache=engine.cache, memo=engine.memo)
+    first = lint_mapping(mapping, context, name="m")
+    second = lint_mapping(mapping, context, name="m")
     assert second is first  # served from the memo, not re-run
-    assert len(engine.lints) == 1
+    assert engine.memo.entries_by_kind() == {"lint": 1}
 
 
 def test_verdict_memo_never_stores_unknowns():
     from repro.engine.budget import Budget
-    from repro.engine.problems import ConsistencyProblem
     from repro.engine.verdicts import Unknown
 
     engine = IncrementalEngine(cache=CompilationCache())
-    problem = ConsistencyProblem(parse_mapping(SIMPLE))
-    budget = Budget.default()
-    engine.verdicts.store(problem, budget, Unknown("budget out"))
-    assert engine.verdicts.lookup(problem, budget) is None
+    key = verdict_key(ConsistencyProblem(parse_mapping(SIMPLE)), Budget.default())
+    engine.memo.store(key, Unknown("budget out"))
+    assert engine.memo.lookup(key) is None
 
 
 def test_session_delta_handler_and_stats():
@@ -184,6 +185,97 @@ def test_session_delta_handler_and_stats():
     assert stats["incremental"]["memoized_lints"] == 1
     assert stats["cache_entries_by_kind"]  # per-kind live entry counts
     assert "delta" in EngineSession.HANDLERS
+
+
+def test_lint_memo_hit_carries_the_callers_name():
+    engine = IncrementalEngine(cache=CompilationCache())
+    first = engine.update("a.xsm", SIMPLE)
+    second = engine.update("b.xsm", SIMPLE)
+    assert second.reused > 0  # the same content: served from the memo
+    assert (first.lint.name, second.lint.name) == ("a.xsm", "b.xsm")
+    # a /lint of the same text in the session names its own input
+    session = EngineSession()
+    session.delta({"name": "a.xsm", "mapping": SIMPLE})
+    response = session.lint({"mappings": [{"name": "b.xsm", "text": SIMPLE}]})
+    assert [row["name"] for row in response["report"]["reports"]] == ["b.xsm"]
+
+
+def test_memo_served_verdict_names_the_request_that_served_it():
+    session = EngineSession()
+    session.delta({"name": "a", "mapping": SIMPLE, "request_id": "req-a"})
+    second = session.delta({"name": "b", "mapping": SIMPLE, "request_id": "req-b"})
+    assert second["incremental"]["recompiled"] == 0
+    for payload in second["verdicts"].values():
+        assert payload["report"]["request_id"] == "req-b"
+    # the stored verdict is not mutated by serving it
+    problem = ConsistencyProblem(parse_mapping(SIMPLE))
+    stored = session.incremental.memo.get(verdict_key(problem, session.budget))
+    assert stored.report.request_id == "req-a"
+
+
+def test_serial_solve_many_serves_repeats_from_the_callers_memo():
+    engine = IncrementalEngine(cache=CompilationCache())
+    context = ExecutionContext(cache=engine.cache, memo=engine.memo)
+    problem = ConsistencyProblem(parse_mapping(SIMPLE))
+
+    def reused_verdicts() -> float:
+        series = REGISTRY.snapshot()["repro_incremental_reused_total"]
+        return series["series"].get(("verdict",), 0)
+
+    before = reused_verdicts()
+    batch = solve_many([problem, problem], jobs=1, context=context)
+    assert batch.decisions()[0] == batch.decisions()[1]
+    assert reused_verdicts() == before + 1
+    assert engine.memo.entries_by_kind() == {"verdict": 1}
+
+
+def test_shared_memo_under_concurrent_requests():
+    import sys
+    import threading
+
+    texts = [_renamed(index) for index in range(6)]
+    expected = {}
+    for text in texts:
+        cold = EngineSession().check({"mappings": [text]})["results"][0]
+        expected[text] = (cold["consistent"]["verdict"],
+                          cold["absolutely_consistent"]["verdict"])
+    session = EngineSession(cache_size=4)
+    errors: list[str] = []
+
+    def worker(seed: int) -> None:
+        try:
+            for step in range(12):
+                text = texts[(seed + step) % len(texts)]
+                name = f"w{seed}-{step}"
+                delta = session.delta({"name": name, "mapping": text})
+                check = session.check({"mappings": [text]})["results"][0]
+                lint = session.lint({"mappings": [{"name": name, "text": text}]})
+                got = {
+                    (delta["verdicts"]["consistency"]["verdict"],
+                     delta["verdicts"]["absolutely_consistent"]["verdict"]),
+                    (check["consistent"]["verdict"],
+                     check["absolutely_consistent"]["verdict"]),
+                }
+                if got != {expected[text]}:
+                    errors.append(f"{name}: {got} != {expected[text]}")
+                if [row["name"] for row in lint["report"]["reports"]] != [name]:
+                    errors.append(f"{name}: lint report misnamed")
+        except BaseException as error:  # surfaced below
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(session.incremental.memo) <= 4 and session.incremental.memo.evictions > 0
 
 
 def test_session_delta_rejects_bad_request():
@@ -274,7 +366,7 @@ def test_incremental_equals_cold_after_memo_eviction(kernel):
             )
             mapping = _mutate_one_std(rng, mapping)
             history.append(mapping)
-    assert engine.verdicts.evictions > 0 and engine.cache.evictions > 0
+    assert engine.memo.evictions > 0 and engine.cache.evictions > 0
 
 
 # ---------------------------------------------------------------------------

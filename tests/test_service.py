@@ -171,11 +171,17 @@ class TestEngineSession:
             EngineSession().handle("shutdown", {})
 
     def test_warm_cache_is_reused_across_requests(self):
+        def reused_verdicts() -> float:
+            series = REGISTRY.snapshot()["repro_incremental_reused_total"]
+            return series["series"].get(("verdict",), 0)
+
         session = EngineSession()
         session.check({"mappings": [MAPPING_TEXT]})
-        before = session.cache.stats()["hits"]
+        before, misses = reused_verdicts(), session.cache.stats()["misses"]
         session.check({"mappings": [MAPPING_TEXT]})
-        assert session.cache.stats()["hits"] > before
+        # both verdicts come out of the session's memo: nothing re-solved
+        assert reused_verdicts() == before + 2
+        assert session.cache.stats()["misses"] == misses
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,39 @@ def test_importing_the_tree_model_leaves_the_automata_unloaded():
         text=True, check=True,
     ).stdout
     assert output.strip() == "[]"
+
+
+class TestDeepTrees:
+    """A tree built in code may be deeper than the interpreter's
+    recursion limit; equality, hashing and rendering must not recurse."""
+
+    DEPTH = 3000
+
+    def chain(self, leaf: str = "b") -> TreeNode:
+        node = tree(leaf, attrs=(0,))
+        for level in range(self.DEPTH):
+            node = tree("a", attrs=(level,), children=[node])
+        return node
+
+    def test_hash(self):
+        assert hash(self.chain()) == hash(self.chain())
+
+    def test_eq(self):
+        assert self.chain() == self.chain()
+        assert self.chain() != self.chain(leaf="c")
+
+    def test_repr(self):
+        from repro.xmlmodel.parser import serialize_tree
+
+        text = serialize_tree(self.chain())
+        assert text.startswith("a(2999)[a(2998)[") and text.endswith("b(0)" + "]" * self.DEPTH)
+        assert repr(self.chain()) == f"TreeNode({text!r})"
+
+    def test_to_xml(self):
+        from repro.xmlmodel.xml_io import to_xml
+
+        lines = to_xml(self.chain()).splitlines()
+        assert len(lines) == 2 * self.DEPTH + 1
+        assert lines[self.DEPTH] == " " * (2 * self.DEPTH) + '<b a0="0"/>'
+        assert lines[-1] == "</a>"
+

@@ -82,6 +82,10 @@ class TestSerialize:
         t = tree("r", children=[tree("a", attrs=(1,), children=[tree("b")])])
         assert serialize_tree(t) == "r[a(1)[b]]"
 
+    def test_siblings_keep_their_order(self):
+        t = parse_tree("r[a(1)[b, c(x, y)], a(2)]")
+        assert serialize_tree(t) == "r[a(1)[b, c(x, y)], a(2)]"
+
 
 values_st = st.one_of(
     st.integers(min_value=-99, max_value=99),

@@ -35,6 +35,18 @@ class TestExport:
             "</r>\n"
         )
 
+    def test_siblings_keep_their_order(self):
+        xml = to_xml(parse_tree("r[a(1, 2)[a(3, 4), a(5, 6)], a(7, 8)]"), DTD)
+        assert xml == (
+            "<r>\n"
+            '  <a x="1" y="2">\n'
+            '    <a x="3" y="4"/>\n'
+            '    <a x="5" y="6"/>\n'
+            "  </a>\n"
+            '  <a x="7" y="8"/>\n'
+            "</r>\n"
+        )
+
     def test_escaping(self):
         xml = to_xml(tree("b", attrs=('say "<hi>" & bye',)), DTD)
         assert "&quot;" in xml and "&lt;hi&gt;" in xml and "&amp;" in xml
