@@ -42,7 +42,8 @@ def test_f15_semidecision_effort(benchmark):
         "CONS(⇓,∼) arbitrary DTDs: undecidable (Thm 5.4); semi-decision only",
         rows,
         size_label="values",
-        note="witnesses need n pairwise-distinct values; search domain grows with n",
+        note="witnesses need n pairwise-distinct values; sources tried by "
+        "equality type, each decided by its canonical solution",
     )
     benchmark(
         lambda: is_consistent_bounded(
@@ -66,7 +67,8 @@ def test_f16_cons_data_nested(benchmark):
         "CONS(⇓,∼) nested-relational DTDs: NEXPTIME-complete (Thm 5.5)",
         rows,
         size_label="splits",
-        note="equality/inequality case splits; guess-and-check over value assignments",
+        note="equality/inequality case splits; guess-and-check over source "
+        "equality types, each decided by its canonical solution",
     )
     negative = is_consistent_bounded(
         equality_case_split_family(2, consistent=False), 3, 3

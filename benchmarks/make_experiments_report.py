@@ -33,15 +33,17 @@ VERDICTS = {
    "Reproduced as theory allows: the semi-decision search cost grows super-exponentially "
    "as witnesses need more distinct values; no complete procedure can exist."),
  "F1.6": ("CONS(⇓,∼), nested-relational DTDs", "NEXPTIME-complete (Thm 5.5)",
-   "Reproduced: guess-and-check over value assignments; both consistent and inconsistent case-split "
-   "instances decided correctly within the witness bound."),
+   "Reproduced: guess-and-check over source equality types (one per renaming orbit), each "
+   "decided exactly by its canonical solution; consistent case-split instances are proved, "
+   "inconsistent ones come back Unknown (no refutation from a bounded search)."),
  "F1.7": ("CONS(⇓,⇒,∼)", "undecidable (Thm 5.4/5.5)",
    "Reproduced as theory allows: semi-decision over ordered chains with distinctness constraints."),
  "F1.8a": ("ABSCONS°(⇓,⇒)", "Pi_2^p-complete (Prop 6.1)",
    "Reproduced: the for-all/exists trigger-set inclusion grows ~2.5-4x per std (exponential set families), "
    "exact on both outcomes."),
  "F1.8b": ("ABSCONS(⇓), general", "in EXPSPACE, NEXPTIME-hard (Thm 6.2)",
-   "Substituted (DESIGN.md #1): bounded counterexample search; refutes the paper's Section 6 "
+   "Substituted (DESIGN.md #1): counterexample search over source trees up to a size bound, one "
+   "per equality type, each decided exactly (no target bound); refutes the paper's Section 6 "
    "counting example and its scalings. The EXPSPACE verifier is not reconstructible from the paper's text."),
  "F1.9": ("ABSCONS(⇓), nested-relational + fully-specified", "PTIME (Thm 6.3)",
    "Reproduced: the rigidity analysis decides 64-std instances in tens of milliseconds, polynomial growth, "

@@ -217,8 +217,10 @@ def predict_consistency(
     return CellPrediction(
         "CONS", fragment, "cons-bounded",
         "undecidable in general (Theorems 5.4/5.5)", False,
-        "data comparisons or constants: sound bounded witness search "
-        "only (Theorems 5.4/5.5)",
+        "data comparisons or constants: sound witness search over source "
+        "trees up to max_source_size, one per equality type, each decided "
+        "exactly by its canonical solution where that is complete, else by "
+        "a target search up to max_target_size (Theorems 5.4/5.5)",
     )
 
 
@@ -252,8 +254,11 @@ def predict_abscons(
         "ABSCONS", fragment, "abscons-bounded",
         "EXPSPACE upper bound (Theorem 6.2), construction unpublished",
         False,
-        "outside every exact class: sound bounded "
-        "refutation (Theorem 6.2 gives EXPSPACE, construction unpublished)",
+        "outside every exact class: source trees up to max_source_size, "
+        "one per equality type, each decided exactly (canonical solution, "
+        "or joint satisfiability of its obligations); refutations never "
+        "depend on max_target_size (Theorem 6.2 gives EXPSPACE, "
+        "construction unpublished)",
     )
 
 

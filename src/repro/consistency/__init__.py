@@ -9,6 +9,9 @@
   with data comparisons: a sound procedure that doubles as the NEXPTIME
   witness-guessing for nested-relational ``CONS(⇓, ∼)`` (Theorem 5.5) and
   as the semi-decision procedure for the undecidable classes (Theorem 5.4).
+  Source trees come one per equality type
+  (:mod:`repro.consistency.enumeration`) and are decided exactly by their
+  canonical solution where that is complete.
 * :mod:`repro.consistency.abscons` — absolute consistency (Section 6).
 
 :func:`is_consistent` dispatches to the strongest applicable algorithm.

@@ -6,7 +6,11 @@ produced it: witness trees are re-validated through DTD conformance and
 the membership checkers (:class:`~repro.mappings.membership.SolutionChecker`
 and its Skolem analogue) plus the pattern engine — machinery independent
 of the automata constructions and rigidity analyses that emit the
-verdicts.  :class:`~repro.engine.verdicts.AnalysisCertificate`\\ s (exact
+verdicts.  A :class:`~repro.engine.verdicts.Counterexample` is confirmed
+only by an exact solution-existence test
+(:func:`~repro.consistency.bounded.decide_source`: the canonical
+solution, or joint satisfiability of the source's obligations), never by
+a bounded target search.  :class:`~repro.engine.verdicts.AnalysisCertificate`\\ s (exact
 claims with no small witness object) are validated by a deterministic
 second run of the named analysis.
 
@@ -147,20 +151,17 @@ def _certify_separating_tree(certificate: SeparatingTree, problem: Any) -> bool:
 
 
 def _certify_counterexample(certificate: Counterexample, problem: Any) -> bool:
-    from repro.consistency.bounded import default_value_domain
-    from repro.engine.budget import resolve_budget
-    from repro.verification.oracle import oracle_has_solution
+    from repro.consistency.bounded import decide_source
 
     mapping = problem.mapping
     source = certificate.source
     if not mapping.source_dtd.conforms(source):
         return _fail("counterexample does not conform to the source DTD")
-    budget = resolve_budget(None)
-    domain = tuple(default_value_domain(mapping)) + tuple(
-        sorted(source.adom(), key=repr)
-    )
-    if oracle_has_solution(mapping, source, budget.max_target_size, domain):
-        return _fail("counterexample has a solution within the check bounds")
+    decided, solution = decide_source(mapping, source)
+    if not decided:
+        return _fail("no exact solution-existence test confirms the counterexample")
+    if solution is not None:
+        return _fail("counterexample has a solution")
     return True
 
 

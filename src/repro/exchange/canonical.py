@@ -17,7 +17,18 @@ solution exists iff any solution does (rigid merges are forced in every
 solution, starred copies are the freest choice), and the result is
 returned with its null values resolved.  On value conflicts
 :func:`canonical_solution` returns None — the source tree has no solution
-at all.
+at all.  The answer is exact whatever the solution's size, which is what
+lets the bounded CONS/ABSCONS searches decide each source tree without
+enumerating targets.
+
+Source conditions (``=``/``≠`` between source variables and constants)
+are allowed: for a fixed source tree they only decide which source
+matches fire, and :func:`~repro.mappings.membership.triggered_requirements`
+evaluates them before any fragment is built.  Target conditions are not:
+a ``≠`` between target values can forbid the merges the construction
+relies on.  :func:`ground_nulls` gives a canonical tree plain fresh
+values in place of its unresolved nulls; with no target conditions any
+values would do, since positive patterns survive every homomorphism.
 
 Skolem targets (e.g. composed mappings from Theorem 8.2) are supported:
 each application ``f(values)`` grounds to the labelled null
@@ -98,11 +109,25 @@ def _check_applicable(mapping: SchemaMapping) -> None:
     if not mapping.target_dtd.is_nested_relational():
         raise SignatureError("canonical solutions require a nested-relational target DTD")
     for std in mapping.stds:
-        if std.target_conditions or std.source_conditions:
+        # source conditions only choose which source matches fire, and
+        # triggered_requirements evaluates them for the fixed source
+        if std.target_conditions:
             raise SignatureError(
-                "canonical solutions are defined for condition-free stds "
-                "(the tractable class of [4])"
+                "canonical solutions are defined for stds without target "
+                "conditions (the tractable class of [4])"
             )
+
+
+def decides_solutions(mapping: SchemaMapping) -> bool:
+    """Is :func:`canonical_solution` an exact solution-existence test for
+    every source tree of *mapping*?  The Skolem-free applicable class."""
+    if mapping.uses_skolem_functions():
+        return False
+    try:
+        _check_applicable(mapping)
+    except SignatureError:
+        return False
+    return True
 
 
 def _ground_fragment(
@@ -238,3 +263,23 @@ def canonical_solution(
     if tree is None:
         return None
     return tree.map_values(unifier.resolve)
+
+
+def ground_nulls(tree: TreeNode, taken: frozenset) -> TreeNode:
+    """*tree* with each distinct :class:`~repro.values.Null` replaced by a
+    fresh plain value ``#n<i>`` outside *taken*, numbered in document order."""
+    names: dict[Null, str] = {}
+    counter = [0]
+
+    def fresh(value):
+        if not isinstance(value, Null):
+            return value
+        name = names.get(value)
+        while name is None:
+            candidate = f"#n{counter[0]}"
+            counter[0] += 1
+            if candidate not in taken:
+                name = names[value] = candidate
+        return name
+
+    return tree.map_values(fresh)

@@ -88,9 +88,14 @@ class TestCanonicalSolution:
             canonical_solution(m, parse_tree("r"))
 
     def test_rejects_conditions(self):
-        m = mk("r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)], x != 1 -> t[b(x)]"])
+        m = mk("r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)] -> t[b(y)], y != x"])
         with pytest.raises(SignatureError):
             canonical_solution(m, parse_tree("r"))
+
+    def test_source_conditions_choose_the_obligations(self):
+        m = mk("r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)], x != 1 -> t[b(x)]"])
+        solution = canonical_solution(m, parse_tree("r[a(1), a(2)]"))
+        assert solution == parse_tree("t[b(2)]")
 
     def test_rejects_non_nested_relational_target(self):
         m = mk("r -> a*\na(x)", "t -> b | c", ["r[a(x)] -> t[b]"])

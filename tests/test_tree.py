@@ -170,7 +170,8 @@ def test_importing_the_tree_model_leaves_the_automata_unloaded():
 
 class TestDeepTrees:
     """A tree built in code may be deeper than the interpreter's
-    recursion limit; equality, hashing and rendering must not recurse."""
+    recursion limit; equality, hashing, measuring, value mapping,
+    pickling and rendering must not recurse."""
 
     DEPTH = 3000
 
@@ -193,6 +194,21 @@ class TestDeepTrees:
         text = serialize_tree(self.chain())
         assert text.startswith("a(2999)[a(2998)[") and text.endswith("b(0)" + "]" * self.DEPTH)
         assert repr(self.chain()) == f"TreeNode({text!r})"
+
+    def test_size_and_height(self):
+        assert self.chain().size == self.DEPTH + 1
+        assert self.chain().height == self.DEPTH + 1
+
+    def test_map_values(self):
+        mapped = self.chain().map_values(lambda value: value + 1)
+        assert mapped.attrs == (self.DEPTH,)
+        assert mapped == self.chain().map_values(lambda value: value + 1)
+        assert list(mapped.leaves())[0].attrs == (1,)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        assert pickle.loads(pickle.dumps(self.chain())) == self.chain()
 
     def test_to_xml(self):
         from repro.xmlmodel.xml_io import to_xml
