@@ -36,7 +36,7 @@ class TestPaperExample:
         assert is_absolutely_consistent_sm0(self.mapping.strip_values())
 
     def test_counterexample_has_two_values(self):
-        counterexample = abscons_counterexample(self.mapping, 3, 2)
+        counterexample = abscons_counterexample(self.mapping, 3)
         assert counterexample is not None
         assert len(counterexample.adom()) >= 2
         assert not oracle_has_solution(self.mapping, counterexample, 3, (0, 1, "#n"))
@@ -243,14 +243,14 @@ class TestDispatcher:
 
     def test_expansion_route_confirms(self):
         m = mk("r -> a*\na(x)", "t -> b*\nb(u)", ["r//a(x) -> t[b(x)]"])
-        assert is_absolutely_consistent(m, max_source_size=3, max_target_size=4)
+        assert is_absolutely_consistent(m, max_source_size=3)
 
     def test_bounded_inconclusive_is_unknown(self):
         # a wildcard *target* defeats both exact routes; the bounded refuter
         # finds nothing on this absolutely-consistent mapping, so the
         # dispatcher must refuse to guess — Unknown, never a raised bound
         m = mk("r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)] -> t[_(x)]"])
-        verdict = is_absolutely_consistent(m, max_source_size=3, max_target_size=4)
+        verdict = is_absolutely_consistent(m, max_source_size=3)
         assert verdict.is_unknown
         assert verdict.bound_exhausted
         with pytest.raises(UnknownVerdictError):
