@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import BoundExceededError
@@ -68,6 +68,20 @@ class Budget:
     def with_(self, **overrides: int) -> "Budget":
         """A copy with some limits replaced."""
         return replace(self, **overrides)
+
+    def __hash__(self) -> int:
+        # hashed once: a budget is part of every result-memo key, and a
+        # tuple key re-hashes its elements on each lookup
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple(self.__dict__[f.name] for f in fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        """Pickle the limits only: the cached hash is per-process."""
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
 
 _DEFAULT_BUDGET = Budget()

@@ -114,8 +114,8 @@ class LRU:
     ``max_entries=None`` reads ``REPRO_CACHE_SIZE`` (default 256).  A read
     marks its entry most recently used; a store past capacity drops the
     least recently used entries and counts them in ``evictions``.  The
-    compilation cache and the warm engine's result memo share this one
-    policy.
+    compilation cache and the warm engine's result memo and parse table
+    share this one policy.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -134,12 +134,13 @@ class LRU:
         self.__dict__.update(state)
         self._lock = threading.RLock()
 
-    def get(self, key: Hashable) -> object:
-        """The entry under *key*, or :data:`MISS`."""
+    def get(self, key: Hashable, default: object = MISS) -> object:
+        """The entry under *key*, or *default* (:data:`MISS`)."""
         with self._lock:
             value = self._entries.get(key, MISS)
-            if value is not MISS:
-                self._entries.move_to_end(key)
+            if value is MISS:
+                return default
+            self._entries.move_to_end(key)
             return value
 
     def put(self, key: Hashable, value: object) -> int:

@@ -20,9 +20,7 @@ level, so importing them from here at module level would be circular.
 
 from __future__ import annotations
 
-import copy
 import time
-from dataclasses import replace
 from typing import Any, Callable
 
 from repro.engine.budget import ExecutionContext, current_context
@@ -38,7 +36,7 @@ from repro.engine.problems import (
 from repro.engine.report import SolveReport
 from repro.engine.verdicts import Unknown, Verdict
 from repro.errors import BoundExceededError, SignatureError, XsmError
-from repro.obs import REGISTRY, ambient_tag, current_tags, maybe_profile, trace
+from repro.obs import REGISTRY, ambient_tag, maybe_profile, trace
 
 #: Always-on operational series (pre-bound families; cheap label lookups).
 _SOLVES = REGISTRY.counter(
@@ -267,7 +265,9 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     The returned verdict carries ``.report`` (algorithm, routing reason,
     cost accounting) and ``.problem`` (for ``certify()``).  Bound
     exhaustion inside any route surfaces as ``Unknown``, never as a
-    :class:`~repro.errors.BoundExceededError`.
+    :class:`~repro.errors.BoundExceededError`.  A verdict served from
+    ``context.memo`` is the stored object, shared by every caller that
+    asks the same question: read it, never mutate it.
     """
     from repro.analysis.passes import diagnostics_for_problem
     from repro.incremental import verdict_key
@@ -286,13 +286,12 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     # A context carrying a result memo (repro.incremental) gets a
     # content-identical decided verdict back without re-running the
     # route: memo keys are content digests, so a stored verdict is never
-    # stale.  The copy's report names the request it now serves.
+    # stale.  The stored object itself is served, shared and never
+    # mutated: its report keeps the request that computed it.
     key = None if context.memo is None else verdict_key(problem, context.budget)
     reused = None if key is None else context.memo.lookup(key)
     if reused is not None:
-        served = copy.copy(reused)
-        served.report = replace(reused.report, request_id=current_tags().get("request"))
-        return served
+        return reused
     info = {"algorithm": problem_name, "reason": ""}
     cache_before = context.cache.stats()
     expansions_before = context.expansions
@@ -328,7 +327,7 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
         budget=context.budget,
         trace=None if span.is_noop else span.to_dict(),
         diagnostics=diagnostics_for_problem(problem, context),
-        request_id=current_tags().get("request"),
+        request_id=ambient_tag("request"),
     )
     verdict.problem = problem
     if key is not None:

@@ -309,7 +309,6 @@ def solve_many(
     ``Unknown`` with a ``worker-timeout`` / ``worker-crash`` reason.
     """
     problems = list(problems)
-    tags = {**current_tags(), **(tags or {})}
     resolved = resolve_context(context)
     if resolved is None:
         resolved = ExecutionContext()
@@ -322,10 +321,14 @@ def solve_many(
     report = BatchReport(problems=len(problems), jobs=jobs)
     _BATCH_PROBLEMS.inc(len(problems))
     started = time.perf_counter()
+    serial = jobs == 1 or len(problems) <= 1
+    # in-process solves already run under the caller's ambient tags;
+    # pooled workers are handed the merged bindings explicitly
+    tags = dict(tags or {}) if serial else {**current_tags(), **(tags or {})}
     with bind_tags(**tags), trace(
         "solve_many", problems=len(problems), jobs=jobs
     ) as batch_span:
-        if jobs == 1 or len(problems) <= 1:
+        if serial:
             verdicts = _solve_serial(
                 problems, resolved, task_timeout, cache_dir, report
             )

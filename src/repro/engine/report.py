@@ -29,7 +29,11 @@ class SolveReport:
     ``request_id`` is the service-layer request the solve ran under
     (read from the ambient :func:`repro.obs.bind_tags` binding), or
     ``None`` outside any request — it survives the worker round trip
-    exactly like the trace, including crash/timeout synthetics.
+    exactly like the trace, including crash/timeout synthetics.  It
+    names the request that *computed* the verdict: a verdict served
+    from a result memo is the stored object, report included, so a
+    later request that is served it finds the first request's id here.
+    The service's verdict payloads name the serving request instead.
     """
 
     problem: str

@@ -12,27 +12,34 @@ module adds the per-revision pieces and the result memo:
   ``engine.solve`` and ``lint_mapping`` read and fill the memo of their
   context (``ExecutionContext.memo``, the only channel); without one
   they memoize nothing;
-* :class:`IncrementalEngine` owns per-revision bookkeeping and the memo.
-  ``update(name, text)`` parses the revision (taking over the previous
-  revision's DTD and std objects, and the memos they carry, wherever
-  their text is unchanged), diffs it against the previous one, then
-  re-solves the standard problem set — whole-mapping consistency and
-  absolute consistency plus per-std source/target satisfiability — and
-  re-lints.  A single-std edit of a 20-std mapping re-solves one std and
-  reuses nineteen.  An :class:`~repro.service.session.EngineSession`
-  attaches the same memo to every request, so ``/check``, ``/lint``,
-  ``/member``, ``/compose`` and ``/delta`` reuse each other's work.
+* :class:`IncrementalEngine` owns per-revision bookkeeping, the memo
+  and the parse table (:attr:`IncrementalEngine.parses`, an :class:`LRU`
+  that ``parse_mapping(text, table=)`` reads and fills: whole texts map
+  to their mappings, DTD sections and std lines to their ``DTD`` and
+  ``STD`` objects).  ``update(name, text)`` parses the revision through
+  the table (so every DTD and std whose text is unchanged keeps its
+  object, and the memos it carries), diffs it against the previous one,
+  then re-solves the standard problem set — whole-mapping consistency
+  and absolute consistency plus per-std source/target satisfiability —
+  and re-lints.  A single-std edit of a 20-std mapping re-solves one std
+  and reuses nineteen.  An :class:`~repro.service.session.EngineSession`
+  parses every request's text through the same table and attaches the
+  same memo to every request, so ``/check``, ``/lint``, ``/member``,
+  ``/compose`` and ``/delta`` reuse each other's work: a repeated
+  question costs a table lookup and a memo lookup.
 
 Correctness story: memo keys are *content* digests plus the budget, so
 a reused verdict is byte-for-byte the verdict a cold solve of identical
-content would compute (served as a copy whose report names the current
-request), and an edit never has to evict anything.  ``Unknown`` verdicts
-are never memoized — a larger budget or a warmer cache may decide them.
-Memory is bounded by the cache's LRU size (``REPRO_CACHE_SIZE`` /
-``--cache-size``), which also bounds the memo; an eviction only costs a
-recompute, and an undo edit back to a recent revision is served from
-the memo.  The equivalence property (incremental ≡ cold, both kernels)
-is pinned by ``tests/test_incremental.py`` and gated in
+content would compute, and an edit never has to evict anything.  A hit
+serves the stored verdict itself, uncopied and never mutated: its
+report keeps the request that computed it, and the service payload
+names the request it serves.  ``Unknown`` verdicts are never memoized —
+a larger budget or a warmer cache may decide them.  Memory is bounded by
+the cache's LRU size (``REPRO_CACHE_SIZE`` / ``--cache-size``), which
+also bounds the memo and the parse table; an eviction only costs a
+recompute or a re-parse, and an undo edit back to a recent revision is
+served from the memo.  The equivalence property (incremental ≡ cold,
+both kernels) is pinned by ``tests/test_incremental.py`` and gated in
 ``benchmarks/bench_incremental.py --smoke``.
 
 Front-ends: ``repro lint --watch`` (a :class:`FileWatcher` polling loop
@@ -248,15 +255,18 @@ class DeltaResult:
 
 
 class IncrementalEngine:
-    """Per-revision state: fingerprints, the result memo, the delta pipeline.
+    """Per-revision state: fingerprints, the result memo, the parse
+    table, the delta pipeline.
 
     One engine is owned by an :class:`~repro.service.session.EngineSession`
     (the ``/delta`` handler, also behind ``repro lint --watch``); it
-    shares the session's compilation cache, and the session attaches its
+    shares the session's compilation cache, and the session parses every
+    request through its :attr:`parses` table and attaches its
     :attr:`memo` to every request, so one-shot requests and deltas reuse
-    each other's artifacts and results.  The memo holds at most the
-    cache's ``max_entries``.  ``update`` is safe to call from concurrent
-    handler threads.
+    each other's parses, artifacts and results.  The memo and the table
+    each hold at most the cache's ``max_entries``; parsed parts are
+    shared by every stream and revision until the table evicts them.
+    ``update`` is safe to call from concurrent handler threads.
     """
 
     #: Problem labels solved per revision, in response order.
@@ -270,10 +280,10 @@ class IncrementalEngine:
         self.cache = cache if cache is not None else CompilationCache()
         self.budget = budget if budget is not None else Budget.default()
         self.memo = ResultMemo(self.cache.max_entries)
+        #: parsed texts, DTD sections and std lines (``parse_mapping(text,
+        #: table=)``), shared by every request of the owning session
+        self.parses = LRU(self.cache.max_entries)
         self._revisions: dict[str, MappingFingerprint] = {}
-        #: per stream: the parsed sections of its last revision (see
-        #: ``parse_mapping(reuse=)``)
-        self._sections: dict[str, dict] = {}
         self._lock = threading.Lock()
         self.deltas = 0
 
@@ -305,9 +315,9 @@ class IncrementalEngine:
         """Apply revision *mapping* of the stream *name* and re-solve.
 
         Returns the full verdict set for the revision; everything whose
-        inputs are unchanged is served from the memo.  Given text, the
-        DTD sections and std lines the stream's previous revision
-        already had are not re-parsed: their objects, and the memos
+        inputs are unchanged is served from the memo.  Given text, it is
+        parsed through :attr:`parses`: DTD sections and std lines still
+        in the table are not re-parsed, so their objects, and the memos
         those objects carry, are reused.
         """
         from repro.analysis.lint import lint_mapping
@@ -317,11 +327,7 @@ class IncrementalEngine:
         budget = budget if budget is not None else self.budget
         started = time.perf_counter()
         if isinstance(mapping, str):
-            with self._lock:
-                sections = dict(self._sections.get(name, ()))
-            mapping = parse_mapping(mapping, reuse=sections)
-            with self._lock:
-                self._sections[name] = sections
+            mapping = parse_mapping(mapping, table=self.parses)
         parsed = time.perf_counter()
         reused_before = _family_total(_REUSED)
         recompiled_before = _family_total(_RECOMPILED)
@@ -382,6 +388,8 @@ class IncrementalEngine:
             "deltas": deltas,
             "memoized_verdicts": memoized.get("verdict", 0),
             "memoized_lints": memoized.get("lint", 0),
+            "parse_entries": len(self.parses),
+            "parse_evictions": self.parses.evictions,
         }
 
 

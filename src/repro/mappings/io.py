@@ -18,26 +18,44 @@ Sections: exactly one ``source:`` and one ``target:`` block of DTD
 declarations (the usual DTD syntax, indented or not), followed by any
 number of ``std:`` lines.  :func:`render_mapping` writes the same format,
 so composed mappings can be saved and reloaded.
+
+:func:`parse_mapping` is the one entry point every caller parses mapping
+text through.  A warm session passes its parse table (``table=``), so a
+text it has seen is a lookup and a revision re-parses only its changed
+DTD sections and std lines; a one-shot caller passes none and parses
+everything.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.errors import ParseError
 from repro.mappings.skolem import SkolemMapping
 from repro.mappings.std import parse_std
 from repro.xmlmodel.dtd import parse_dtd
 
+if TYPE_CHECKING:
+    from repro.engine.cache import LRU
 
-def parse_mapping(text: str, reuse: dict | None = None) -> SkolemMapping:
+
+def parse_mapping(text: str, table: LRU | None = None) -> SkolemMapping:
     """Parse a mapping from the ``.xsm`` format.
 
-    *reuse* lets successive revisions of one mapping share parsed parts.
-    It is a dict the caller keeps between calls, mapping each DTD section
-    and std line to the object parsed from it.  A section whose text is
-    already there is not parsed again; on success the dict is left
-    holding exactly the sections of *text*, so it never grows past one
-    revision.
+    *table* is an optional parse table (an
+    :class:`~repro.engine.cache.LRU`, as a warm
+    :class:`~repro.incremental.IncrementalEngine` owns) shared by every
+    request of a session.  It maps the whole text to the mapping parsed
+    from it, so a repeated text returns the same object (and the digests
+    memoized on it), and each DTD section and std line to its ``DTD`` or
+    ``STD``, so a new revision parses only the lines it changed.  Text
+    that raises :class:`~repro.errors.ParseError` leaves no entry for
+    itself.  Without a table every call parses afresh.
     """
+    if table is not None:
+        mapping = table.get(("mapping", text), None)
+        if mapping is not None:
+            return mapping
     source_lines: list[str] = []
     target_lines: list[str] = []
     stds: list[str] = []
@@ -64,14 +82,18 @@ def parse_mapping(text: str, reuse: dict | None = None) -> SkolemMapping:
         raise ParseError("mapping file has no 'source:' section")
     if not target_lines:
         raise ParseError("mapping file has no 'target:' section")
-    previous = reuse if reuse is not None else {}
-    parsed: dict = {}
+    if table is None:
+        return SkolemMapping(
+            parse_dtd("\n".join(source_lines)),
+            parse_dtd("\n".join(target_lines)),
+            [parse_std(std) for std in stds],
+        )
 
     def part(key: tuple[str, str], parse):
-        value = previous.get(key)
+        value = table.get(key, None)
         if value is None:
             value = parse(key[1])
-        parsed[key] = value
+            table.put(key, value)
         return value
 
     mapping = SkolemMapping(
@@ -79,9 +101,7 @@ def parse_mapping(text: str, reuse: dict | None = None) -> SkolemMapping:
         part(("target", "\n".join(target_lines)), parse_dtd),
         [part(("std", std), parse_std) for std in stds],
     )
-    if reuse is not None:
-        reuse.clear()
-        reuse.update(parsed)
+    table.put(("mapping", text), mapping)
     return mapping
 
 

@@ -172,17 +172,23 @@ class _Family:
         self.children: dict[tuple, _Child] = {}
 
     def labels(self, **labelvalues) -> _Child:
-        if set(labelvalues) != set(self.labelnames):
+        try:
+            key = tuple([str(labelvalues[name]) for name in self.labelnames])
+        except KeyError:
+            key = None
+        if key is None or len(labelvalues) != len(self.labelnames):
             raise MetricError(
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {tuple(labelvalues)}"
             )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        with self.registry._lock:
-            child = self.children.get(key)
-            if child is None:
-                child = self.children[key] = _Child(self)
-            return child
+        # children are only ever added, so a hit needs no lock
+        child = self.children.get(key)
+        if child is None:
+            with self.registry._lock:
+                child = self.children.get(key)
+                if child is None:
+                    child = self.children[key] = _Child(self)
+        return child
 
     # label-free convenience: family acts as its own single child
     def _solo(self) -> _Child:

@@ -4,7 +4,9 @@ A session owns the long-lived state a serving system amortizes across
 requests — one thread-safe :class:`~repro.engine.cache.CompilationCache`
 (optionally backed by a :class:`~repro.engine.diskcache.DiskCacheTier`),
 one :class:`~repro.incremental.ResultMemo` of decided verdicts and lint
-reports that every request's context carries, the default
+reports that every request's context carries, one parse table that
+every handler reads mapping text through (so a repeated text is a
+lookup, not a parse), the default
 :class:`~repro.engine.budget.Budget`, the worker-pool fanout of
 :func:`~repro.engine.parallel.solve_many` and the process metrics
 registry — and exposes the engine's commands as **plain-dict handlers**:
@@ -20,8 +22,10 @@ library use.  Every request gets
   and a **trace ID** bound as ambient span tags for the whole handler —
   every trace span the request opens, including ``solve_many``
   worker-chunk spans in other processes and the truncated spans of
-  crashed/hung workers, carries ``request=<id>`` and ``trace_id=<id>``,
-  and every ``SolveReport`` records the request ID;
+  crashed/hung workers, carries ``request=<id>`` and ``trace_id=<id>``;
+  a ``SolveReport`` records the request that computed it, and every
+  verdict payload names the request that served it (a memo-served
+  verdict was computed by an earlier one);
 * a completed-trace record in the session's
   :class:`~repro.obs.flight.FlightRecorder` — the serialized span tree,
   status, latency and budget/cache deltas land in the bounded ring that
@@ -89,6 +93,22 @@ _REQUEST_LATENCY = REGISTRY.histogram(
     ("command",),
 )
 
+#: Per-(command, outcome) metric children, looked up once per pair
+#: instead of once per request.
+_REQUEST_SERIES: dict[tuple[str, str], tuple[Any, Any]] = {}
+
+
+def _request_series(command: str, outcome: str) -> tuple[Any, Any]:
+    """The request counter and latency children of *command*."""
+    series = _REQUEST_SERIES.get((command, outcome))
+    if series is None:
+        series = _REQUEST_SERIES[(command, outcome)] = (
+            _REQUESTS.labels(command=command, outcome=outcome),
+            _REQUEST_LATENCY.labels(command=command),
+        )
+    return series
+
+
 #: Budget fields a request may override via ``request["budget"]``.
 _BUDGET_FIELDS = frozenset(f.name for f in dataclass_fields(Budget))
 
@@ -97,8 +117,13 @@ class RequestError(XsmError):
     """A malformed service request (bad shape, unknown fields)."""
 
 
-def _verdict_payload(verdict: Any) -> dict:
-    """A JSON-shaped rendering of a verdict plus its SolveReport."""
+def _verdict_payload(verdict: Any, request_id: str) -> dict:
+    """A JSON-shaped rendering of a verdict plus its SolveReport.
+
+    The report names *request_id*, the request being served: a verdict
+    served from the result memo is shared and keeps, on its own report,
+    the request that computed it.
+    """
     if verdict.is_proved:
         kind = "proved"
     elif verdict.is_refuted:
@@ -116,7 +141,7 @@ def _verdict_payload(verdict: Any) -> dict:
             "elapsed": report.elapsed,
             "expansions": report.expansions,
             "cache": dict(report.cache),
-            "request_id": report.request_id,
+            "request_id": request_id,
             "lines": report.lines(),
         }
     return payload
@@ -238,9 +263,10 @@ class EngineSession:
         self.cache = CompilationCache(max_entries=cache_size, disk=disk)
         self.budget = budget if budget is not None else Budget.default()
         #: Per-revision incremental state (the ``delta`` handler).  It
-        #: shares the session cache, and its result memo rides on every
+        #: shares the session cache, every handler parses mapping text
+        #: through its parse table, and its result memo rides on every
         #: request context, so one-shot requests and deltas reuse each
-        #: other's artifacts, verdicts and lint reports.
+        #: other's parses, artifacts, verdicts and lint reports.
         self.incremental = IncrementalEngine(cache=self.cache, budget=self.budget)
         self.registry = registry
         self.flight = flight if flight is not None else FlightRecorder()
@@ -291,6 +317,8 @@ class EngineSession:
         request = dict(request) if request else {}
         request_id = str(request.get("request_id") or self.next_request_id())
         trace_id = str(request.get("trace_id") or new_trace_id())
+        # the body renders verdict payloads under the serving request
+        request["request_id"] = request_id
         response: dict[str, Any] = {
             "command": command, "request_id": request_id, "trace_id": trace_id,
         }
@@ -328,10 +356,9 @@ class EngineSession:
             response["trace"] = tree_dict
         with self._lock:
             self.requests[command] += 1
-        _REQUESTS.labels(command=command, outcome=outcome).inc()
-        _REQUEST_LATENCY.labels(command=command).observe(
-            elapsed, exemplar=trace_id
-        )
+        requests, latency = _request_series(command, outcome)
+        requests.inc()
+        latency.observe(elapsed, exemplar=trace_id)
         if self.flight.enabled and tree_dict is not None:
             self.flight.record(
                 trace_id=trace_id,
@@ -352,11 +379,11 @@ class EngineSession:
         return self._run("check", request, self._check_body)
 
     def _check_body(self, request: dict) -> dict:
-        from repro.consistency import consistency_witness
         from repro.mappings.io import parse_mapping
 
         named = _named_texts(request, "mappings")
-        parsed = [(name, parse_mapping(text)) for name, text in named]
+        table = self.incremental.parses
+        parsed = [(name, parse_mapping(text, table=table)) for name, text in named]
         context = self._context(request)
         problems: list[object] = []
         for __, mapping in parsed:
@@ -369,6 +396,7 @@ class EngineSession:
             task_timeout=request.get("timeout"),
             cache_dir=self.cache_dir,
         )
+        request_id = request["request_id"]
         results = []
         for position, (name, mapping) in enumerate(parsed):
             consistency = batch[2 * position]
@@ -376,11 +404,13 @@ class EngineSession:
             entry: dict[str, Any] = {
                 "name": name,
                 "class": str(mapping.signature()),
-                "consistent": _verdict_payload(consistency),
-                "absolutely_consistent": _verdict_payload(absolute),
+                "consistent": _verdict_payload(consistency, request_id),
+                "absolutely_consistent": _verdict_payload(absolute, request_id),
                 "exit_code": _exit_code(consistency, absolute),
             }
             if request.get("witness") and consistency.is_proved:
+                from repro.consistency import consistency_witness
+
                 with context.activate():
                     pair = consistency_witness(mapping)
                 if pair:
@@ -422,7 +452,7 @@ class EngineSession:
         source_text = request.get("source")
         if not isinstance(source_text, str):
             raise RequestError("request field 'source' must be a string")
-        mapping = parse_mapping(mapping_text)
+        mapping = parse_mapping(mapping_text, table=self.incremental.parses)
         source = from_xml(source_text, mapping.source_dtd)
         named = _named_texts(request, "targets")
         targets = [
@@ -443,7 +473,7 @@ class EngineSession:
             entry: dict[str, Any] = {
                 "name": name,
                 "answer": "YES" if verdict.is_proved else "NO",
-                "result": _verdict_payload(verdict),
+                "result": _verdict_payload(verdict, request["request_id"]),
             }
             if verdict.is_refuted and explain:
                 with context.activate():
@@ -472,8 +502,11 @@ class EngineSession:
             raise RequestError(
                 "request fields 'first' and 'second' must be mapping texts"
             )
+        table = self.incremental.parses
         with self._context(request).activate():
-            composed = compose_mappings(parse_mapping(first), parse_mapping(second))
+            composed = compose_mappings(
+                parse_mapping(first, table=table), parse_mapping(second, table=table)
+            )
         return {"mapping": render_mapping(composed), "exit_code": 0}
 
     def lint(self, request: dict | None = None) -> dict:
@@ -493,7 +526,8 @@ class EngineSession:
 
         named = _named_texts(request, "mappings")
         context = self._context(request)
-        parsed = [(name, parse_mapping(text)) for name, text in named]
+        table = self.incremental.parses
+        parsed = [(name, parse_mapping(text, table=table)) for name, text in named]
         reports = [
             lint_mapping(mapping, context, name=name)
             for name, mapping in parsed
@@ -559,7 +593,7 @@ class EngineSession:
             "revision": result.revision,
             "cold": result.cold,
             "verdicts": {
-                label: _verdict_payload(verdict)
+                label: _verdict_payload(verdict, request["request_id"])
                 for label, verdict in result.verdicts.items()
             },
             "lint": {

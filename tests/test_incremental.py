@@ -213,6 +213,140 @@ def test_memo_served_verdict_names_the_request_that_served_it():
     assert stored.report.request_id == "req-a"
 
 
+def test_served_verdict_is_never_mutated():
+    import copy
+
+    session = EngineSession()
+    table = session.incremental.parses
+    session.check({"mappings": [SIMPLE], "request_id": "req-1"})
+    key = verdict_key(
+        ConsistencyProblem(parse_mapping(SIMPLE, table=table)), session.budget
+    )
+    stored = session.incremental.memo.get(key)
+    report = copy.deepcopy(stored.report)
+    attributes = dict(vars(stored))
+    check = session.check({"mappings": [SIMPLE], "request_id": "req-2"})
+    delta = session.delta({"name": "m", "mapping": SIMPLE, "request_id": "req-3"})
+    assert check["results"][0]["consistent"]["report"]["request_id"] == "req-2"
+    assert delta["verdicts"]["consistency"]["report"]["request_id"] == "req-3"
+    assert session.incremental.memo.get(key) is stored
+    assert stored.report == report and stored.report.request_id == "req-1"
+    assert vars(stored) == attributes
+
+
+# ---------------------------------------------------------------------------
+# the parse table
+# ---------------------------------------------------------------------------
+
+
+def test_parse_table_hit_returns_the_identical_mapping():
+    engine = IncrementalEngine(cache=CompilationCache())
+    first = parse_mapping(SIMPLE, table=engine.parses)
+    assert parse_mapping(SIMPLE, table=engine.parses) is first
+    # an edited revision takes over every part whose text is unchanged
+    edited = parse_mapping(
+        SIMPLE.replace("w[product(s)]", "w[product(t)]"), table=engine.parses
+    )
+    assert edited.source_dtd is first.source_dtd
+    assert edited.target_dtd is first.target_dtd
+    assert edited.stds[0] is not first.stds[0]
+    # without a table every call parses afresh
+    fresh = parse_mapping(SIMPLE)
+    assert fresh is not first and fresh.source_dtd is not first.source_dtd
+    assert fresh.stds == first.stds
+
+
+def test_parse_table_never_stores_a_parse_error():
+    from repro.errors import ParseError
+
+    engine = IncrementalEngine(cache=CompilationCache())
+    broken = SIMPLE + "std: r[item(s) -> w[product(s)]\n"
+    for __ in range(2):
+        with pytest.raises(ParseError):
+            parse_mapping(broken, table=engine.parses)
+    assert engine.parses.get(("mapping", broken), None) is None
+    session = EngineSession()
+    for __ in range(2):
+        response = session.check({"mappings": [broken]})
+        assert not response["ok"] and response["error"]["type"] == "ParseError"
+
+
+def test_parse_table_evictions_stay_within_max_entries():
+    session = EngineSession(cache_size=4)
+    for index in range(8):
+        assert session.check({"mappings": [_renamed(index)]})["ok"]
+        assert len(session.incremental.parses) <= 4
+    stats = session.stats()["incremental"]
+    assert stats["parse_entries"] == len(session.incremental.parses) <= 4
+    assert stats["parse_evictions"] == session.incremental.parses.evictions > 0
+
+
+def test_warm_requests_after_a_delta_parse_nothing(monkeypatch):
+    import repro.mappings.io as mapping_io
+
+    session = EngineSession()
+    session.delta({"name": "m", "mapping": BASE})
+    calls = {"parse_dtd": 0, "parse_std": 0}
+
+    def counted(name):
+        parse = getattr(mapping_io, name)
+
+        def wrapper(text):
+            calls[name] += 1
+            return parse(text)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mapping_io, name, counted(name))
+    assert session.check({"mappings": [BASE]})["ok"]
+    assert session.lint({"mappings": [BASE]})["ok"]
+    assert calls == {"parse_dtd": 0, "parse_std": 0}
+    # an edited std line is the one part a new revision parses
+    session.delta({"name": "m", "mapping": REVISIONS[0][1]})
+    assert calls == {"parse_dtd": 0, "parse_std": 1}
+
+
+def test_concurrent_checks_get_identical_results():
+    import threading
+
+    texts = [_renamed(index) for index in range(3)] + [BASE]
+    session = EngineSession()
+    results: list[list] = []
+    errors: list[str] = []
+
+    def summary(response: dict) -> list:
+        return [
+            (row["name"], row["class"], row["exit_code"],
+             row["consistent"]["verdict"], row["consistent"]["report"]["algorithm"],
+             row["absolutely_consistent"]["verdict"],
+             row["absolutely_consistent"]["report"]["algorithm"])
+            for row in response["results"]
+        ]
+
+    def worker() -> None:
+        try:
+            rows = []
+            for __ in range(5):
+                for text in texts:
+                    response = session.check({"mappings": [text]})
+                    assert response["ok"], response.get("error")
+                    rows.append(summary(response))
+            results.append(rows)
+        except BaseException as error:  # surfaced below
+            errors.append(repr(error))
+
+    threads = [threading.Thread(target=worker) for __ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    cold = [summary(EngineSession().check({"mappings": [text]})) for text in texts]
+    assert results == [cold * 5] * 4
+
+
 def test_serial_solve_many_serves_repeats_from_the_callers_memo():
     engine = IncrementalEngine(cache=CompilationCache())
     context = ExecutionContext(cache=engine.cache, memo=engine.memo)
@@ -438,10 +572,12 @@ def test_unchanged_parts_are_reused_and_edited_parts_are_fresh():
     assert retargeted.source_dtd is base.source_dtd
     assert retargeted.stds == edited.stds
     assert all(new is old for new, old in zip(retargeted.stds, edited.stds))
-    # reuse is scoped to the stream: another stream parses afresh
+    # parsed parts are shared across streams: another stream's revision
+    # takes them over from the table
     other = engine.update("other", edited_text).mapping
-    assert other.source_dtd is not retargeted.source_dtd
-    # and to the last revision: reverting parses the old section again
+    assert other.source_dtd is retargeted.source_dtd
+    # and across revisions until the table evicts them: reverting takes
+    # the old section back instead of parsing it again
     reverted = engine.update("m", REVISIONS[0][1]).mapping
-    assert reverted.target_dtd is not edited.target_dtd
+    assert reverted.target_dtd is edited.target_dtd
     assert reverted.source_dtd is base.source_dtd
