@@ -37,7 +37,6 @@ any mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -49,7 +48,7 @@ if True:  # make both `pytest benchmarks` and direct execution work
         if str(entry) not in sys.path:
             sys.path.insert(0, str(entry))
 
-from harness import REPO_ROOT, emit_json, print_table, series_payload, sweep
+from harness import emit_json, print_table, series_payload, sweep
 
 from repro.consistency import is_consistent_automata
 from repro.consistency.cons_automata import _pattern_labels
@@ -383,17 +382,6 @@ def xml_read_record(sizes=XML_READ_SIZES, samples=XML_READ_SAMPLES) -> dict:
     }
 
 
-def scale_meta(**notes) -> dict:
-    """The ``_meta`` notes already in ``BENCH_scale.json``, *notes* on top,
-    so a run that journals one ladder keeps the other ladders' notes."""
-    try:
-        meta = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())["_meta"]
-    except (OSError, ValueError, KeyError, TypeError):
-        meta = {}
-    meta.update(notes)
-    return meta
-
-
 def run_ladders(sizes, choices) -> tuple[dict, float]:
     """All ladders; returns (records, f11_speedup)."""
     records: dict[str, dict] = {}
@@ -590,13 +578,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cutover:
-        emit_json("scale", None, None, meta=scale_meta(
-            kernels=list(KERNELS), **{"engine-cutover": engine_size_sweep()}
-        ))
+        emit_json("scale", None, None, meta={
+            "kernels": list(KERNELS), "engine-cutover": engine_size_sweep(),
+        })
         return 0
     if args.xml_read:
         emit_json("scale", "xml-read", xml_read_record(),
-                  meta=scale_meta(**{"xml-read": XML_READ_NOTE}))
+                  meta={"xml-read": XML_READ_NOTE})
         return 0
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
@@ -606,9 +594,11 @@ def main(argv=None) -> int:
     records, speedup = run_ladders(sizes, choices)
     if not args.smoke:  # smoke gates only — never clobber the full ladder
         records["xml-read"] = xml_read_record()
-        meta = scale_meta(kernels=list(KERNELS), **{
-            "engine-cutover": engine_size_sweep(), "xml-read": XML_READ_NOTE,
-        })
+        meta = {
+            "kernels": list(KERNELS),
+            "engine-cutover": engine_size_sweep(),
+            "xml-read": XML_READ_NOTE,
+        }
         for experiment, payload in records.items():
             emit_json("scale", experiment, payload, meta=meta)
         print(f"\n[scale] journaled {len(records)} records to BENCH_scale.json "

@@ -219,8 +219,10 @@ def emit_json(
     an unreadable file is rebuilt from scratch rather than crashing the
     benchmark run.  Every write refreshes the ``_meta`` block
     (:data:`SCHEMA_VERSION` plus :func:`run_environment`), stamping the
-    file with the machine that produced the latest numbers; *meta*
-    entries (e.g. the kernel a ladder ran under) are merged on top.
+    file with the machine that produced the latest numbers; the notes
+    already journaled there are kept, and *meta* entries (e.g. the kernel
+    a ladder ran under) are merged on top, so a run that journals one
+    series keeps the other series' notes.
     """
     path = REPO_ROOT / f"BENCH_{figure}.json"
     try:
@@ -231,7 +233,9 @@ def emit_json(
         data = {}
     if experiment is not None:
         data[experiment] = payload
+    notes = data.get("_meta")
     data["_meta"] = {
+        **(notes if isinstance(notes, dict) else {}),
         "schema_version": SCHEMA_VERSION,
         "environment": run_environment(jobs=(payload or {}).get("jobs")),
     }

@@ -132,6 +132,12 @@ def test_emit_json_stamps_schema_and_environment(monkeypatch, tmp_path):
     assert environment["cpu_count"] >= 1
     assert environment["jobs"] == 4  # taken from the record when present
     assert "platform" in environment
+    # notes journaled under _meta survive a later write of another series
+    emit_json("fig2", "F2.2", {"claim": "b"}, meta={"F2.2": "warm cache"})
+    path = emit_json("fig2", "F2.3", {"claim": "c"})
+    meta = json.loads(path.read_text())["_meta"]
+    assert meta["F2.2"] == "warm cache"
+    assert meta["environment"] == harness.run_environment()  # restamped
 
 
 def test_series_payload_journals_span_breakdown():
