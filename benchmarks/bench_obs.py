@@ -318,19 +318,19 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="reduced-size guard + trace artifact for CI")
     args = parser.parse_args(argv)
-    try:
-        if args.smoke:
-            run_overhead_guard(scale=2, repeats=3)
-            run_session_overhead_guard(scale=2, repeats=3)
-            run_flight_overhead_guard(scale=2, repeats=3)
-            return run_trace_smoke()
-        run_overhead_guard()
-        run_session_overhead_guard()
-        run_flight_overhead_guard()
-        return run_trace_smoke()
-    except AssertionError as error:
-        print(f"FAIL: {error}")
-        return 1
+    size = {"scale": 2, "repeats": 3} if args.smoke else {}
+    # every guard runs even after one fails, so one failing bar does not
+    # hide the others' verdicts or leave the trace artifact stale
+    failed = False
+    for guard in (
+        run_overhead_guard, run_session_overhead_guard, run_flight_overhead_guard
+    ):
+        try:
+            guard(**size)
+        except AssertionError as error:
+            print(f"FAIL: {error}")
+            failed = True
+    return 1 if run_trace_smoke() or failed else 0
 
 
 if __name__ == "__main__":

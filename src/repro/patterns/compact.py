@@ -11,8 +11,8 @@ but every node is a *preorder position* into the contiguous arrays of a
 
 * memo keys are ``(position, pattern, keep)`` — small ints, no object
   identity;
-* child and descendant enumeration walk ``first_child`` /
-  ``next_sibling`` / ``by_label`` arrays, never node objects;
+* child and descendant enumeration walk the ``end`` and ``by_label``
+  arrays, never node objects;
 * node formulae compare interned label ids, and leaf subpatterns (no
   list items) are evaluated directly instead of being memoized — on a
   10⁶-node document a memo row per (node, leaf pattern) pair costs more

@@ -34,6 +34,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.xmlmodel.tree import TreeNode
@@ -203,10 +204,10 @@ class CompactTreeIndex:
 
     * ``label_id[p]`` / ``attrs[p]`` — interned label and attribute tuple;
     * ``end[p]`` — inclusive end of the subtree's preorder span, so
-      "descendant of p" is the range ``p < q <= end[p]``;
-    * ``parent[p]`` / ``first_child[p]`` / ``next_sibling[p]`` — the
-      navigation arrays (``-1`` = absent), giving child enumeration
-      without touching node objects;
+      "descendant of p" is the range ``p < q <= end[p]``, and it is also
+      the navigation array: the first child of ``p`` is ``p + 1`` (when
+      ``end[p] > p``) and the sibling after child ``c`` is ``end[c] + 1``
+      (while that stays within ``end[p]``);
     * ``by_label`` — document-ordered position arrays per label;
     * ``mask_at_or_below[p]`` / ``mask_below[p]`` — subtree label
       bitmasks, same pruning contract as :class:`TreeIndex`.
@@ -223,9 +224,6 @@ class CompactTreeIndex:
         "label_id",
         "attrs",
         "end",
-        "parent",
-        "first_child",
-        "next_sibling",
         "by_label",
         "label_bit",
         "mask_at_or_below",
@@ -249,39 +247,28 @@ class CompactTreeIndex:
             attrs.append(node.attrs)
             parents.append(parent_pos)
             by_label.setdefault(node.label, []).append(pos)
-            for child in reversed(node.children):
-                stack.append((child, pos))
+            children = node.children
+            if children:
+                stack.extend(zip(reversed(children), repeat(pos)))
         n = len(label_ids)
         self.size = n
         self.label_id = array("i", label_ids)
         self.attrs = attrs
-        self.parent = array("i", parents)
         self.label_bit = label_bit
         self.by_label = {label: array("i", ps) for label, ps in by_label.items()}
-        end = array("i", range(n))
+        end = list(range(n))
         at_or_below = [1 << bit for bit in label_ids]
         below = [0] * n
         for pos in range(n - 1, 0, -1):
             parent_pos = parents[pos]
             if end[pos] > end[parent_pos]:
                 end[parent_pos] = end[pos]
-            at_or_below[parent_pos] |= at_or_below[pos]
-            below[parent_pos] |= at_or_below[pos]
-        self.end = end
+            mask = at_or_below[pos]
+            at_or_below[parent_pos] |= mask
+            below[parent_pos] |= mask
+        self.end = array("i", end)
         self.mask_at_or_below = at_or_below
         self.mask_below = below
-        first_child = array("i", [-1]) * n if n else array("i")
-        next_sibling = array("i", [-1]) * n if n else array("i")
-        for pos in range(n):
-            if end[pos] > pos:
-                first_child[pos] = pos + 1
-            parent_pos = parents[pos]
-            if parent_pos >= 0:
-                following = end[pos] + 1
-                if following <= end[parent_pos]:
-                    next_sibling[pos] = following
-        self.first_child = first_child
-        self.next_sibling = next_sibling
         #: label -> {attrs tuple -> positions}, built on first use
         self._attr_index: dict[str, dict[tuple, list[int]]] = {}
 
@@ -309,13 +296,10 @@ class CompactTreeIndex:
 
     def children(self, pos: int) -> Iterator[int]:
         """Child positions of *pos* in sibling order."""
-        child = self.first_child[pos]
-        while child >= 0:
+        child, last = pos + 1, self.end[pos]
+        while child <= last:
             yield child
-            child = self.next_sibling[child]
-
-    def descendant_count(self, pos: int) -> int:
-        return self.end[pos] - pos
+            child = self.end[child] + 1
 
     # -- candidate enumeration ------------------------------------------------
 

@@ -96,12 +96,17 @@ class NFA:
         return frozenset(successors)
 
     def accepts(self, word: Sequence[Hashable]) -> bool:
-        """Subset-simulation membership test."""
+        """Subset simulation, each ``(state set, letter)`` step taken once per call."""
         current = self.initial
+        steps: dict = {}
         for letter in word:
             if not current:
                 return False
-            current = self.step(current, letter)
+            key = (current, letter)
+            successors = steps.get(key)
+            if successors is None:
+                successors = steps[key] = self.step(current, letter)
+            current = successors
         return bool(current & self.accepting)
 
     def is_accepting_set(self, states: frozenset) -> bool:

@@ -164,12 +164,23 @@ class DTD:
     # -- conformance -----------------------------------------------------------
 
     def check_conformance(self, node: TreeNode) -> None:
-        """Raise :class:`ConformanceError` if the tree does not conform."""
+        """Raise :class:`ConformanceError` at the first non-conforming node in
+        document order; each distinct (label, arity, child word) is decided once."""
         if node.label != self.root:
             raise ConformanceError(
                 f"root is labelled {node.label!r}, expected {self.root!r}"
             )
-        for inner in node.nodes():
+        accepted: set[tuple[str, int, tuple[str, ...]]] = set()
+        stack = [node]
+        while stack:
+            inner = stack.pop()
+            children, word = inner.children, ()
+            if children:
+                word = tuple([child.label for child in children])
+                stack.extend(reversed(children))
+            key = (inner.label, len(inner.attrs), word)
+            if key in accepted:
+                continue
             if inner.label not in self.productions:
                 raise ConformanceError(f"unknown element type {inner.label!r}")
             expected_arity = self.arity(inner.label)
@@ -178,12 +189,12 @@ class DTD:
                     f"{inner.label!r} carries {len(inner.attrs)} attribute values, "
                     f"DTD declares {expected_arity}"
                 )
-            word = tuple(child.label for child in inner.children)
             if not self.production_nfa(inner.label).accepts(word):
                 raise ConformanceError(
                     f"children of {inner.label!r} read {word!r}, which does not "
                     f"match its production {self.productions[inner.label]}"
                 )
+            accepted.add(key)
 
     def conforms(self, node: TreeNode) -> bool:
         """True iff the tree conforms to this DTD (``T |= D``)."""

@@ -8,7 +8,10 @@ the oracle's target bound covers the canonical solutions.
 
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,3 +354,29 @@ def test_no_production_module_imports_the_oracles():
     for name in ("consistency/abscons.py", "consistency/bounded.py", "engine/certify.py"):
         modules = _imported_modules(package / name)
         assert not any(m.startswith("repro.verification") for m in modules), name
+
+
+def test_bounded_routes_do_not_load_the_oracles():
+    """The bounded routes reach ``repro.verification.enumeration`` only;
+    the package re-exports lazily, so a fresh interpreter that decides
+    CONS and ABSCONS on the bounded routes never imports the oracles."""
+    script = (
+        "import sys\n"
+        "from repro.engine import AbsoluteConsistencyProblem, ConsistencyProblem, solve\n"
+        "from repro.workloads.families import distinct_values_family\n"
+        "mapping = distinct_values_family(3, False)\n"
+        "for problem in (ConsistencyProblem(mapping), AbsoluteConsistencyProblem(mapping)):\n"
+        "    print(solve(problem).report.algorithm)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.verification')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    cons, abscons, modules = result.stdout.splitlines()
+    assert (cons, abscons) == ("cons-bounded", "abscons-bounded")
+    assert "repro.verification.enumeration" in modules
+    assert "repro.verification.oracle" not in modules
+    assert "repro.verification.reachability" not in modules

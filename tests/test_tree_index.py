@@ -1,8 +1,10 @@
 """Tests for the structural tree index (repro.patterns.index)."""
 
+import random
+
 import pytest
 
-from repro.patterns.index import TreeIndex
+from repro.patterns.index import CompactTreeIndex, TreeIndex
 from repro.patterns.matching import engine_for, find_matches
 from repro.patterns.parser import parse_pattern
 from repro.verification.oracle import naive_find_matches
@@ -133,3 +135,68 @@ class TestStats:
         engine = engine_for(document)
         assert not engine.exists_at_root(parse_pattern("r[//zzz]"))
         assert engine.stats.index_prunes > 0
+
+
+def _random_shape(rng: random.Random, n: int) -> TreeNode:
+    """A random tree of *n* nodes: node i hangs under a random earlier node."""
+    parents = [None] + [rng.randrange(i) for i in range(1, n)]
+    kids: list[list[TreeNode]] = [[] for __ in range(n)]
+    nodes: list[TreeNode] = [None] * n
+    for i in range(n - 1, -1, -1):
+        nodes[i] = TreeNode(
+            rng.choice("abcd"), (rng.randrange(3),) * rng.randint(0, 1), reversed(kids[i])
+        )
+        if parents[i] is not None:
+            kids[parents[i]].append(nodes[i])
+    return nodes[0]
+
+
+def _mask(index: CompactTreeIndex, labels) -> int:
+    return index.labels_mask(set(labels))
+
+
+class TestCompactTreeIndex:
+    """The position arrays agree with the ``TreeNode`` structure."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_arrays_agree_with_the_tree(self, seed):
+        rng = random.Random(seed)
+        root = _random_shape(rng, rng.randint(1, 200))
+        index = CompactTreeIndex(root)
+        order = list(root.nodes())
+        position = {id(node): pos for pos, node in enumerate(order)}
+        assert index.size == len(order)
+        for pos, node in enumerate(order):
+            assert index.label_id[pos] == index.label_bit[node.label]
+            assert index.attrs[pos] == node.attrs
+            assert list(index.children(pos)) == [
+                position[id(child)] for child in node.children
+            ]
+            assert index.end[pos] == pos + node.size - 1
+            assert index.mask_at_or_below[pos] == _mask(
+                index, (n.label for n in node.nodes())
+            )
+            assert index.mask_below[pos] == _mask(
+                index, (n.label for n in node.descendants())
+            )
+        assert {label: list(ps) for label, ps in index.by_label.items()} == {
+            label: [p for p, n in enumerate(order) if n.label == label]
+            for label in {n.label for n in order}
+        }
+
+    def test_deep_chain_builds_iteratively(self):
+        depth = 3000
+        labels = [("a", "b", "c")[i % 3] for i in range(depth)]
+        root = None
+        for label in reversed(labels):
+            root = TreeNode(label, (), (root,) if root is not None else ())
+        index = CompactTreeIndex(root)
+        assert index.size == depth
+        assert list(index.end) == [depth - 1] * depth
+        below = 0
+        for pos in range(depth - 1, -1, -1):
+            assert list(index.children(pos)) == ([pos + 1] if pos < depth - 1 else [])
+            assert index.mask_below[pos] == below
+            below |= 1 << index.label_bit[labels[pos]]
+            assert index.mask_at_or_below[pos] == below
+        assert list(index.by_label["b"]) == list(range(1, depth, 3))
