@@ -51,7 +51,6 @@ if True:  # make both `pytest benchmarks` and direct execution work
 from harness import emit_json, print_table, series_payload, sweep
 
 from repro.consistency import is_consistent_automata
-from repro.consistency.cons_automata import _pattern_labels
 from repro.engine import CompilationCache, ExecutionContext
 from repro.engine.cache import achievable_sets
 from repro.kernel import BITSET, PURE, force_kernel
@@ -187,10 +186,16 @@ def trigger_set_tables(mapping, arm: str) -> list[dict]:
 
     The ``bitset`` arm is production ``achievable_sets`` on a cold
     compilation cache; the ``reference`` arm is the uncached plain-automata
-    ``achievable_sets_reference``.  Both search over the labels of all the
-    mapping's patterns, as cons-automata does.
+    ``achievable_sets_reference``, which searches over the labels of all
+    the mapping's patterns besides the DTD's; production, like
+    cons-automata, over the DTD's own labels.
     """
-    extra = _pattern_labels(mapping)
+    extra = frozenset(
+        label
+        for std in mapping.stds
+        for pattern in (std.source, std.target)
+        for label in pattern.labels_used()
+    )
     sides = (
         (mapping.source_dtd, [std.source for std in mapping.stds]),
         (mapping.target_dtd, [std.target for std in mapping.stds]),
@@ -199,7 +204,7 @@ def trigger_set_tables(mapping, arm: str) -> list[dict]:
         return [achievable_sets_reference(dtd, patterns, extra)
                 for dtd, patterns in sides]
     context = ExecutionContext(cache=CompilationCache())
-    return [achievable_sets(dtd, patterns, extra, context=context)
+    return [achievable_sets(dtd, patterns, context=context)
             for dtd, patterns in sides]
 
 

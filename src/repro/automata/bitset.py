@@ -54,10 +54,8 @@ class BitsetDTDAutomaton(DTDAutomaton):
             .determinize()
             for label in dtd.productions
         }
-        root_id = self.table.id_of(dtd.root)
-        #: accepting vertical state; -2 when the root label is outside
-        #: the alphabet (no tree over it can conform)
-        self._root_state = (root_id << 1) | 1 if root_id is not None else -2
+        #: the accepting vertical state (the root is always a DTD label)
+        self._root_state = (self.table.id_of(dtd.root) << 1) | 1
 
     # -- DUTA interface (integer states) ------------------------------------
 

@@ -13,7 +13,7 @@ algorithm to terminate; they are finite for every automaton in this
 library (subsets of NFA states, sets of subpatterns, and tuples thereof).
 
 :func:`reachable_states` computes the set of vertical states realized by
-*some* tree, together with a witness tree per state — this is emptiness
+*some* tree, with a witness tree per state built when read — emptiness
 testing with counterexample extraction, the engine behind the consistency
 algorithms of Section 5.  Most of those searches run over a product whose
 first component is a DTD automaton; passed as ``conformance=``, it lets the
@@ -24,8 +24,10 @@ whose content model can read its label.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
+from repro.obs.spans import current_span
 from repro.xmlmodel.tree import TreeNode
 
 if TYPE_CHECKING:
@@ -91,12 +93,14 @@ def accepts(automaton: TreeAutomaton, node: TreeNode) -> bool:
 
 
 class ProductAutomaton(TreeAutomaton):
-    """Synchronous product of several DUTAs; states are tuples.
+    """Synchronous product of two DUTAs; states are pairs.
 
-    Acceptance defaults to "all components accept"; pass *predicate* to
-    decide acceptance from the whole state tuple (this is how complements
+    Acceptance defaults to "both components accept"; pass *predicate* to
+    decide acceptance from the whole state pair (this is how complements
     and boolean combinations are expressed — determinism makes negation
-    free).
+    free).  Every search in the library pairs a DTD automaton with one
+    other automaton, so the product is written out for exactly two
+    components; nest products for more.
     """
 
     def __init__(
@@ -105,37 +109,41 @@ class ProductAutomaton(TreeAutomaton):
         predicate: Callable[[tuple], bool] | None = None,
     ):
         self.components = tuple(components)
-        if not self.components:
-            raise ValueError("product of zero automata")
+        if len(self.components) != 2:
+            raise ValueError(
+                f"a product has two components, got {len(self.components)}"
+            )
+        self._first, self._second = self.components
+        self._step_first = self._first.step_horizontal
+        self._step_second = self._second.step_horizontal
         self._predicate = predicate
 
     def labels(self) -> Iterable[str]:
-        alphabet: set[str] = set()
-        for component in self.components:
-            alphabet.update(component.labels())
-        return alphabet
+        return set(self._first.labels()) | set(self._second.labels())
 
     def initial_horizontal(self, label: str) -> tuple:
-        return tuple(c.initial_horizontal(label) for c in self.components)
+        return (
+            self._first.initial_horizontal(label),
+            self._second.initial_horizontal(label),
+        )
 
     def step_horizontal(self, label: str, hstate: tuple, child_state: tuple) -> tuple:
-        return tuple(
-            component.step_horizontal(label, h, s)
-            for component, h, s in zip(self.components, hstate, child_state)
+        return (
+            self._step_first(label, hstate[0], child_state[0]),
+            self._step_second(label, hstate[1], child_state[1]),
         )
 
     def finish(self, label: str, hstate: tuple) -> tuple:
-        return tuple(
-            component.finish(label, h)
-            for component, h in zip(self.components, hstate)
+        return (
+            self._first.finish(label, hstate[0]),
+            self._second.finish(label, hstate[1]),
         )
 
     def is_accepting(self, state: tuple) -> bool:
         if self._predicate is not None:
             return self._predicate(state)
-        return all(
-            component.is_accepting(s)
-            for component, s in zip(self.components, state)
+        return self._first.is_accepting(state[0]) and self._second.is_accepting(
+            state[1]
         )
 
 
@@ -167,6 +175,60 @@ def _conformance_hooks(
     return vertical, lambda hstate: dead(hstate[0])
 
 
+class Witnesses(Mapping):
+    """The states a search realized, each with a witness tree built when read.
+
+    The search keeps back-pointers, not trees: a realized state points to
+    its label and the horizontal state it was finished from, a horizontal
+    state to the one it was stepped from and the child it read.
+    ``witnesses[state]`` follows them children first with an explicit
+    stack, so a tree of any height builds without recursion, and keeps
+    the subtrees it builds.  Iteration follows discovery order.
+    """
+
+    __slots__ = ("_origins", "_paths", "_built")
+
+    def __init__(self, origins: dict, paths: dict[str, dict]):
+        self._origins = origins
+        self._paths = paths
+        self._built: dict[State, TreeNode] = {}
+
+    def __len__(self) -> int:
+        return len(self._origins)
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self._origins)
+
+    def __contains__(self, state: object) -> bool:
+        return state in self._origins
+
+    def __getitem__(self, state: State) -> TreeNode:
+        built = self._built
+        stack = [state]
+        while stack:
+            current = stack[-1]
+            if current in built:
+                stack.pop()
+                continue
+            label, hstate = self._origins[current]
+            label_paths = self._paths[label]
+            children = []  # last child first
+            link = label_paths[hstate]
+            while link is not None:
+                hstate, child = link
+                children.append(child)
+                link = label_paths[hstate]
+            unbuilt = [child for child in children if child not in built]
+            if unbuilt:  # realized before *current*, so no cycle
+                stack += unbuilt
+                continue
+            stack.pop()
+            built[current] = TreeNode(
+                label, (), tuple([built[child] for child in reversed(children)])
+            )
+        return built[state]
+
+
 def reachable_states(
     automaton: TreeAutomaton,
     stop: Callable[[State], bool] | None = None,
@@ -174,7 +236,7 @@ def reachable_states(
     prune: Callable[[State], bool] | None = None,
     conformance: "DTDAutomaton | None" = None,
     charge: Callable[[], None] | None = None,
-) -> dict[State, TreeNode]:
+) -> Witnesses:
     """All vertical states realized by some tree, with a witness tree each.
 
     On-the-fly emptiness: the product state space is never materialized.
@@ -183,10 +245,9 @@ def reachable_states(
     child state, and a newly realized *vertical* state is offered to every
     already-known horizontal state — so each ``step_horizontal`` edge
     ``(label, hstate, child)`` is explored once, not once per saturation
-    round.  Every horizontal state remembers the child states that led to
-    it, so ``finish`` results come with a witness tree plugging the child
-    witnesses under the label.  Terminates because the state spaces are
-    finite.
+    round.  Back-pointers record how each state was reached, and the
+    returned :class:`Witnesses` builds a state's witness tree only when
+    it is read.  Terminates because the state spaces are finite.
 
     *stop* aborts the search as soon as a state satisfying it is found
     (the state is included in the result).  *max_states* caps the number
@@ -207,19 +268,26 @@ def reachable_states(
     lands in a dead DTD row.  The skipped steps are exactly the ones the
     pruning would discard, so the realized states, their discovery order
     and their witnesses are those of the unindexed search with the same
-    pruning.
+    pruning.  A label without a production starts in a dead row, so a
+    conforming search never realizes it.
 
     *charge* is called once per newly realized state — the engine layer's
     budget accounting hook (it may raise to abort the saturation).
+
+    The current span is annotated with the number of ``realized`` states
+    and of ``horizontal`` states discovered, aborted searches included.
     """
     labels = sorted(automaton.labels(), key=repr)
     dead = None
     if conformance is not None:
         prune, dead = _conformance_hooks(automaton, prune, conformance)
-    realized: dict[State, TreeNode] = {}
+    #: realized state -> (label it was finished under, its hstate)
+    origins: dict[State, tuple[str, HState]] = {}
     pruned: set[State] = set()
-    #: per label: hstate -> children used to reach it
-    paths: dict[str, dict[HState, tuple[State, ...]]] = {}
+    #: per label: hstate -> (previous hstate, child read), None at the start
+    paths: dict[str, dict[HState, tuple[HState, State] | None]] = {
+        label: {} for label in labels
+    }
     #: per child label: the labels of the parents that may read it
     if conformance is None:
         readers = dict.fromkeys(labels, labels)
@@ -235,59 +303,67 @@ def reachable_states(
     #: hstates of the labels that may read it
     worklist: deque[tuple] = deque()
 
-    def add_horizontal(label: str, hstate: HState, children: tuple[State, ...]) -> None:
+    def extend(
+        label: str, hstates: Iterable[HState], children: Iterable[State]
+    ) -> None:
+        """Step each of *hstates* with each of *children*; record new hstates."""
         label_paths = paths[label]
-        if hstate in label_paths:
-            return
-        if dead is not None and dead(hstate):
-            return
-        label_paths[hstate] = children
-        worklist.append(("h", label, hstate))
+        for hstate in hstates:
+            for child in children:
+                successor = step(label, hstate, child)
+                if successor in label_paths:
+                    continue
+                if dead is not None and dead(successor):
+                    continue
+                label_paths[successor] = (hstate, child)
+                worklist.append(("h", label, successor))
 
-    def add_state(state: State, label: str, children: tuple[State, ...]) -> None:
-        if state in realized or state in pruned:
+    def add_state(state: State, label: str, hstate: HState) -> None:
+        if state in origins or state in pruned:
             return
         if prune is not None and prune(state):
             pruned.add(state)
             return
         if charge is not None:
             charge()
-        realized[state] = TreeNode(label, (), tuple(realized[c] for c in children))
+        origins[state] = (label, hstate)
         for parent in readers[label]:
             children_of[parent].append(state)
         worklist.append(("s", state, label))
         if stop is not None and stop(state):
             raise _Stop
-        if max_states is not None and len(realized) > max_states:
+        if max_states is not None and len(origins) > max_states:
             raise RuntimeError(f"reachability exceeded {max_states} states")
 
     step = automaton.step_horizontal
     try:
         for label in labels:
-            paths[label] = {}
-            add_horizontal(label, automaton.initial_horizontal(label), ())
+            initial = automaton.initial_horizontal(label)
+            if dead is None or not dead(initial):
+                paths[label][initial] = None
+                worklist.append(("h", label, initial))
         while worklist:
             task = worklist.popleft()
             if task[0] == "h":
                 __, label, hstate = task
-                children = paths[label][hstate]
                 # finish first: leaves realize states before any child
                 # sequence of positive length is explored
-                add_state(automaton.finish(label, hstate), label, children)
-                for child in children_of[label]:
-                    add_horizontal(
-                        label, step(label, hstate, child), children + (child,)
-                    )
+                add_state(automaton.finish(label, hstate), label, hstate)
+                extend(label, (hstate,), children_of[label])
             else:
                 __, child, child_label = task
                 for label in readers[child_label]:
-                    for hstate, children in list(paths[label].items()):
-                        add_horizontal(
-                            label, step(label, hstate, child), children + (child,)
-                        )
+                    # a snapshot: hstates found while extending are queued
+                    # and meet this child through children_of instead
+                    extend(label, list(paths[label]), (child,))
     except _Stop:
         pass
-    return realized
+    finally:
+        current_span().annotate(
+            realized=len(origins),
+            horizontal=sum(len(label_paths) for label_paths in paths.values()),
+        )
+    return Witnesses(origins, paths)
 
 
 def find_accepted(
@@ -312,9 +388,9 @@ def find_accepted(
         conformance=conformance,
         charge=charge,
     )
-    for state, witness in realized.items():
+    for state in realized:
         if predicate(state):
-            return state, witness
+            return state, realized[state]
     return None
 
 

@@ -157,13 +157,6 @@ class _MiddleShape:
             return None
         return path[:last_optional]
 
-    def forced_prefix_ok(self, path: tuple[str, ...], required: set) -> bool:
-        """Is a rigid *path* guaranteed to exist given the *required* paths?"""
-        prefix = self.optional_prefix(path)
-        if prefix is None:
-            return True
-        return any(other[: len(prefix)] == prefix for other in required)
-
 
 # ---------------------------------------------------------------------------
 # term utilities

@@ -38,10 +38,8 @@ from repro.engine.verdicts import (
 from repro.errors import SignatureError, XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker
-from repro.patterns.ast import Pattern
 from repro.values import Const
 from repro.verification.enumeration import enumerate_trees
-from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -68,26 +66,6 @@ def _check_chain(mappings: list[SchemaMapping]) -> None:
             raise XsmError("mappings do not chain: target DTD differs from next source DTD")
 
 
-def _pattern_labels(patterns: list[Pattern]) -> frozenset[str]:
-    labels: set[str] = set()
-    for pattern in patterns:
-        labels.update(pattern.labels_used())
-    return frozenset(labels)
-
-
-def _achievable(
-    dtd: DTD, patterns: list[Pattern], context: ExecutionContext | None
-) -> dict[frozenset[int], TreeNode]:
-    """Achievable satisfaction bit-sets of *patterns*, with witness trees.
-
-    One product reachability pass, compiled and memoized through the
-    engine's :class:`~repro.engine.cache.CompilationCache`.
-    """
-    return achievable_sets(
-        dtd, patterns, _pattern_labels(patterns), with_arity=True, context=context
-    )
-
-
 def is_composition_consistent(
     mappings: list[SchemaMapping], context: ExecutionContext | None = None
 ) -> Verdict:
@@ -99,8 +77,8 @@ def is_composition_consistent(
     """
     _check_chain(mappings)
     first = mappings[0]
-    source_sets = _achievable(
-        first.source_dtd, [std.source for std in first.stds], context
+    source_sets = achievable_sets(
+        first.source_dtd, [std.source for std in first.stds], context=context
     )
     if not source_sets:
         return Refuted(
@@ -117,8 +95,8 @@ def is_composition_consistent(
         nxt = mappings[index + 1] if index + 1 < len(mappings) else None
         target_patterns = [std.target for std in current.stds]
         next_sources = [std.source for std in nxt.stds] if nxt else []
-        combined = _achievable(
-            current.target_dtd, target_patterns + next_sources, context
+        combined = achievable_sets(
+            current.target_dtd, target_patterns + next_sources, context=context
         )
         k = len(target_patterns)
         new_feasible: dict[frozenset[int], tuple[TreeNode, ...]] = {}

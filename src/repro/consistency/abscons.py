@@ -94,23 +94,15 @@ def _check_sm0(mapping: SchemaMapping) -> None:
 
 def _sm0_sets(mapping: SchemaMapping, context: ExecutionContext | None):
     """Achievable (trigger set, witness) tables for both sides, cached."""
-    extra = frozenset(
-        label
-        for std in mapping.stds
-        for pattern in (std.source, std.target)
-        for label in pattern.labels_used()
-    )
     source_sets = achievable_sets(
         mapping.source_dtd,
         [std.source for std in mapping.stds],
-        extra,
         with_arity=False,
         context=context,
     )
     target_sets = achievable_sets(
         mapping.target_dtd,
         [std.target for std in mapping.stds],
-        extra,
         with_arity=False,
         context=context,
     )

@@ -39,8 +39,6 @@ from repro.engine.verdicts import (
 from repro.errors import SignatureError, XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import is_solution
-from repro.patterns.ast import Pattern
-from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
 from repro.values import Const
 
@@ -58,30 +56,6 @@ def _check_applicable(mapping: SchemaMapping) -> None:
                     "constants in patterns are outside SM(⇓,⇒); "
                     "use the bounded procedures"
                 )
-
-
-def _pattern_labels(mapping: SchemaMapping) -> frozenset[str]:
-    return frozenset(
-        label
-        for std in mapping.stds
-        for pattern in (std.source, std.target)
-        for label in pattern.labels_used()
-    )
-
-
-def _achievable_sets(
-    dtd: DTD,
-    patterns: list[Pattern],
-    extra_labels: frozenset[str],
-    context: ExecutionContext | None = None,
-) -> list[tuple[frozenset[int], TreeNode]]:
-    """All achievable (pattern satisfaction set, witness tree) pairs.
-
-    One reachability pass over the product of the DTD automaton and the
-    closure automaton of *patterns* — compiled and memoized through the
-    engine's :class:`~repro.engine.cache.CompilationCache`.
-    """
-    return list(achievable_sets(dtd, patterns, extra_labels, True, context).items())
 
 
 def consistency_witness_automata(
@@ -113,22 +87,16 @@ def decide_consistency_automata(
 ) -> Verdict:
     """The verdict-level automata decision: witness pair or refutation."""
     _check_applicable(mapping)
-    pattern_labels = _pattern_labels(mapping)
-    source_sets = _achievable_sets(
-        mapping.source_dtd,
-        [std.source for std in mapping.stds],
-        pattern_labels,
-        context,
+    # one conforming-product pass per side, through the compilation cache
+    source_sets = achievable_sets(
+        mapping.source_dtd, [std.source for std in mapping.stds], context=context
     )
-    target_sets = _achievable_sets(
-        mapping.target_dtd,
-        [std.target for std in mapping.stds],
-        pattern_labels,
-        context,
+    target_sets = achievable_sets(
+        mapping.target_dtd, [std.target for std in mapping.stds], context=context
     )
     # prune: only minimal trigger sets / maximal satisfaction sets matter
-    source_sets = sorted(source_sets, key=lambda pair: len(pair[0]))
-    target_sets = sorted(target_sets, key=lambda pair: -len(pair[0]))
+    source_sets = sorted(source_sets.items(), key=lambda pair: len(pair[0]))
+    target_sets = sorted(target_sets.items(), key=lambda pair: -len(pair[0]))
     for triggered, source_witness in source_sets:
         for satisfied, target_witness in target_sets:
             if triggered <= satisfied:

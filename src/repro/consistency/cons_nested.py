@@ -134,11 +134,6 @@ def embedder_for(dtd: DTD) -> _Embedder:
     return dtd._memo("_embedder", lambda: _Embedder(dtd))
 
 
-def target_satisfiable_nested(dtd: DTD, pattern: Pattern) -> bool:
-    """Is the ``⇓``-pattern satisfiable against the nested-relational DTD?"""
-    return embedder_for(dtd).embeddable(pattern, dtd.root)
-
-
 def triggered_by_minimal_tree(mapping: SchemaMapping) -> list[STD]:
     """The stds whose source pattern matches ``T_min`` (all values equal)."""
     # one engine over T_min serves every std: the Boolean semi-join mode

@@ -310,11 +310,6 @@ def dtd_key(dtd: DTD) -> str:
     return key
 
 
-def patterns_key(patterns: Iterable[Pattern]) -> tuple:
-    """Patterns are frozen dataclasses — they *are* their content."""
-    return tuple(patterns)
-
-
 def _sha(text: str) -> str:
     return sha256(text.encode()).hexdigest()[:16]
 
@@ -384,39 +379,36 @@ def dtd_classification(
 
 
 def dtd_automaton(
-    dtd: DTD, extra_labels: frozenset[str] = frozenset(),
-    context: "ExecutionContext | None" = None,
+    dtd: DTD, context: "ExecutionContext | None" = None
 ) -> BitsetDTDAutomaton:
-    """A cached conformance automaton for *dtd* over its labels + extras.
+    """The cached conformance automaton of *dtd*, over the DTD's own labels.
 
-    Only the undeclared extras enter the key: the automaton's alphabet is
-    ``dtd.labels | extra_labels``, so patterns over declared labels share
-    one compiled automaton.
+    One automaton per DTD per cache.  Every search it takes part in is a
+    conforming one (``reachable_states(conformance=...)``), which never
+    realizes a label without a production, so the labels a pattern names
+    beyond the DTD's would only widen the DFA rows and split the key.
     """
     cache = resolve_cache(context)
-    extra = frozenset(extra_labels) - dtd.labels
     return cache.lookup(
-        ("bitset-dtd-automaton", dtd_key(dtd), extra),
-        lambda: BitsetDTDAutomaton(dtd, extra),
+        ("bitset-dtd-automaton", dtd_key(dtd)),
+        lambda: BitsetDTDAutomaton(dtd),
     )
 
 
 def closure_automaton(
     patterns: Iterable[Pattern],
     dtd: DTD,
-    extra_labels: frozenset[str] = frozenset(),
     with_arity: bool = True,
     context: "ExecutionContext | None" = None,
 ) -> BitsetClosureAutomaton:
-    """A cached pattern closure automaton over *dtd*'s label alphabet."""
+    """A cached pattern closure automaton over *dtd*'s labels and the patterns'."""
     cache = resolve_cache(context)
     patterns = tuple(patterns)
     return cache.lookup(
-        ("bitset-closure", dtd_key(dtd), patterns, frozenset(extra_labels),
-         with_arity),
+        ("bitset-closure", dtd_key(dtd), patterns, with_arity),
         lambda: BitsetClosureAutomaton(
             patterns,
-            extra_labels=dtd.labels | frozenset(extra_labels),
+            extra_labels=dtd.labels,
             arity_of=dtd.arity if with_arity else None,
         ),
     )
@@ -425,7 +417,6 @@ def closure_automaton(
 def achievable_sets(
     dtd: DTD,
     patterns: Iterable[Pattern],
-    extra_labels: frozenset[str] = frozenset(),
     with_arity: bool = True,
     context: "ExecutionContext | None" = None,
 ) -> dict[frozenset[int], TreeNode]:
@@ -435,7 +426,8 @@ def achievable_sets(
     the closure automaton of *patterns*: ``conformance=`` prunes states
     whose DTD component is dead (a non-conforming subtree never occurs
     inside a conforming tree) and steps a child only under parents whose
-    content model can read its label.
+    content model can read its label.  Only the first state found for
+    each trigger set has its witness built.
     This table is what the Section-5/6/7 trigger-set algorithms consume;
     caching it is the big win on repeated-DTD sweeps, since the reachability
     pass *is* the exponential part.
@@ -446,9 +438,7 @@ def achievable_sets(
 
     cache = resolve_cache(context)
     patterns = tuple(patterns)
-    key = (
-        "achievable", dtd_key(dtd), patterns, frozenset(extra_labels), with_arity
-    )
+    key = ("achievable", dtd_key(dtd), patterns, with_arity)
     if cache.enabled and key in cache._entries:
         return cache.lookup(key, lambda: None)  # pure hit, no charging
 
@@ -456,18 +446,19 @@ def achievable_sets(
     charge = resolved.charge if resolved is not None else None
 
     def build() -> dict[frozenset[int], TreeNode]:
-        closure = closure_automaton(
-            patterns, dtd, extra_labels, with_arity, context
-        )
-        conformance = dtd_automaton(dtd, frozenset(extra_labels), context)
-        product = ProductAutomaton([conformance, closure])
+        closure = closure_automaton(patterns, dtd, with_arity, context)
+        conformance = dtd_automaton(dtd, context)
         realized = reachable_states(
-            product, conformance=conformance, charge=charge
+            ProductAutomaton([conformance, closure]),
+            conformance=conformance,
+            charge=charge,
         )
         sets: dict[frozenset[int], TreeNode] = {}
-        for state, witness in realized.items():
+        for state in realized:
             if conformance.is_accepting(state[0]):
-                sets.setdefault(closure.trigger_set(state[1]), witness)
+                triggered = closure.trigger_set(state[1])
+                if triggered not in sets:
+                    sets[triggered] = realized[state]
         return sets
 
     return cache.lookup(key, build)

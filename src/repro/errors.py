@@ -48,10 +48,6 @@ class ConformanceError(XsmError):
     """Raised when a tree is required to conform to a DTD but does not."""
 
 
-class ArityError(XsmError):
-    """Raised when attribute tuples have the wrong length for an element type."""
-
-
 class SignatureError(XsmError):
     """Raised when a mapping uses features outside the declared class SM(sigma)."""
 

@@ -189,9 +189,6 @@ class TraceTree:
                 if isinstance(child, Span)
             )
 
-    def total_seconds(self) -> float:
-        return self.root.duration
-
     def to_dict(self) -> dict:
         return self.root.to_dict()
 

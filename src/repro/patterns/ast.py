@@ -16,12 +16,13 @@ A :class:`Pattern` node carries
   :class:`Sequence` (``mu``, a chain of patterns related by next-sibling
   ``->`` / following-sibling ``->*``) or a :class:`Descendant` (``//pi``).
 
-Patterns are immutable and hashable.
+Patterns are immutable and hashable.  A pattern keeps its hash once
+computed, but never pickles it: string hashes differ between processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Union as TypingUnion
 
 from repro.values import Const, SkolemTerm, Term, Var
@@ -40,11 +41,23 @@ class Pattern:
     label: str
     vars: tuple[Term, ...] | None = None
     items: tuple["ListItem", ...] = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for item in self.items:
             if not isinstance(item, (Sequence, Descendant)):
                 raise TypeError(f"list item must be Sequence or Descendant: {item!r}")
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.label, self.vars, self.items))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the kept hash stays behind
+        return (Pattern, (self.label, self.vars, self.items))
 
     # -- views -------------------------------------------------------------
 

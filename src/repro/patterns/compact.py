@@ -26,6 +26,8 @@ engines happens in :func:`repro.patterns.matching.engine_for`.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
 from repro.patterns.index import CompactTreeIndex, EngineStats
 from repro.patterns.matching import (
@@ -239,6 +241,14 @@ class CompactPatternEngine(_Evaluator):
             for var, i in first.items()
             if keep is None or var in keep
         )
+        # itemgetter returns a bare value for one index: keys stay tuples
+        positions = [i for i, _ in kept]
+        if len(positions) > 1:
+            key_of = itemgetter(*positions)
+        elif positions:
+            key_of = lambda values, i=positions[0]: (values[i],)
+        else:
+            key_of = lambda values: ()
         attrs = self.index.attrs
         cache: dict[tuple, frozenset] = {}
 
@@ -254,7 +264,7 @@ class CompactPatternEngine(_Evaluator):
             for i, j in eqs:
                 if values[i] != values[j]:
                     return _EMPTY_REL
-            key = tuple(values[i] for i, _ in kept)
+            key = key_of(values)
             rel = cache.get(key)
             if rel is None:
                 rel = cache[key] = frozenset(

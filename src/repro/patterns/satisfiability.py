@@ -70,9 +70,8 @@ def structural_witness(
     from repro.engine.budget import resolve_context
     from repro.engine.cache import closure_automaton, dtd_automaton
 
-    extra = frozenset(pattern.labels_used())
-    closure = closure_automaton([pattern], dtd, extra, context=context)
-    conformance = dtd_automaton(dtd, extra, context=context)
+    closure = closure_automaton([pattern], dtd, context=context)
+    conformance = dtd_automaton(dtd, context=context)
     product = ProductAutomaton(
         [conformance, closure],
         predicate=lambda state: (

@@ -52,11 +52,8 @@ def find_separating_tree(
     positives = list(positives)
     negatives = list(negatives)
     patterns = positives + negatives
-    extra = frozenset(
-        label for pattern in patterns for label in pattern.labels_used()
-    )
-    closure = closure_automaton(patterns, dtd, extra, context=context)
-    conformance = dtd_automaton(dtd, extra, context=context)
+    closure = closure_automaton(patterns, dtd, context=context)
+    conformance = dtd_automaton(dtd, context=context)
 
     def separated(state) -> bool:
         if not conformance.is_accepting(state[0]):

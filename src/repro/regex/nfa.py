@@ -252,7 +252,7 @@ class NFA:
                 ),
                 default=-1,
             )
-        rows = [[0] * len(states) for __ in range(n_symbols)]
+        rows: dict[int, list[int]] = {}
         for state, by_symbol in self.transitions.items():
             source = state_id[state]
             for symbol, targets in by_symbol.items():
@@ -262,7 +262,7 @@ class NFA:
                 mask = 0
                 for target in targets:
                     mask |= 1 << state_id[target]
-                rows[ident][source] |= mask
+                rows.setdefault(ident, [0] * len(states))[source] |= mask
         initial = 0
         for state in self.initial:
             initial |= 1 << state_id[state]
@@ -335,7 +335,9 @@ class BitsetNFA:
     ``rows[symbol_id][state]`` is the successor mask of one state on one
     symbol, so a parallel subset step is a few shifts and ORs — no
     hashing, no frozenset churn.  This is the horizontal-language
-    encoding the bitset tree-automata kernel runs on.
+    encoding the bitset tree-automata kernel runs on.  ``rows`` holds
+    only the symbols the NFA reads (every state dies on the others), so
+    a wide label table costs nothing per unread symbol.
     """
 
     __slots__ = ("n_states", "n_symbols", "initial", "accepting", "rows")
@@ -346,7 +348,7 @@ class BitsetNFA:
         n_symbols: int,
         initial: int,
         accepting: int,
-        rows: list[list[int]],
+        rows: dict[int, list[int]],
     ):
         self.n_states = n_states
         self.n_symbols = n_symbols
@@ -356,7 +358,9 @@ class BitsetNFA:
 
     def step_mask(self, mask: int, symbol_id: int) -> int:
         """One parallel step on *symbol_id* from the state set *mask*."""
-        row = self.rows[symbol_id]
+        row = self.rows.get(symbol_id)
+        if row is None:
+            return 0
         out = 0
         while mask:
             low = mask & -mask
@@ -396,11 +400,14 @@ class BitsetNFA:
                 worklist.append(mask)
             return ident
 
+        # an unread symbol leads every subset to the dead state, which is
+        # what a fresh row already holds
+        read = sorted(self.rows)
         initial = intern(self.initial)
         while worklist:
             mask = worklist.popleft()
             row = rows[subset_id[mask]]
-            for symbol_id in range(self.n_symbols):
+            for symbol_id in read:
                 row[symbol_id] = intern(self.step_mask(mask, symbol_id))
         accepting_mask = 0
         for mask, ident in subset_id.items():

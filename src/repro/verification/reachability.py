@@ -125,7 +125,9 @@ def achievable_sets_reference(
         ProductAutomaton([conformance, closure]), conformance=conformance
     )
     sets: dict[frozenset[int], TreeNode] = {}
-    for state, witness in realized.items():
+    for state in realized:
         if conformance.is_accepting(state[0]):
-            sets.setdefault(closure.trigger_set(state[1]), witness)
+            triggered = closure.trigger_set(state[1])
+            if triggered not in sets:
+                sets[triggered] = realized[state]
     return sets

@@ -206,18 +206,6 @@ class DTD:
 
     # -- classifications -------------------------------------------------------
 
-    def reachable_labels(self) -> frozenset[str]:
-        """Element types reachable from the root through productions."""
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            label = stack.pop()
-            for symbol in self.productions[label].symbols():
-                if symbol not in seen:
-                    seen.add(symbol)
-                    stack.append(symbol)
-        return frozenset(seen)
-
     def is_recursive(self) -> bool:
         """True iff the label dependency graph has a cycle (memoized)."""
         return self._memo("_recursive", self._compute_recursive)

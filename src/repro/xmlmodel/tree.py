@@ -44,7 +44,7 @@ class TreeNode:
     ):
         self.label = label
         self.attrs = tuple(attrs)
-        self.children = tuple(children)
+        self.children = children if type(children) is tuple else tuple(children)
         for child in self.children:
             if not isinstance(child, TreeNode):
                 raise TypeError(f"child must be a TreeNode, got {child!r}")

@@ -438,25 +438,30 @@ def _achievable_cases():
 def test_achievable_sets_match_reference():
     """The bitset trigger-set table has the plain automata's trigger sets.
 
-    Both sides of every mapping, over the labels of all its patterns (the
-    alphabet cons-automata searches).  Witnesses may differ between the
-    encodings, but each must conform and match exactly its trigger set.
+    Both sides of every mapping; the reference searches over the labels
+    of all its patterns as well as the DTD's, production over the DTD's
+    own labels.  Witnesses may differ between the encodings, but each
+    must conform and match exactly its trigger set.
     """
     from repro.automata.dtd_automaton import decorate
-    from repro.consistency.cons_automata import _pattern_labels
     from repro.engine.cache import achievable_sets
     from repro.patterns.matching import matches_at_root
     from repro.verification.reachability import achievable_sets_reference
 
     for name, mapping in _achievable_cases():
-        extra = _pattern_labels(mapping)
+        extra = frozenset(
+            label
+            for std in mapping.stds
+            for pattern in (std.source, std.target)
+            for label in pattern.labels_used()
+        )
         sides = (
             (mapping.source_dtd, [std.source for std in mapping.stds]),
             (mapping.target_dtd, [std.target for std in mapping.stds]),
         )
         for dtd, patterns in sides:
             context = ExecutionContext(cache=CompilationCache())
-            production = achievable_sets(dtd, patterns, extra, context=context)
+            production = achievable_sets(dtd, patterns, context=context)
             reference = achievable_sets_reference(dtd, patterns, extra)
             assert production.keys() == reference.keys(), (name, dtd)
             for table in (production, reference):
