@@ -45,7 +45,7 @@ def test_f81_compose_and_verify(benchmark):
     t2_good = parse_tree("s2[s2rel0(7), s2rel1(9), s2rel1(5), s2rel0(4)]")
     direct = is_skolem_solution(m02, t0, t2_good)
     semantic = composition_contains(
-        m01, m12, t0, t2_good, max_mid_size=3, extra_fresh=1, skolem=True
+        m01, m12, t0, t2_good, max_mid_size=3, extra_fresh=1
     )
     assert direct == semantic
     benchmark(lambda: compose(*build(2)))

@@ -624,7 +624,7 @@ def _resolve_wildcards(pattern: Pattern, dtd: "DTD", allowed: frozenset[str] | N
     if label not in dtd.labels:
         raise _Unresolvable
     child_allowed = frozenset(
-        symbol for symbol in dtd.productions[label].symbols()
+        symbol for symbol in dtd.child_labels(label)
         if isinstance(symbol, str)
     )
     items: list[Sequence | Descendant] = []

@@ -578,7 +578,7 @@ def composition_agrees_on(
     composed = compose(m12, m23)
     via_composed = is_skolem_solution(composed, source_tree, final_tree)
     via_search = composition_contains(
-        m12, m23, source_tree, final_tree, max_mid_size=max_mid_size, skolem=True
+        m12, m23, source_tree, final_tree, max_mid_size=max_mid_size
     )
     # the bounded search reports Unknown (not Refuted) past its bound;
     # within these spot-check instances that means "no middle": not proved

@@ -18,14 +18,17 @@ All data values are taken equal, which is lossless without comparisons
 (same argument as in :mod:`repro.consistency.cons_automata`).
 
 With comparisons the problem is undecidable (Theorem 7.1(2)); the bounded
-variant searches for an explicit witness chain and reports ``Unknown``
-when its bounds are exhausted.
+variant searches for an explicit witness chain, each stage over
+:func:`~repro.consistency.bounded.bounded_solutions`, and reports
+``Unknown`` when its bounds are exhausted.
 """
 
 from __future__ import annotations
 
-from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.automata.dtd_automaton import decorate
+from repro.consistency.bounded import bounded_solutions, mapping_constants
+from repro.consistency.enumeration import enumerate_reduced_trees
+from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import achievable_sets
 from repro.engine.verdicts import (
     AnalysisCertificate,
@@ -37,9 +40,7 @@ from repro.engine.verdicts import (
 )
 from repro.errors import SignatureError, XsmError
 from repro.mappings.mapping import SchemaMapping
-from repro.mappings.membership import SolutionChecker
 from repro.values import Const
-from repro.verification.enumeration import enumerate_trees
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -132,37 +133,39 @@ def is_composition_consistent_bounded(
 ) -> Verdict:
     """Bounded witness-chain search (sound only): works with comparisons.
 
-    ``Proved`` carries the witness chain; exhausting the bounds yields
-    ``Unknown`` (the class is undecidable, so no refutation is possible).
+    Trees are tried up to the renamings that fix every mapping's constants
+    (and the previous tree's values), so the first chain is the brute
+    force's first.  ``Proved`` carries the witness chain; exhausting the
+    bounds yields ``Unknown`` (the class is undecidable, so no refutation).
     """
     if not mappings:
         raise XsmError("composition of zero mappings")
     if max_tree_size is None:
         max_tree_size = resolve_budget(context).max_chain_size
+    constants = frozenset(
+        value for mapping in mappings for value in mapping_constants(mapping)
+    )
 
-    def extend(index: int, previous: TreeNode, chain: list[TreeNode]) -> bool:
+    def chain_from(index: int, tree: TreeNode) -> tuple[TreeNode, ...] | None:
         if index == len(mappings):
-            return True
-        mapping = mappings[index]
-        # *previous* is fixed for this whole stage: one obligation set
-        checker = SolutionChecker(mapping, previous)
-        for tree in enumerate_trees(mapping.target_dtd, max_tree_size, value_domain):
-            if context is not None:
-                context.charge()
-            if checker.is_solution_for(tree, check_conformance=False):
-                chain.append(tree)
-                if extend(index + 1, tree, chain):
-                    return True
-                chain.pop()
-        return False
+            return (tree,)
+        for following in bounded_solutions(
+            mappings[index], tree, max_tree_size, value_domain,
+            tree.adom() | constants, context,
+        ):
+            rest = chain_from(index + 1, following)
+            if rest is not None:
+                return (tree,) + rest
+        return None
 
-    first = mappings[0]
-    for source in enumerate_trees(first.source_dtd, max_tree_size, value_domain):
+    for source in enumerate_reduced_trees(
+        mappings[0].source_dtd, max_tree_size, value_domain, constants
+    ):
         if context is not None:
             context.charge()
-        chain: list[TreeNode] = [source]
-        if extend(0, source, chain):
-            return Proved(WitnessChain(tuple(chain)))
+        chain = chain_from(0, source)
+        if chain is not None:
+            return Proved(WitnessChain(chain))
     return Unknown(
         f"no witness chain with trees of size <= {max_tree_size} over the "
         f"value domain {value_domain!r}; the class admits no complete "

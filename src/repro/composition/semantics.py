@@ -25,7 +25,7 @@ matter.
 
 from __future__ import annotations
 
-from repro.consistency.bounded import mapping_constants
+from repro.consistency.bounded import bounded_solutions, mapping_constants
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.verdicts import (
     ConformanceFailure,
@@ -36,9 +36,7 @@ from repro.engine.verdicts import (
     Verdict,
 )
 from repro.mappings.mapping import SchemaMapping
-from repro.mappings.membership import SolutionChecker, is_solution
-from repro.mappings.skolem import SkolemSolutionChecker, is_skolem_solution
-from repro.verification.enumeration import enumerate_trees
+from repro.mappings.skolem import is_skolem_solution, solution_checker
 from repro.xmlmodel.tree import TreeNode
 
 
@@ -50,14 +48,10 @@ def composition_value_domain(
     extra_fresh: int = 1,
 ) -> tuple:
     """The finite domain for intermediate values; exact for SM(⇓,⇒) with 1 fresh."""
-    domain: dict[object, None] = {}
-    for value in sorted(source_tree.adom() | final_tree.adom(), key=repr):
-        domain.setdefault(value, None)
-    for value in mapping_constants(m12) + mapping_constants(m23):
-        domain.setdefault(value, None)
-    for i in range(extra_fresh):
-        domain.setdefault(f"#mid{i}", None)
-    return tuple(domain)
+    values = sorted(source_tree.adom() | final_tree.adom(), key=repr)
+    values += mapping_constants(m12) + mapping_constants(m23)
+    values += [f"#mid{i}" for i in range(extra_fresh)]
+    return tuple(dict.fromkeys(values))
 
 
 def default_mid_size(
@@ -81,32 +75,32 @@ def find_composition_middle(
     final_tree: TreeNode,
     max_mid_size: int | None = None,
     extra_fresh: int = 1,
-    skolem: bool = False,
     context: ExecutionContext | None = None,
 ) -> TreeNode | None:
     """An intermediate ``T2`` witnessing the composition pair, or None.
 
-    The raw search behind :func:`composition_contains`; None means no
-    middle within the size bound.  *max_mid_size* defaults to the
-    context budget's ``max_mid_size`` when set, else the
-    :func:`default_mid_size` heuristic.
+    The raw search behind :func:`composition_contains`: the first ``M12``
+    solution for ``T1`` (:func:`~repro.consistency.bounded.bounded_solutions`)
+    with ``T3`` as its ``M23`` solution; None means no middle within the
+    size bound.  *max_mid_size* defaults to the context budget's
+    ``max_mid_size`` when set, else the :func:`default_mid_size` heuristic.
     """
     if max_mid_size is None:
         max_mid_size = resolve_budget(context).max_mid_size
     if max_mid_size is None:
         max_mid_size = default_mid_size(m12, m23, source_tree)
     domain = composition_value_domain(m12, m23, source_tree, final_tree, extra_fresh)
-    check = is_skolem_solution if skolem else is_solution
-    # T1 is fixed while T2 varies: precompute the Sigma12 obligations once;
-    # the M23 checks share T3's engine (and its memo tables) across middles
-    checker12 = (SkolemSolutionChecker if skolem else SolutionChecker)(
-        m12, source_tree
+    fixed = (
+        source_tree.adom()
+        | final_tree.adom()
+        | frozenset(mapping_constants(m12) + mapping_constants(m23))
     )
-    for middle in enumerate_trees(m12.target_dtd, max_mid_size, domain):
-        if context is not None:
-            context.charge()
-        if checker12.is_solution_for(middle, check_conformance=False) and check(
-            m23, middle, final_tree, check_conformance=False
+    # the M23 checks share T3's engine (and its memo tables) across middles
+    for middle in bounded_solutions(
+        m12, source_tree, max_mid_size, domain, fixed, context
+    ):
+        if solution_checker(m23, middle).is_solution_for(
+            final_tree, check_conformance=False
         ):
             return middle
     return None
@@ -119,7 +113,6 @@ def composition_contains(
     final_tree: TreeNode,
     max_mid_size: int | None = None,
     extra_fresh: int = 1,
-    skolem: bool = False,
     context: ExecutionContext | None = None,
 ) -> Verdict:
     """Is ``(T1, T3) ∈ [[M12]] ∘ [[M23]]`` (with a bounded intermediate)?
@@ -133,8 +126,7 @@ def composition_contains(
     if not m23.target_dtd.conforms(final_tree):
         return Refuted(ConformanceFailure("target"))
     middle = find_composition_middle(
-        m12, m23, source_tree, final_tree,
-        max_mid_size, extra_fresh, skolem, context,
+        m12, m23, source_tree, final_tree, max_mid_size, extra_fresh, context
     )
     if middle is not None:
         return Proved(MiddleTree(middle))

@@ -5,13 +5,13 @@
   by trigger-set reachability over products of tree automata.
 * :mod:`repro.consistency.cons_nested` — the PTIME algorithm for
   ``CONS(⇓)`` over nested-relational DTDs (Fact 5.1, from [4]).
-* :mod:`repro.consistency.bounded` — bounded witness search for the classes
-  with data comparisons: a sound procedure that doubles as the NEXPTIME
-  witness-guessing for nested-relational ``CONS(⇓, ∼)`` (Theorem 5.5) and
-  as the semi-decision procedure for the undecidable classes (Theorem 5.4).
-  Source trees come one per equality type
-  (:mod:`repro.consistency.enumeration`) and are decided exactly by their
-  canonical solution where that is complete.
+* :mod:`repro.consistency.bounded` — the one bounded search, for the
+  classes with data comparisons: the NEXPTIME witness-guessing for
+  nested-relational ``CONS(⇓, ∼)`` (Theorem 5.5) and the semi-decision
+  procedure for the undecidable classes (Theorem 5.4); its target
+  generator also serves bounded CONSCOMP and composition membership.
+  Trees come one per equality type (:mod:`repro.consistency.enumeration`),
+  and sources are decided exactly where an exact test applies.
 * :mod:`repro.consistency.abscons` — absolute consistency (Section 6).
 
 :func:`is_consistent` dispatches to the strongest applicable algorithm.

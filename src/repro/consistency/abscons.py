@@ -48,13 +48,8 @@ the certificate re-checker.
 from __future__ import annotations
 
 from repro.automata.dtd_automaton import decorate
-from repro.consistency.bounded import (
-    decide_source,
-    default_value_domain,
-    mapping_constants,
-)
+from repro.consistency.bounded import decided_sources, default_value_domain
 from repro.consistency.cons_nested import embedder_for
-from repro.consistency.enumeration import enumerate_reduced_trees
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import achievable_sets
 from repro.engine.cache import dtd_digest
@@ -339,31 +334,6 @@ def is_absolutely_consistent_ptime(mapping: SchemaMapping) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _abscons_search(
-    mapping: SchemaMapping,
-    max_source_size: int,
-    value_domain: tuple,
-    context: ExecutionContext | None,
-) -> tuple[TreeNode | None, TreeNode | None]:
-    """``(counterexample, undecided)``: the first source tree with no
-    solution at all, and the first source before it that no exact test
-    settles."""
-    undecided = None
-    memo: dict = {}
-    for source in enumerate_reduced_trees(
-        mapping.source_dtd, max_source_size, value_domain, mapping_constants(mapping)
-    ):
-        if context is not None:
-            context.charge()
-        decided, solution = decide_source(mapping, source, context, memo)
-        if not decided:
-            if undecided is None:
-                undecided = source
-        elif solution is None:
-            return source, undecided
-    return None, undecided
-
-
 def abscons_counterexample(
     mapping: SchemaMapping,
     max_source_size: int | None = None,
@@ -384,10 +354,11 @@ def abscons_counterexample(
         max_source_size = resolve_budget(context).max_source_size
     if value_domain is None:
         value_domain = default_value_domain(mapping)
-    counterexample, __ = _abscons_search(
-        mapping, max_source_size, value_domain, context
+    sources = decided_sources(mapping, max_source_size, value_domain, context)
+    return next(
+        (source for source, decided, solution in sources if decided and solution is None),
+        None,
     )
-    return counterexample
 
 
 def decide_absolute_consistency(
@@ -415,11 +386,14 @@ def decide_absolute_consistency(
     except (SignatureError, BoundExceededError):
         pass
     max_source_size = resolve_budget(context).max_source_size
-    counterexample, undecided = _abscons_search(
+    undecided = None
+    for source, decided, solution in decided_sources(
         mapping, max_source_size, default_value_domain(mapping), context
-    )
-    if counterexample is not None:
-        return Refuted(Counterexample(counterexample)), "abscons-bounded"
+    ):
+        if decided and solution is None:
+            return Refuted(Counterexample(source)), "abscons-bounded"
+        if not decided and undecided is None:
+            undecided = source
     if undecided is not None:
         reason = (
             f"no source tree of at most {max_source_size} nodes is refuted "

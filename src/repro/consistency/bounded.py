@@ -6,17 +6,17 @@ at most exponential size, found by guess-and-check.  For the classes with
 both horizontal axes and comparisons the problem is undecidable
 (Theorem 5.4), so *no* terminating complete procedure exists.
 
-This module implements the guess-and-check: enumerate source trees up to
-a size bound over a finite value domain, and decide for each whether it
-has a solution.  Two reductions keep it small (DESIGN.md, "Bounded
+This module is the package's one bounded search: a source loop
+(:func:`decided_sources`, for CONS and ABSCONS) and a target generator
+(:func:`bounded_solutions`, for CONS, CONSCOMP and composition
+membership).  Two reductions keep it small (DESIGN.md, "Bounded
 CONS/ABSCONS"):
 
-* **sources up to renaming** — comparisons are ``=``/``≠`` and constants,
-  so renaming the non-constant values of a source tree never changes its
-  answer; :func:`~repro.consistency.enumeration.enumerate_reduced_trees`
-  tries one source per equality type (a restricted-growth string over the
-  non-constant values), in the brute-force order, so the first witness
-  source is the brute-force search's first;
+* **trees up to renaming** — comparisons are ``=``/``≠`` and constants,
+  so renaming the values outside a fixed set never changes an answer;
+  :func:`~repro.consistency.enumeration.enumerate_reduced_trees` tries
+  one tree per equality type in the brute-force order, so the first
+  witness is the brute-force search's first;
 * **an exact per-source check** (:func:`decide_source`) — for
   fully-specified stds over a nested-relational target DTD with no target
   conditions or Skolem terms, the canonical solution
@@ -24,8 +24,7 @@ CONS/ABSCONS"):
   the source has a solution at all, whatever that solution's size;
   otherwise joint satisfiability of the source's grounded obligations
   under the target DTD does, unless target conditions or Skolem terms
-  leave it open.  Only then does a bounded target search (targets also
-  enumerated up to renamings that fix the source's values) stand in.
+  leave it open.  Only then does a bounded target search stand in.
 
 The procedure is
 
@@ -44,38 +43,44 @@ never help the source side trigger fewer stds.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterator
 
 from repro.consistency.enumeration import enumerate_reduced_trees
 from repro.engine.budget import ExecutionContext, resolve_budget, resolve_context
 from repro.engine.verdicts import Proved, Unknown, Verdict, WitnessPair
 from repro.exchange.canonical import (
-    canonical_solution,
+    canonical_for_requirements,
     decides_solutions,
     ground_nulls,
 )
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker
-from repro.mappings.skolem import SkolemSolutionChecker
+from repro.mappings.skolem import solution_checker
 from repro.mappings.std import STD
 from repro.patterns.ast import WILDCARD, Pattern
-from repro.values import Const, Var
+from repro.values import Const, SkolemTerm, Var
 from repro.xmlmodel.tree import TreeNode
 
 
-def mapping_constants(mapping: SchemaMapping) -> list[object]:
-    """All constants appearing in patterns or comparisons, deduplicated."""
-    constants: dict[object, None] = {}
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            for term in pattern.terms():
-                if isinstance(term, Const):
-                    constants.setdefault(term.value, None)
-        for comparison in std.source_conditions + std.target_conditions:
-            for term in (comparison.left, comparison.right):
-                if isinstance(term, Const):
-                    constants.setdefault(term.value, None)
-    return list(constants)
+def mapping_constants(mapping: SchemaMapping) -> tuple[object, ...]:
+    """Every constant of the patterns and comparisons (Skolem-term arguments
+    included) in order of appearance, memoized on the mapping."""
+
+    def constants(terms):
+        for term in terms:
+            if isinstance(term, SkolemTerm):
+                yield from constants(term.args)
+            elif isinstance(term, Const):
+                yield term.value
+
+    def collect():
+        for std in mapping.stds:
+            yield from constants(std.source.terms())
+            yield from constants(std.target.terms())
+            for comparison in std.source_conditions + std.target_conditions:
+                yield from constants((comparison.left, comparison.right))
+
+    return mapping._memo("_constants", lambda: tuple(dict.fromkeys(collect())))
 
 
 def _max_variables(mapping: SchemaMapping) -> int:
@@ -89,34 +94,28 @@ def _max_variables(mapping: SchemaMapping) -> int:
 def default_value_domain(mapping: SchemaMapping) -> tuple:
     """Constants plus ``max-variables + 1`` fresh values."""
     fresh = tuple(f"#v{i}" for i in range(_max_variables(mapping) + 1))
-    return tuple(mapping_constants(mapping)) + fresh
+    return mapping_constants(mapping) + fresh
 
 
-def bounded_solution(
+def bounded_solutions(
     mapping: SchemaMapping,
     source: TreeNode,
-    max_target_size: int,
+    max_size: int,
     domain: tuple,
-    skolem: bool = False,
+    fixed: frozenset,
     context: ExecutionContext | None = None,
-) -> TreeNode | None:
-    """The first solution for *source* of at most *max_target_size* nodes
-    over *domain*, or None.
-
-    Targets are tried up to the renamings that fix the mapping's constants
-    and the source's values (solutions are closed under them), one
-    :meth:`~repro.engine.budget.ExecutionContext.charge` each.
-    """
-    checker = (SkolemSolutionChecker if skolem else SolutionChecker)(mapping, source)
-    fixed = source.adom() | frozenset(mapping_constants(mapping))
-    for target in enumerate_reduced_trees(
-        mapping.target_dtd, max_target_size, domain, fixed
-    ):
+) -> Iterator[TreeNode]:
+    """Every solution for *source* of at most *max_size* nodes over
+    *domain*, one per orbit of the renamings that fix *fixed* (the
+    source's values and the constants of every mapping the caller checks
+    solutions against), in the brute-force order; one charge per target
+    tried.  The checker follows the mapping's semantics (Skolem or not)."""
+    checker = solution_checker(mapping, source)
+    for target in enumerate_reduced_trees(mapping.target_dtd, max_size, domain, fixed):
         if context is not None:
             context.charge()
         if checker.is_solution_for(target, check_conformance=False):
-            return target
-    return None
+            yield target
 
 
 def _joint_obligations(
@@ -194,33 +193,67 @@ def decide_source(
     so that pattern's satisfiability under ``D_t`` (exact, Lemma 4.1)
     answers: unsatisfiable means no solution; a satisfying tree is a
     solution unless it misses a target condition, which leaves the
-    source undecided, as do Skolem terms.  Solutions carry plain fresh
-    values in place of labelled nulls.  One expansion is charged; *memo*
-    keeps satisfying trees by joint pattern across calls.
+    source undecided, as do Skolem terms.  *memo* keeps answers across
+    calls by obligation set, on which they alone depend; solutions get
+    plain fresh values per source.  One expansion is charged per call.
     """
-    from repro.patterns.satisfiability import satisfying_tree
-
     if context is not None:
         context.charge()
-    if decides_solutions(mapping):
-        solution = canonical_solution(mapping, source)
-    elif mapping.uses_skolem_functions():
+    if mapping.uses_skolem_functions():
         return False, None
-    else:
-        checker = SolutionChecker(mapping, source)
-        joint = _joint_obligations(mapping.target_dtd.root, checker.obligations)
-        if joint is None:
-            return True, None
-        memo = memo if memo is not None else {}
-        if joint not in memo:
-            memo[joint] = satisfying_tree(mapping.target_dtd, joint, context)
-        solution = memo[joint]
-        if solution is not None and not checker.is_solution_for(solution):
-            return False, None
+    checker = SolutionChecker(mapping, source)
+    key = frozenset(
+        (index, frozenset(frozenset(exported.items()) for exported in exports))
+        for index, (__, exports) in enumerate(checker.obligations)
+        if exports
+    )
+    memo = memo if memo is not None else {}
+    if key not in memo:
+        memo[key] = _decide_obligations(mapping, checker, context)
+    decided, solution = memo[key]
     if solution is None:
-        return True, None
+        return decided, None
     taken = source.adom() | frozenset(mapping_constants(mapping))
     return True, ground_nulls(solution, taken)
+
+
+def _decide_obligations(
+    mapping: SchemaMapping,
+    checker: SolutionChecker,
+    context: ExecutionContext | None,
+) -> tuple[bool, TreeNode | None]:
+    """:func:`decide_source` for the source of *checker*, nulls ungrounded."""
+    from repro.patterns.satisfiability import satisfying_tree
+
+    if decides_solutions(mapping):
+        requirements = [(std, e) for std, exports in checker.obligations for e in exports]
+        return True, canonical_for_requirements(mapping, requirements)
+    joint = _joint_obligations(mapping.target_dtd.root, checker.obligations)
+    if joint is None:
+        return True, None
+    solution = satisfying_tree(mapping.target_dtd, joint, context)
+    if solution is not None and not checker.is_solution_for(solution):
+        return False, None
+    return True, solution
+
+
+def decided_sources(
+    mapping: SchemaMapping,
+    max_source_size: int,
+    value_domain: tuple,
+    context: ExecutionContext | None = None,
+) -> Iterator[tuple[TreeNode, bool, TreeNode | None]]:
+    """``(source, decided, solution)`` per source tree up to renaming, in
+    the brute-force order, with :func:`decide_source`'s answer; one charge
+    per source."""
+    memo: dict = {}
+    for source in enumerate_reduced_trees(
+        mapping.source_dtd, max_source_size, value_domain, mapping_constants(mapping)
+    ):
+        if context is not None:
+            context.charge()
+        decided, solution = decide_source(mapping, source, context, memo)
+        yield source, decided, solution
 
 
 def find_consistency_witness_bounded(
@@ -228,19 +261,12 @@ def find_consistency_witness_bounded(
     max_source_size: int | None = None,
     max_target_size: int | None = None,
     value_domain: tuple | None = None,
-    skolem: bool = False,
-    on_candidate: Callable[[TreeNode], None] | None = None,
     context: ExecutionContext | None = None,
 ) -> tuple[TreeNode, TreeNode] | None:
-    """Search for ``(T, T') ∈ [[M]]`` within the size bounds.
-
-    Sources are tried up to renaming; each is decided exactly by
-    :func:`decide_source` where an exact test applies (*max_target_size*
-    is then unused), else by :func:`bounded_solution`.  Bounds default to
-    the context's :class:`~repro.engine.budget.Budget`.  *on_candidate*
-    is called on every source tree tried (used by the benchmarks to
-    report search effort).
-    """
+    """Search for ``(T, T') ∈ [[M]]`` within the size bounds (default: the
+    context's :class:`~repro.engine.budget.Budget`): the first source of
+    :func:`decided_sources` with a solution, taking the first of
+    :func:`bounded_solutions` where no exact test applies."""
     budget = resolve_budget(context)
     context = resolve_context(context)
     if max_source_size is None:
@@ -249,19 +275,15 @@ def find_consistency_witness_bounded(
         max_target_size = budget.max_target_size
     if value_domain is None:
         value_domain = default_value_domain(mapping)
-    memo: dict = {}
-    for source in enumerate_reduced_trees(
-        mapping.source_dtd, max_source_size, value_domain, mapping_constants(mapping)
+    constants = frozenset(mapping_constants(mapping))
+    for source, decided, target in decided_sources(
+        mapping, max_source_size, value_domain, context
     ):
-        if context is not None:
-            context.charge()
-        if on_candidate is not None:
-            on_candidate(source)
-        decided, target = decide_source(mapping, source, context, memo)
         if not decided:
-            target = bounded_solution(
-                mapping, source, max_target_size, tuple(value_domain), skolem, context
-            )
+            fixed = source.adom() | constants
+            target = next(bounded_solutions(
+                mapping, source, max_target_size, value_domain, fixed, context
+            ), None)
         if target is not None:
             return source, target
     return None
@@ -272,7 +294,6 @@ def is_consistent_bounded(
     max_source_size: int | None = None,
     max_target_size: int | None = None,
     value_domain: tuple | None = None,
-    skolem: bool = False,
     context: ExecutionContext | None = None,
 ) -> Verdict:
     """``Proved`` with a witness pair, or ``Unknown`` when the bounds are out.
@@ -281,8 +302,7 @@ def is_consistent_bounded(
     so exhausting them yields ``Unknown`` — never a refutation.
     """
     witness = find_consistency_witness_bounded(
-        mapping, max_source_size, max_target_size, value_domain, skolem,
-        context=context,
+        mapping, max_source_size, max_target_size, value_domain, context
     )
     if witness is not None:
         return Proved(WitnessPair(*witness))

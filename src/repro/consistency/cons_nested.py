@@ -61,10 +61,7 @@ def _check_applicable(mapping: SchemaMapping) -> None:
 
 def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
     """For each label, the labels reachable through >= 1 production step."""
-    children = {
-        label: frozenset(production.symbols())
-        for label, production in dtd.productions.items()
-    }
+    children = {label: dtd.child_labels(label) for label in dtd.productions}
     reach: dict[str, set[str]] = {label: set(kids) for label, kids in children.items()}
     changed = True
     while changed:
@@ -123,7 +120,7 @@ class _Embedder:
                     return False
             else:
                 (element,) = item.elements
-                child_labels = self.dtd.productions[label].symbols()
+                child_labels = self.dtd.child_labels(label)
                 if not any(self.embeddable(element, child) for child in child_labels):
                     return False
         return True

@@ -11,8 +11,8 @@ in document order, take fixed values freely while the free values enter
 as a restricted-growth string — the first free value used is the first
 free value of the domain, the next new one the second, and so on.
 
-The order is the brute-force order of
-:func:`repro.verification.enumeration.enumerate_trees` (skeletons by size,
+The order is the brute-force order of the reference oracles'
+``enumerate_trees`` (skeletons by size from :func:`enumerate_label_trees`,
 then value tuples lexicographically by domain position) restricted to
 those representatives, and each representative is the lexicographically
 least member of its orbit.  So for any renaming-closed property the first
@@ -21,11 +21,66 @@ tree found here is the first tree the brute-force enumeration finds.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
-from repro.verification.enumeration import enumerate_label_trees
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode, tree_from_rows
+
+
+class LabelTreeEnumerator:
+    """Enumerates label-only trees (no attribute values) of bounded size,
+    memoized per ``(label, size)``; :func:`enumerate_label_trees` drives it
+    size by size from the root."""
+
+    def __init__(self, dtd: DTD):
+        self.dtd = dtd
+        self._memo: dict[tuple[str, int], tuple[TreeNode, ...]] = {}
+
+    def trees_of(self, label: str, size: int) -> tuple[TreeNode, ...]:
+        """All subtrees rooted at *label* with exactly *size* nodes."""
+        if size < 1:
+            return ()
+        key = (label, size)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        result: list[TreeNode] = []
+        nfa = self.dtd.production_nfa(label)
+        for word in nfa.words(size - 1):
+            if not word:
+                if size == 1:
+                    result.append(TreeNode(label))
+                continue
+            if len(word) > size - 1:
+                continue
+            for sizes in _compositions(size - 1, len(word)):
+                child_options = [
+                    self.trees_of(child_label, child_size)
+                    for child_label, child_size in zip(word, sizes)
+                ]
+                for children in itertools.product(*child_options):
+                    result.append(TreeNode(label, (), children))
+        frozen = tuple(result)
+        self._memo[key] = frozen
+        return frozen
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ways to write *total* as an ordered sum of *parts* positive ints."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def enumerate_label_trees(dtd: DTD, max_size: int) -> Iterator[TreeNode]:
+    """All label-trees conforming to *dtd* with at most *max_size* nodes."""
+    enumerator = LabelTreeEnumerator(dtd)
+    for size in range(1, max_size + 1):
+        yield from enumerator.trees_of(dtd.root, size)
 
 
 def reduced_assignments(

@@ -49,10 +49,7 @@ def _downward_paths(dtd: DTD) -> dict[tuple[str, str], list[tuple[str, ...]]]:
     empty for a direct child edge).  Finite because the DTD is
     non-recursive.
     """
-    children = {
-        label: sorted(production.symbols())
-        for label, production in dtd.productions.items()
-    }
+    children = {label: sorted(dtd.child_labels(label)) for label in dtd.productions}
     paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
 
     def walk(start: str, current: str, intermediates: tuple[str, ...]) -> None:
@@ -101,7 +98,7 @@ def expand_source_pattern(
     def expand(node: Pattern, allowed) -> list[Pattern]:
         results: list[Pattern] = []
         for label in candidate_labels(node, allowed):
-            child_labels = sorted(dtd.productions[label].symbols())
+            child_labels = sorted(dtd.child_labels(label))
             item_options: list[list] = []
             for item in node.items:
                 if isinstance(item, Descendant):

@@ -67,16 +67,11 @@ def _fail(message: str) -> bool:
 
 def _membership_holds(mapping: Any, source_tree: Any, target_tree: Any) -> bool:
     """Boolean membership through the checker layer (conformance included)."""
-    from repro.engine.core import uses_skolem_functions
-    from repro.mappings.membership import SolutionChecker
-    from repro.mappings.skolem import SkolemSolutionChecker
+    from repro.mappings.skolem import solution_checker
 
     if not mapping.source_dtd.conforms(source_tree):
         return False
-    make_checker = (
-        SkolemSolutionChecker if uses_skolem_functions(mapping) else SolutionChecker
-    )
-    return make_checker(mapping, source_tree).is_solution_for(target_tree)
+    return solution_checker(mapping, source_tree).is_solution_for(target_tree)
 
 
 # ---------------------------------------------------------------------------

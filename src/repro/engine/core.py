@@ -71,13 +71,6 @@ def uses_constants(mapping: Any) -> bool:
     return predicate(mapping)
 
 
-def uses_skolem_functions(mapping: Any) -> bool:
-    """Does any std use Skolem functions (Section 8 semantics)?"""
-    from repro.analysis.fragment import uses_skolem_functions as predicate
-
-    return predicate(mapping)
-
-
 def nested_ptime_applicable(
     mapping: Any, context: ExecutionContext | None = None
 ) -> bool:

@@ -239,7 +239,12 @@ def canonical_solution(
     the module docstring for the construction and its completeness.
     """
     _check_applicable(mapping)
-    requirements = triggered_requirements(mapping, source_tree)
+    return canonical_for_requirements(mapping, triggered_requirements(mapping, source_tree))
+
+
+def canonical_for_requirements(mapping: SchemaMapping, requirements: list) -> TreeNode | None:
+    """:func:`canonical_solution` of a source that fires *requirements*
+    (its :func:`~repro.mappings.membership.triggered_requirements`)."""
     root_label = mapping.target_dtd.root
     fragments: list[_Fragment] = []
     counter = [0]

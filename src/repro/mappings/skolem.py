@@ -41,6 +41,7 @@ from repro.engine.verdicts import (
 )
 from repro.errors import NotInClassError
 from repro.mappings.mapping import SchemaMapping
+from repro.mappings.membership import SolutionChecker
 from repro.mappings.std import Comparison
 from repro.patterns.ast import Pattern
 from repro.patterns.features import INEQUALITY
@@ -385,6 +386,14 @@ class SkolemSolutionChecker:
         for __ in _solve_requirements(self.requirements, self.registry, target_tree):
             return True
         return False
+
+
+def solution_checker(
+    mapping: SchemaMapping, source_tree: TreeNode
+) -> SolutionChecker | SkolemSolutionChecker:
+    """The checker of *mapping*'s semantics (Skolem or plain) for one source."""
+    make = SkolemSolutionChecker if mapping.uses_skolem_functions() else SolutionChecker
+    return make(mapping, source_tree)
 
 
 def is_skolem_solution(

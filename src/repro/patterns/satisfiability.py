@@ -181,6 +181,7 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
     """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable."""
     from repro.automata.dtd_automaton import decorate
     from repro.automata.duta import ProductAutomaton, find_accepted
+    from repro.engine.budget import resolve_context
 
     if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
         raise XsmError("satisfiability is defined for patterns without Skolem terms")
@@ -202,6 +203,8 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
     repeated = [var for var, count in counts.items() if count > 1]
     letters = _lifted_letters(dtd, domain)
     lifted_dtd = _LiftedDTDAutomaton(dtd, letters)
+    resolved = resolve_context(context)
+    charge = resolved.charge if resolved is not None else None
     for tags in itertools.product(domain, repeat=len(repeated)):
         ground = pattern.substitute(dict(zip(repeated, tags)))
         closure = _lift_closure_automaton(dtd, ground, letters)
@@ -212,7 +215,7 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
                 and closure.satisfies(state[1], ground)
             ),
         )
-        found = find_accepted(product, conformance=lifted_dtd)
+        found = find_accepted(product, conformance=lifted_dtd, charge=charge)
         if found is not None:
             witness = _unlift(found[1])
             assert dtd.conforms(witness)

@@ -1,8 +1,12 @@
 """Exhaustive enumeration of the trees conforming to a DTD.
 
-Used by the brute-force oracles and the bounded decision procedures.  The
-number of conforming trees grows explosively with the size bound and the
-value domain, so callers keep both tiny; that is the point of an oracle.
+Used by the brute-force oracles: every value tuple over the domain, by
+``itertools.product``, on every label skeleton of
+:func:`repro.consistency.enumeration.enumerate_label_trees`.  The number
+of conforming trees grows explosively with the size bound and the value
+domain, so callers keep both tiny; that is the point of an oracle.  The
+production bounded searches enumerate one tree per renaming orbit instead
+(:func:`repro.consistency.enumeration.enumerate_reduced_trees`).
 """
 
 from __future__ import annotations
@@ -10,66 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from repro.consistency.enumeration import enumerate_label_trees
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
-
-
-class LabelTreeEnumerator:
-    """Enumerates label-only trees (no attribute values) of bounded size.
-
-    Public so callers that need size-by-size control (the linter's
-    bounded witness probe) can drive :meth:`trees_of` directly instead of
-    going through :func:`enumerate_label_trees`.
-    """
-
-    def __init__(self, dtd: DTD):
-        self.dtd = dtd
-        self._memo: dict[tuple[str, int], tuple[TreeNode, ...]] = {}
-
-    def trees_of(self, label: str, size: int) -> tuple[TreeNode, ...]:
-        """All subtrees rooted at *label* with exactly *size* nodes."""
-        if size < 1:
-            return ()
-        key = (label, size)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result: list[TreeNode] = []
-        nfa = self.dtd.production_nfa(label)
-        for word in nfa.words(size - 1):
-            if not word:
-                if size == 1:
-                    result.append(TreeNode(label))
-                continue
-            if len(word) > size - 1:
-                continue
-            for sizes in _compositions(size - 1, len(word)):
-                child_options = [
-                    self.trees_of(child_label, child_size)
-                    for child_label, child_size in zip(word, sizes)
-                ]
-                for children in itertools.product(*child_options):
-                    result.append(TreeNode(label, (), children))
-        frozen = tuple(result)
-        self._memo[key] = frozen
-        return frozen
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write *total* as an ordered sum of *parts* positive ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def enumerate_label_trees(dtd: DTD, max_size: int) -> Iterator[TreeNode]:
-    """All label-trees conforming to *dtd* with at most *max_size* nodes."""
-    enumerator = LabelTreeEnumerator(dtd)
-    for size in range(1, max_size + 1):
-        yield from enumerator.trees_of(dtd.root, size)
 
 
 def _attribute_slots(dtd: DTD, node: TreeNode) -> int:

@@ -70,21 +70,22 @@ class DTD:
             if isinstance(production, str):
                 production = parse_regex(production)
             parsed[label] = production
+        symbols = {label: production.symbols() for label, production in parsed.items()}
         labels = set(parsed)
         labels.add(root)
-        for production in parsed.values():
-            labels.update(production.symbols())
+        for mentioned in symbols.values():
+            labels.update(mentioned)
         for label in labels:
             parsed.setdefault(label, EPSILON)
-        if root not in parsed:
-            raise XsmError(f"root {root!r} has no production")
-        for label, production in parsed.items():
-            if root in production.symbols():
+            symbols.setdefault(label, frozenset())
+        for label, mentioned in symbols.items():
+            if root in mentioned:
                 raise XsmError(
                     f"the root symbol {root!r} may not occur in productions "
                     f"(it appears in the production of {label!r})"
                 )
         self.productions: dict[str, Regex] = parsed
+        self._child_labels: dict[str, frozenset[str]] = symbols
         self.attributes: dict[str, tuple[str, ...]] = {
             label: tuple(attributes.get(label, ())) if attributes else ()
             for label in parsed
@@ -105,6 +106,11 @@ class DTD:
     def arity(self, label: str) -> int:
         """Number of attributes of *label* (0 for unknown labels)."""
         return len(self.attributes.get(label, ()))
+
+    def child_labels(self, label: str) -> frozenset[str]:
+        """The element types the production of *label* mentions (computed
+        once per production)."""
+        return self._child_labels[label]
 
     def production_nfa(self, label: str) -> NFA:
         """The (cached) Glushkov NFA of the production of *label*."""
@@ -216,7 +222,7 @@ class DTD:
 
         def visit(label: str) -> bool:
             colour[label] = GREY
-            for successor in self.productions[label].symbols():
+            for successor in self._child_labels[label]:
                 if colour[successor] == GREY:
                     return True
                 if colour[successor] == WHITE and visit(successor):
@@ -350,8 +356,8 @@ class DTD:
         # labels are evaluated once
         costs: dict[str, float] = {label: float("inf") for label in self.productions}
         readers: dict[str, set[str]] = {label: set() for label in self.productions}
-        for label, production in self.productions.items():
-            for symbol in production.symbols():
+        for label, mentioned in self._child_labels.items():
+            for symbol in mentioned:
                 readers[symbol].add(label)
         pending = deque(reversed(self._breadth_first_labels()))
         queued = set(pending)
@@ -375,7 +381,7 @@ class DTD:
         order = [self.root]
         seen = {self.root}
         for label in order:
-            for symbol in sorted(self.productions[label].symbols()):
+            for symbol in sorted(self._child_labels[label]):
                 if symbol not in seen:
                     seen.add(symbol)
                     order.append(symbol)

@@ -1,5 +1,6 @@
-"""The bounded CONS/ABSCONS routes: sources up to renaming, an exact
-per-source check, and refutations that never come from a target bound.
+"""The bounded routes: sources up to renaming, an exact per-source check,
+refutations that never come from a target bound, one checker picked from
+the mapping, and the brute force's first witness chain.
 
 The brute-force oracles of :mod:`repro.verification.oracle` enumerate
 every source and target tree; the routes must agree with them wherever
@@ -12,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,12 +25,15 @@ from repro.consistency.bounded import (
     decide_source,
     default_value_domain,
     find_consistency_witness_bounded,
+    mapping_constants,
 )
 from repro.consistency.enumeration import enumerate_reduced_trees, reduced_assignments
 from repro.engine import (
     AbsoluteConsistencyProblem,
     Budget,
     CompilationCache,
+    CompositionConsistencyProblem,
+    CompositionMembershipProblem,
     ConsistencyProblem,
     ExecutionContext,
     certify,
@@ -324,6 +329,99 @@ def test_witness_targets_carry_plain_values():
 
 
 # ---------------------------------------------------------------------------
+# one checker, picked from the mapping: Skolem mappings on every bounded route
+# ---------------------------------------------------------------------------
+
+#: Outside the Theorem 8.2 class (an inequality), so composition
+#: membership takes the bounded route too.
+SKOLEM = mk("r -> a\na(v)", "t -> b\nb(u, w)", ["r[a(x)], x != 1 -> t[b(x, f(x))]"])
+SKOLEM_NEXT = mk("t -> b\nb(u, w)", "s -> c*\nc(u)", ["t[b(x, y)] -> s[c(y)]"])
+
+
+def test_constants_inside_skolem_terms_are_fixed():
+    mapping = mk("r -> a\na(v)", "t -> b\nb(u, w)", ["r[a(x)] -> t[b(x, f(2, x))], x != 1"])
+    assert mapping_constants(mapping) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "problem, algorithm",
+    [
+        (ConsistencyProblem(SKOLEM), "cons-bounded"),
+        (CompositionConsistencyProblem((SKOLEM, SKOLEM_NEXT)), "conscomp-bounded"),
+        (
+            CompositionMembershipProblem(
+                SKOLEM, SKOLEM_NEXT, parse_tree("r[a(0)]"), parse_tree("s[c(5)]")
+            ),
+            "composition-bounded",
+        ),
+    ],
+    ids=["cons", "conscomp", "composition-membership"],
+)
+def test_skolem_mappings_reach_the_bounded_routes(problem, algorithm):
+    assert SKOLEM.uses_skolem_functions()
+    verdict = solve(problem, _context())
+    assert verdict.report.algorithm == algorithm
+    assert verdict.is_proved
+    assert certify(verdict)
+
+
+# ---------------------------------------------------------------------------
+# composition consistency: the brute-force first chain
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_chain(mappings, max_size, domain):
+    """The first witness chain of a plain depth-first search over
+    ``enumerate_trees``, or None."""
+
+    def chain_from(index, tree):
+        if index == len(mappings):
+            return (tree,)
+        mapping = mappings[index]
+        for following in enumerate_trees(mapping.target_dtd, max_size, domain):
+            if is_solution(mapping, tree, following, check_conformance=False).is_proved:
+                rest = chain_from(index + 1, following)
+                if rest is not None:
+                    return (tree,) + rest
+        return None
+
+    for source in enumerate_trees(mappings[0].source_dtd, max_size, domain):
+        chain = chain_from(0, source)
+        if chain is not None:
+            return chain
+    return None
+
+
+#: The last mapping forces every value to be its constant 1 (one ``d``
+#: child holds both ``d(x)`` and ``d(1)``); the earlier mappings mention
+#: no constant, so only fixing every mapping's constants keeps the trees
+#: that carry 1 apart from those that carry 0.
+_LAST = mk("u -> c\nc(w)", "v -> d\nd(w)", ["u[c(x)] -> v[d(x)]", "u[c(x)] -> v[d(1)]"])
+LATE_CONSTANT_CHAINS = [
+    [
+        mk("r -> a\na(v)", "s -> b\nb(w)", ["r[a(x)] -> s[b(x)]"]),
+        mk("s -> b\nb(w)", "u -> c\nc(w)", ["s[b(x)] -> u[c(x)]"]),
+        _LAST,
+    ],
+    [
+        # the value enters at the first target, as an existential
+        mk("r", "s -> b\nb(w)", ["r -> s[b(y)]"]),
+        mk("s -> b\nb(w)", "u -> c\nc(w)", ["s[b(x)] -> u[c(x)]"]),
+        _LAST,
+    ],
+]
+
+
+@pytest.mark.parametrize("mappings", LATE_CONSTANT_CHAINS, ids=["source", "existential"])
+def test_bounded_composition_chain_is_the_brute_force_first(mappings):
+    verdict = is_composition_consistent_bounded(mappings, max_tree_size=2)
+    expected = _brute_force_chain(mappings, 2, (0, 1))
+    assert expected is not None and expected[-1] == parse_tree("v[d(1)]")
+    assert verdict.is_proved
+    assert verdict.certificate.trees == expected
+
+
+# ---------------------------------------------------------------------------
 # production code does not run the oracles
 # ---------------------------------------------------------------------------
 
@@ -340,43 +438,58 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_no_production_module_imports_the_oracles():
-    """``repro.verification.oracle`` is the brute-force reference; the
-    bounded routes and ``certify()`` must not be it (function-level
-    imports included)."""
+    """``repro.verification`` holds the brute-force references: no module
+    outside it imports any part of it (function-level imports included)."""
     package = Path(repro.__file__).resolve().parent
     offenders = [
         str(path.relative_to(package))
         for path in sorted(package.rglob("*.py"))
         if path.parent.name != "verification"
-        and "repro.verification.oracle" in _imported_modules(path)
+        and any(
+            module == "repro.verification" or module.startswith("repro.verification.")
+            for module in _imported_modules(path)
+        )
     ]
     assert offenders == []
-    for name in ("consistency/abscons.py", "consistency/bounded.py", "engine/certify.py"):
-        modules = _imported_modules(package / name)
-        assert not any(m.startswith("repro.verification") for m in modules), name
 
 
 def test_bounded_routes_do_not_load_the_oracles():
-    """The bounded routes reach ``repro.verification.enumeration`` only;
-    the package re-exports lazily, so a fresh interpreter that decides
-    CONS and ABSCONS on the bounded routes never imports the oracles."""
-    script = (
-        "import sys\n"
-        "from repro.engine import AbsoluteConsistencyProblem, ConsistencyProblem, solve\n"
-        "from repro.workloads.families import distinct_values_family\n"
-        "mapping = distinct_values_family(3, False)\n"
-        "for problem in (ConsistencyProblem(mapping), AbsoluteConsistencyProblem(mapping)):\n"
-        "    print(solve(problem).report.algorithm)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.verification')))\n"
-    )
+    """A fresh interpreter that imports the CLI and decides a problem on
+    each bounded route never loads ``repro.verification``."""
+    script = textwrap.dedent("""
+        import sys
+        import repro.cli
+        from repro.engine import (
+            AbsoluteConsistencyProblem, CompositionConsistencyProblem,
+            CompositionMembershipProblem, ConsistencyProblem, solve,
+        )
+        from repro.mappings.mapping import SchemaMapping
+        from repro.workloads.families import distinct_values_family
+        from repro.xmlmodel.parser import parse_tree
+
+        mapping = distinct_values_family(3, False)
+        m12 = SchemaMapping.parse(
+            "r -> a*\\na(v)", "s -> b*\\nb(w)", ["r[a(x)], x != 1 -> s[b(x)]"]
+        )
+        m23 = SchemaMapping.parse("s -> b*\\nb(w)", "t -> c*\\nc(w)", ["s[b(x)] -> t[c(x)]"])
+        source, final = parse_tree("r[a(0)]"), parse_tree("t[c(0)]")
+        for problem in (
+            ConsistencyProblem(mapping),
+            AbsoluteConsistencyProblem(mapping),
+            CompositionConsistencyProblem((m12, m23)),
+            CompositionMembershipProblem(m12, m23, source, final),
+        ):
+            print(solve(problem).report.algorithm)
+        print(sorted(m for m in sys.modules if m.startswith("repro.verification")))
+    """)
     src = str(Path(__file__).resolve().parent.parent / "src")
     result = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    cons, abscons, modules = result.stdout.splitlines()
-    assert (cons, abscons) == ("cons-bounded", "abscons-bounded")
-    assert "repro.verification.enumeration" in modules
-    assert "repro.verification.oracle" not in modules
-    assert "repro.verification.reachability" not in modules
+    *algorithms, modules = result.stdout.splitlines()
+    assert algorithms == [
+        "cons-bounded", "abscons-bounded", "conscomp-bounded", "composition-bounded",
+    ]
+    assert modules == "[]"

@@ -31,7 +31,7 @@ def assert_equivalent(
             direct = is_skolem_solution(m13, source, final, check_conformance=False)
             via_middle = composition_contains(
                 m12, m23, source, final,
-                max_mid_size=max_mid_size, extra_fresh=extra_fresh, skolem=True,
+                max_mid_size=max_mid_size, extra_fresh=extra_fresh,
             )
             # the semantic search returns Unknown (not Refuted) past its
             # middle-tree bound, so compare proved-ness, not raw verdicts

@@ -43,7 +43,7 @@ def verify_pair(seed: int, source_slack=2, final_slack=2):
             direct = is_skolem_solution(m13, source, final, check_conformance=False)
             semantic = composition_contains(
                 m12, m23, source, final,
-                max_mid_size=max_mid_size, extra_fresh=1, skolem=True,
+                max_mid_size=max_mid_size, extra_fresh=1,
             )
             # semantic search returns Unknown past its middle-tree bound;
             # proved-ness is the comparable decision

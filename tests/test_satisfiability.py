@@ -118,6 +118,26 @@ class TestWithConstants:
         assert is_satisfiable(dtd, parse_pattern("r[a(1) -> a(2)]"))
         assert not is_satisfiable(dtd, parse_pattern("r[a(1) -> a(2) -> a(3)]"))
 
+    def test_tag_lifting_charges_the_budget(self):
+        # the lifted search realizes states of its own: a budget that only
+        # covers the structural search must run out before the lifted one
+        from repro.engine import Budget, CompilationCache, ExecutionContext, solve
+        from repro.engine.problems import SatisfiabilityProblem
+
+        dtd = parse_dtd("r -> a, b*\na(x)\nb(y)")
+        pattern = parse_pattern("r[a(1), b(2)]")
+        structural = ExecutionContext(cache=CompilationCache())
+        assert structural_witness(dtd, pattern, structural) is not None
+        budget = Budget.default().with_(max_expansions=structural.expansions)
+        verdict = solve(
+            SatisfiabilityProblem(dtd, pattern),
+            ExecutionContext(budget, cache=CompilationCache()),
+        )
+        assert verdict.is_unknown
+        assert solve(SatisfiabilityProblem(dtd, pattern)).report.expansions > (
+            structural.expansions
+        )
+
 
 # -- cross-validation against exhaustive enumeration -------------------------
 
