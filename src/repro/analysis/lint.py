@@ -61,7 +61,8 @@ def lint_mapping(
     ``redundancy``) —
     ``engine.solve`` uses it to skip passes irrelevant to routing.
     When ``context.memo`` is set, a content-identical mapping gets the
-    stored report back, under *name*, without re-running any pass.
+    stored report back, under *name*, without re-running any pass.  A
+    report is stored only if no budget limit fired while it was linted.
     """
     from repro.incremental import lint_key
 
@@ -83,6 +84,7 @@ def lint_mapping(
     if cached is not None:
         return cached if cached.name == name else replace(cached, name=name)
     diagnostics: list[Diagnostic] = []
+    fired = context.limits_fired
     started = time.perf_counter()
     with context.activate(), trace("lint", mapping=name or None) as span:
         for pass_name, pass_fn in selected:
@@ -99,7 +101,9 @@ def lint_mapping(
         elapsed=elapsed,
         passes=pass_names,
     )
-    if key is not None:
+    if key is not None and context.limits_fired == fired:
+        # a report linted while a limit fired may lack the diagnostics of
+        # the searches it cut short: never serve it to a later request
         memo.store(key, report)
     _LINTS.labels(outcome=_outcome(report.max_severity())).inc()
     _LINT_LATENCY.observe(elapsed)

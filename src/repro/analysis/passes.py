@@ -581,31 +581,51 @@ def hygiene_pass(
 
     An std's diagnostics depend only on the std and the two DTDs, so they
     are memoized on the std together with the DTDs' digests: an edit that
-    keeps an std (and the DTDs) does not re-check it.  A budget that can run
-    out makes SM204/SM205 depend on the work done before them, so runs
-    under such a budget are not memoized.
+    keeps an std (and the DTDs) does not re-check it.  Store rule: a
+    result is stored only if no budget limit fired while the std was
+    checked (``ExecutionContext.limits_fired`` did not move), since
+    SM204/SM205 stay silent on a search the budget cut short.  A
+    wall-clock deadline bounds how long a check may run, not what it
+    computes, so deadline-bounded runs (every daemon request) read and
+    fill the memo.  An expansion cap (``max_expansions``) is spent by the
+    work done before the check, so runs under one are not memoized.  The
+    ``lint-hygiene`` span counts the stds ``reused`` from the memo and
+    ``checked`` afresh.
     """
     from repro.engine.budget import resolve_context
     from repro.engine.cache import dtd_digest
+    from repro.obs import current_span
 
     resolved = resolve_context(context)
-    reusable = resolved is None or (
-        resolved.budget.max_expansions is None
-        and resolved.budget.deadline_seconds is None
-    )
+    reusable = resolved is None or resolved.budget.max_expansions is None
     dtds = (dtd_digest(mapping.source_dtd), dtd_digest(mapping.target_dtd))
     probes: dict[str, _WitnessProbe] = {}
     diagnostics: list[Diagnostic] = []
+    checked = 0
+
+    def limits_fired() -> int:
+        return resolved.limits_fired if resolved is not None else 0
+
     for std_index, std in enumerate(mapping.stds):
+        fired = limits_fired()
 
         def check(std_index=std_index, std=std) -> tuple[Diagnostic, ...]:
+            nonlocal checked
+            checked += 1
             if not probes:
                 probes["source"] = _WitnessProbe(mapping.source_dtd)
                 probes["target"] = _WitnessProbe(mapping.target_dtd)
             return tuple(_std_hygiene(std_index, std, mapping, context, probes))
 
-        found = std._memo("hygiene", check, key=dtds) if reusable else check()
+        found = (
+            std._memo(
+                "hygiene", check, key=dtds,
+                keep=lambda fired=fired: limits_fired() == fired,
+            )
+            if reusable else check()
+        )
         diagnostics += _at_std(found, std_index)
+    current_span().annotate(reused=len(mapping.stds) - checked, checked=checked)
     return diagnostics
 
 

@@ -46,6 +46,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import NotInClassError, XsmError
+from repro.mappings.mapping import SchemaMapping
 from repro.mappings.skolem import SkolemMapping
 from repro.mappings.std import STD, Comparison
 from repro.patterns.ast import Pattern, Sequence
@@ -423,6 +424,16 @@ def compose(
                 if std13 is not None:
                     composed.setdefault(str(std13), std13)
     return SkolemMapping(m12.source_dtd, m23.target_dtd, list(composed.values()))
+
+
+def compose_as_skolem(m12: SchemaMapping, m23: SchemaMapping) -> SkolemMapping:
+    """``compose`` of two mappings read as Skolem mappings: the one
+    Theorem 8.2 composition step of exact composition membership and of
+    its certificate re-check."""
+    return compose(
+        SkolemMapping(m12.source_dtd, m12.target_dtd, m12.stds),
+        SkolemMapping(m23.source_dtd, m23.target_dtd, m23.stds),
+    )
 
 
 def _emit(

@@ -152,11 +152,7 @@ def composition_contains_exact(
     never ``Unknown``.  Raises :class:`~repro.errors.NotInClassError`
     outside the class (fall back to :func:`composition_contains` there).
     """
-    from repro.composition.compose import compose
-    from repro.mappings.skolem import SkolemMapping
+    from repro.composition.compose import compose_as_skolem
 
-    composed = compose(
-        SkolemMapping(m12.source_dtd, m12.target_dtd, m12.stds),
-        SkolemMapping(m23.source_dtd, m23.target_dtd, m23.stds),
-    )
+    composed = compose_as_skolem(m12, m23)
     return is_skolem_solution(composed, source_tree, final_tree)

@@ -108,6 +108,10 @@ class ExecutionContext:
         #: results for content-identical inputs instead of recomputing.
         self.memo = memo
         self.expansions = 0
+        #: How many times :meth:`charge` raised.  A computation during which
+        #: this count stays put ran to its end, so its result is the one an
+        #: unbounded run computes: memos store only such results.
+        self.limits_fired = 0
         self._deadline_at: float | None = None
         self.start_clock()
 
@@ -123,10 +127,12 @@ class ExecutionContext:
         self.expansions += steps
         limit = self.budget.max_expansions
         if limit is not None and self.expansions > limit:
+            self.limits_fired += 1
             raise BudgetExceeded(
                 f"expansion budget of {limit} exhausted", bound=limit
             )
         if self._deadline_at is not None and time.monotonic() > self._deadline_at:
+            self.limits_fired += 1
             raise BudgetExceeded(
                 f"deadline of {self.budget.deadline_seconds}s exhausted"
             )

@@ -189,13 +189,9 @@ def _certify_obligations_met(certificate: ObligationsMet, problem: Any) -> bool:
             return _fail("membership re-check disagrees with Proved")
         return True
     # composition membership decided via the composed mapping (Theorem 8.2)
-    from repro.composition.compose import compose
-    from repro.mappings.skolem import SkolemMapping
+    from repro.composition.compose import compose_as_skolem
 
-    composed = compose(
-        SkolemMapping(problem.m12.source_dtd, problem.m12.target_dtd, problem.m12.stds),
-        SkolemMapping(problem.m23.source_dtd, problem.m23.target_dtd, problem.m23.stds),
-    )
+    composed = compose_as_skolem(problem.m12, problem.m23)
     if not _membership_holds(composed, problem.source_tree, problem.final_tree):
         return _fail("composed-mapping membership re-check disagrees with Proved")
     return True

@@ -34,7 +34,12 @@ content would compute, and an edit never has to evict anything.  A hit
 serves the stored verdict itself, uncopied and never mutated: its
 report keeps the request that computed it, and the service payload
 names the request it serves.  ``Unknown`` verdicts are never memoized —
-a larger budget or a warmer cache may decide them.  Memory is bounded by
+a larger budget or a warmer cache may decide them.  Store rule for lint:
+a lint report, and a std's hygiene diagnostics on the std, are stored
+only if no budget limit fired while they were computed
+(``ExecutionContext.limits_fired`` did not move).  A deadline bounds how
+long a check may run, not what it computes, so deadline-bounded requests
+(the daemon's) reuse per-std lint work like unbounded ones.  Memory is bounded by
 the cache's LRU size (``REPRO_CACHE_SIZE`` / ``--cache-size``), which
 also bounds the memo and the parse table; an eviction only costs a
 recompute or a re-parse, and an undo edit back to a recent revision is

@@ -110,14 +110,21 @@ class STD:
     )
 
     def _memo(
-        self, name: str, compute: Callable[[], object], key: object = None
+        self, name: str, compute: Callable[[], object], key: object = None,
+        keep: Callable[[], bool] | None = None,
     ):
         """The memoized fact *name*, recomputed when *key* (the digests of
-        what else it depends on, say the DTDs) differs from last time."""
+        what else it depends on, say the DTDs) differs from last time.
+
+        A fresh value is stored only if *keep* (when given) approves it
+        after the computation."""
         entry = self._memos.get(name)
-        if entry is None or entry[0] != key:
-            entry = self._memos[name] = (key, compute())
-        return entry[1]
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = compute()
+        if keep is None or keep():
+            self._memos[name] = (key, value)
+        return value
 
     def __getstate__(self):
         return (

@@ -95,6 +95,20 @@ class TestBudget:
             for __ in range(10_000):
                 context.charge()
 
+    def test_limits_fired_counts_every_raising_charge(self):
+        capped = ExecutionContext(Budget.default().with_(max_expansions=1))
+        capped.charge()
+        assert capped.limits_fired == 0
+        for expected in (1, 2):
+            with pytest.raises(BudgetExceeded):
+                capped.charge()
+            assert capped.limits_fired == expected
+        timed = ExecutionContext(Budget.default().with_(deadline_seconds=0.0))
+        with pytest.raises(BudgetExceeded):
+            for __ in range(10_000):
+                timed.charge()
+        assert timed.limits_fired == 1
+
     def test_exhaustion_surfaces_as_unknown_from_solve(self):
         # comparisons route to the bounded search, which charges per
         # candidate tree — a one-expansion budget dies immediately

@@ -412,6 +412,98 @@ def test_shared_memo_under_concurrent_requests():
     assert len(session.incremental.memo) <= 4 and session.incremental.memo.evictions > 0
 
 
+# ---------------------------------------------------------------------------
+# deadline-bounded requests and the per-std hygiene memo
+# ---------------------------------------------------------------------------
+
+
+def _ladder(n: int, edited: int | None = None) -> str:
+    """An ``n``-std mapping, one label pair per std, plus a dead std
+    (SM204) last; *edited* makes std ``edited`` drop its source value."""
+    source = ["source:", "    r -> " + ", ".join(f"a{i}*" for i in range(n))
+              + ", (p | q)", "    p", "    q"]
+    target = ["target:", "    w -> " + ", ".join(f"b{i}*" for i in range(n))]
+    stds = []
+    for i in range(n):
+        source.append(f"    a{i}(x)")
+        target.append(f"    b{i}(x)")
+        value = "u" if i == edited else "v"
+        stds.append(f"std: r[a{i}(v)] -> w[b{i}({value})]")
+    stds.append("std: r[p, q] -> w[b0(z)]")
+    return "\n".join(source + target + stds) + "\n"
+
+
+def test_deadline_bounded_delta_rechecks_only_the_edited_std(monkeypatch):
+    import repro.analysis.passes as passes
+    from repro.analysis import Severity
+    from repro.obs import walk
+
+    session = EngineSession()
+    # the daemon's per-request deadline (ServiceServer.request_timeout)
+    stream = {"name": "m", "timeout": 30}
+    assert session.handle("delta", {**stream, "mapping": _ladder(6)})["ok"]
+    checked = []
+    std_hygiene = passes._std_hygiene
+
+    def spy(std_index, *args):
+        checked.append(std_index)
+        return std_hygiene(std_index, *args)
+
+    monkeypatch.setattr(passes, "_std_hygiene", spy)
+    edited = _ladder(6, edited=2)
+    response = session.handle(
+        "delta", {**stream, "mapping": edited, "trace": True}
+    )
+    assert response["ok"] and response["incremental"]["changed_stds"] == [2]
+    assert checked == [2]
+    (span,) = (s for s in walk(response["trace"]) if s["name"] == "lint-hygiene")
+    assert (span["attrs"]["reused"], span["attrs"]["checked"]) == (6, 1)
+    # the reused diagnostics are those of a cold lint of the revision
+    cold = lint_mapping(parse_mapping(edited), name="m")
+    assert {"SM204", "SM206", "SM209"} <= {d.code for d in cold.diagnostics}
+    assert response["lint"]["text"] == cold.render_text(min_severity=Severity.INFO)
+
+
+def test_a_lint_cut_short_by_its_deadline_is_never_memoized():
+    from repro.engine.budget import Budget
+    from repro.incremental import ResultMemo
+
+    mapping = parse_mapping(_ladder(1))
+    memo = ResultMemo(16)
+    context = ExecutionContext(
+        Budget.default().with_(deadline_seconds=0.0),
+        cache=CompilationCache(), memo=memo,
+    )
+    report = lint_mapping(mapping, context)
+    # the dead std's satisfiability search ran out of time: SM204 stays
+    # silent, and neither its hygiene nor the report is stored; the live
+    # std, certified by a small witness before any charge, is stored
+    live, dead = mapping.stds
+    assert context.limits_fired > 0
+    assert "SM204" not in {d.code for d in report.diagnostics}
+    assert "hygiene" in live._memos and "hygiene" not in dead._memos
+    assert memo.entries_by_kind() == {}
+    # an unbounded run then finds the dead std, and memoizes both
+    unbounded = ExecutionContext(cache=CompilationCache(), memo=memo)
+    assert "SM204" in {d.code for d in lint_mapping(mapping, unbounded).diagnostics}
+    assert unbounded.limits_fired == 0 and "hygiene" in dead._memos
+    assert memo.entries_by_kind() == {"lint": 1}
+
+
+def test_an_expansion_cap_keeps_hygiene_unmemoized():
+    from repro.engine.budget import Budget
+
+    mapping = parse_mapping(_ladder(1))
+    capped = ExecutionContext(Budget.default().with_(max_expansions=10**6))
+    report = lint_mapping(mapping, capped)
+    assert capped.limits_fired == 0 and "SM204" in {
+        d.code for d in report.diagnostics
+    }
+    # a cap is spent by the work before a check: even a completed check
+    # under one is not stored
+    assert all("hygiene" not in std._memos for std in mapping.stds)
+
+
 def test_session_delta_rejects_bad_request():
     session = EngineSession()
     response = session.delta({"name": "m"})
