@@ -6,7 +6,8 @@ only that std: unchanged parts are reused, so the other ``n - 1`` stds'
 compiled automata and memoized verdicts stay warm.  This guard measures a
 cold ``IncrementalEngine.update`` against single-std-edit deltas over a
 ladder of mapping sizes and journals the cold-vs-delta series into
-``BENCH_incremental.json``.  Two gates run under ``--smoke`` (CI):
+``BENCH_incremental.json`` (full runs only).  Two gates run under
+``--smoke`` (CI), which journals nothing:
 
 * **speedup** — at the largest ladder size (20 stds) the mean delta
   must be at least :data:`SPEEDUP_BAR` times faster than a cold solve;
@@ -398,7 +399,9 @@ def main(argv=None) -> int:
         run_warm_series(before=args.before)
         return 0
     try:
-        return run_guard(smoke=args.smoke)
+        # only a full run journals: smoke numbers (fewer edits) would
+        # overwrite the committed ladder
+        return run_guard(smoke=args.smoke, emit=not args.smoke)
     except AssertionError as error:
         print(f"FAIL: {error}")
         return 1

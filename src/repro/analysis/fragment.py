@@ -94,6 +94,14 @@ def nested_ptime_applicable(
     """
     if mapping.uses_data_comparisons() or uses_constants(mapping):
         return False
+    return _nested_downward(mapping, context)
+
+
+def _nested_downward(
+    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> bool:
+    """No horizontal axes, and both DTDs nested-relational (classification
+    read through the compilation cache)."""
     if mapping.signature().features & HORIZONTAL:
         return False
     return (
@@ -214,13 +222,23 @@ def predict_consistency(
             "no data comparisons or constants: exact trigger-set "
             "automata (Theorem 5.2, EXPTIME)",
         )
+    search = (
+        "sound witness search over source trees up to max_source_size, one "
+        "per equality type, each decided exactly by its canonical solution "
+        "where that is complete, else by a target search up to "
+        "max_target_size"
+    )
+    if _nested_downward(mapping, context):
+        return CellPrediction(
+            "CONS", fragment, "cons-bounded",
+            "NEXPTIME-complete (Theorem 5.5)", False,
+            "data comparisons or constants over nested-relational DTDs: "
+            "decidable (Theorem 5.5), but answered here by a " + search,
+        )
     return CellPrediction(
         "CONS", fragment, "cons-bounded",
         "undecidable in general (Theorems 5.4/5.5)", False,
-        "data comparisons or constants: sound witness search over source "
-        "trees up to max_source_size, one per equality type, each decided "
-        "exactly by its canonical solution where that is complete, else by "
-        "a target search up to max_target_size (Theorems 5.4/5.5)",
+        f"data comparisons or constants: {search} (Theorems 5.4/5.5)",
     )
 
 

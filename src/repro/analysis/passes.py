@@ -112,9 +112,9 @@ def _fragment_pass(
         diagnostics.append(
             Diagnostic(
                 "SM010", Severity.WARNING,
-                "CONS is undecidable for this fragment "
-                f"({cons.fragment}): only the sound bounded witness "
-                "search applies, and a clean run proves nothing",
+                f"CONS for this fragment ({cons.fragment}) on these DTDs is "
+                f"{cons.complexity}, and only the sound bounded witness "
+                "search answers it here: a clean run proves nothing",
                 data=(("algorithm", cons.algorithm),),
             )
         )

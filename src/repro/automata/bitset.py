@@ -48,12 +48,19 @@ class BitsetDTDAutomaton(DTDAutomaton):
         super().__init__(dtd, extra_labels)
         self.table = LabelTable(self._labels)
         n_symbols = len(self.table)
-        self._dfas = {
-            label: dtd.production_nfa(label)
-            .to_bitset(self.table.id_of, n_symbols=n_symbols)
-            .determinize()
-            for label in dtd.productions
-        }
+        # one DFA per distinct production; labels with equal productions
+        # (most often eps leaves) share it
+        compiled: dict = {}
+        self._dfas = {}
+        for label, production in dtd.productions.items():
+            dfa = compiled.get(production)
+            if dfa is None:
+                dfa = compiled[production] = (
+                    dtd.production_nfa(label)
+                    .to_bitset(self.table.id_of, n_symbols=n_symbols)
+                    .determinize()
+                )
+            self._dfas[label] = dfa
         #: the accepting vertical state (the root is always a DTD label)
         self._root_state = (self.table.id_of(dtd.root) << 1) | 1
 

@@ -51,8 +51,7 @@ from repro.automata.dtd_automaton import decorate
 from repro.consistency.bounded import decided_sources, default_value_domain
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
-from repro.engine.cache import achievable_sets
-from repro.engine.cache import dtd_digest
+from repro.engine.cache import dtd_digest, trigger_tables
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Counterexample,
@@ -87,23 +86,6 @@ def _check_sm0(mapping: SchemaMapping) -> None:
                 )
 
 
-def _sm0_sets(mapping: SchemaMapping, context: ExecutionContext | None):
-    """Achievable (trigger set, witness) tables for both sides, cached."""
-    source_sets = achievable_sets(
-        mapping.source_dtd,
-        [std.source for std in mapping.stds],
-        with_arity=False,
-        context=context,
-    )
-    target_sets = achievable_sets(
-        mapping.target_dtd,
-        [std.target for std in mapping.stds],
-        with_arity=False,
-        context=context,
-    )
-    return source_sets, target_sets
-
-
 def is_absolutely_consistent_sm0(
     mapping: SchemaMapping, context: ExecutionContext | None = None
 ) -> Verdict:
@@ -112,7 +94,7 @@ def is_absolutely_consistent_sm0(
     ``Refuted`` carries a conforming source tree with no solution.
     """
     _check_sm0(mapping)
-    source_sets, target_sets = _sm0_sets(mapping, context)
+    source_sets, target_sets = trigger_tables(mapping, context)
     maximal_targets = [
         satisfied
         for satisfied in target_sets
@@ -137,7 +119,7 @@ def sm0_counterexample(
 ) -> TreeNode | None:
     """A source tree (values erased) with no solution, for SM° mappings."""
     _check_sm0(mapping)
-    source_sets, target_sets = _sm0_sets(mapping, context)
+    source_sets, target_sets = trigger_tables(mapping, context)
     for triggered, witness in source_sets.items():
         if not any(triggered <= satisfied for satisfied in target_sets):
             return decorate(mapping.source_dtd, witness)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.engine.budget import ExecutionContext
 from repro.automata.dtd_automaton import decorate
-from repro.engine.cache import achievable_sets
+from repro.engine.cache import trigger_tables
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Proved,
@@ -88,12 +88,7 @@ def decide_consistency_automata(
     """The verdict-level automata decision: witness pair or refutation."""
     _check_applicable(mapping)
     # one conforming-product pass per side, through the compilation cache
-    source_sets = achievable_sets(
-        mapping.source_dtd, [std.source for std in mapping.stds], context=context
-    )
-    target_sets = achievable_sets(
-        mapping.target_dtd, [std.target for std in mapping.stds], context=context
-    )
+    source_sets, target_sets = trigger_tables(mapping, context)
     # prune: only minimal trigger sets / maximal satisfaction sets matter
     source_sets = sorted(source_sets.items(), key=lambda pair: len(pair[0]))
     target_sets = sorted(target_sets.items(), key=lambda pair: -len(pair[0]))

@@ -398,18 +398,18 @@ def dtd_automaton(
 def closure_automaton(
     patterns: Iterable[Pattern],
     dtd: DTD,
-    with_arity: bool = True,
     context: "ExecutionContext | None" = None,
 ) -> BitsetClosureAutomaton:
-    """A cached pattern closure automaton over *dtd*'s labels and the patterns'."""
+    """A cached pattern closure automaton over *dtd*'s labels and the patterns'.
+
+    Arities come from *dtd*; they only gate subpatterns that bind attributes.
+    """
     cache = resolve_cache(context)
     patterns = tuple(patterns)
     return cache.lookup(
-        ("bitset-closure", dtd_key(dtd), patterns, with_arity),
+        ("bitset-closure", dtd_key(dtd), patterns),
         lambda: BitsetClosureAutomaton(
-            patterns,
-            extra_labels=dtd.labels,
-            arity_of=dtd.arity if with_arity else None,
+            patterns, extra_labels=dtd.labels, arity_of=dtd.arity
         ),
     )
 
@@ -417,7 +417,6 @@ def closure_automaton(
 def achievable_sets(
     dtd: DTD,
     patterns: Iterable[Pattern],
-    with_arity: bool = True,
     context: "ExecutionContext | None" = None,
 ) -> dict[frozenset[int], TreeNode]:
     """All achievable ``{satisfied pattern indices}`` with a witness each.
@@ -430,7 +429,10 @@ def achievable_sets(
     each trigger set has its witness built.
     This table is what the Section-5/6/7 trigger-set algorithms consume;
     caching it is the big win on repeated-DTD sweeps, since the reachability
-    pass *is* the exponential part.
+    pass *is* the exponential part.  The key is the DTD and the pattern
+    tuple alone (arities always come from the DTD, see
+    :func:`closure_automaton`), so CONS and ABSCONS° over one mapping
+    share one entry per schema side (:func:`trigger_tables`).
     :func:`repro.verification.reachability.achievable_sets_reference`
     computes the same table over the plain automata, uncached.
     """
@@ -438,7 +440,7 @@ def achievable_sets(
 
     cache = resolve_cache(context)
     patterns = tuple(patterns)
-    key = ("achievable", dtd_key(dtd), patterns, with_arity)
+    key = ("achievable", dtd_key(dtd), patterns)
     if cache.enabled and key in cache._entries:
         return cache.lookup(key, lambda: None)  # pure hit, no charging
 
@@ -446,7 +448,7 @@ def achievable_sets(
     charge = resolved.charge if resolved is not None else None
 
     def build() -> dict[frozenset[int], TreeNode]:
-        closure = closure_automaton(patterns, dtd, with_arity, context)
+        closure = closure_automaton(patterns, dtd, context)
         conformance = dtd_automaton(dtd, context)
         realized = reachable_states(
             ProductAutomaton([conformance, closure]),
@@ -462,3 +464,16 @@ def achievable_sets(
         return sets
 
     return cache.lookup(key, build)
+
+
+def trigger_tables(
+    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> tuple[dict[frozenset[int], TreeNode], dict[frozenset[int], TreeNode]]:
+    """The :func:`achievable_sets` tables of *mapping*'s source and target
+    sides: the one table per side that CONS (Theorem 5.2), ABSCONS°
+    (Proposition 6.1) and their ``certify()`` re-runs all read."""
+    stds = mapping.stds
+    return (
+        achievable_sets(mapping.source_dtd, [std.source for std in stds], context),
+        achievable_sets(mapping.target_dtd, [std.target for std in stds], context),
+    )

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Hashable
 
 #: Bump when the key layout or any pickled artifact's shape changes.
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 MISS = object()

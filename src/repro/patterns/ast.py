@@ -42,6 +42,9 @@ class Pattern:
     vars: tuple[Term, ...] | None = None
     items: tuple["ListItem", ...] = ()
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _below: tuple["Pattern", ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for item in self.items:
@@ -56,20 +59,31 @@ class Pattern:
         return cached
 
     def __reduce__(self):
-        # rebuilt through the constructor: the kept hash stays behind
+        # rebuilt through the constructor: the kept hash and node tuple
+        # stay behind
         return (Pattern, (self.label, self.vars, self.items))
 
     # -- views -------------------------------------------------------------
 
-    def subpatterns(self) -> Iterator["Pattern"]:
-        """All pattern nodes of the AST in document order (self first)."""
-        yield self
-        for item in self.items:
-            if isinstance(item, Descendant):
-                yield from item.pattern.subpatterns()
-            else:
-                for element in item.elements:
-                    yield from element.subpatterns()
+    def subpatterns(self) -> tuple["Pattern", ...]:
+        """All pattern nodes of the AST in document order (self first).
+
+        The nodes below are collected once per node and kept, like the
+        hash; *self* is left out of what is kept, so no pattern refers
+        to itself.
+        """
+        below = self._below
+        if below is None:
+            nodes: list[Pattern] = []
+            for item in self.items:
+                if isinstance(item, Descendant):
+                    nodes.extend(item.pattern.subpatterns())
+                else:
+                    for element in item.elements:
+                        nodes.extend(element.subpatterns())
+            below = tuple(nodes)
+            object.__setattr__(self, "_below", below)
+        return (self, *below)
 
     def terms(self) -> Iterator[Term]:
         """All attribute terms in document order (with repeats)."""

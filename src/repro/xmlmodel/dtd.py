@@ -94,7 +94,8 @@ class DTD:
             unknown = set(attributes) - set(parsed)
             if unknown:
                 raise XsmError(f"attributes declared for unknown labels: {sorted(unknown)}")
-        self._nfas: dict[str, NFA] = {}
+        self._nfas: dict[Regex, NFA] = {}
+        self._label_nfas: dict[str, NFA] = {}
 
     # -- basic views --------------------------------------------------------
 
@@ -113,11 +114,19 @@ class DTD:
         return self._child_labels[label]
 
     def production_nfa(self, label: str) -> NFA:
-        """The (cached) Glushkov NFA of the production of *label*."""
-        nfa = self._nfas.get(label)
+        """The Glushkov NFA of the production of *label*.
+
+        Compiled once per distinct production: labels whose productions
+        are equal (most often ``eps`` leaves) share one NFA.  The per-label
+        memo in front keeps the hot lookup to one string-keyed probe.
+        """
+        nfa = self._label_nfas.get(label)
         if nfa is None:
-            nfa = NFA.from_regex(self.productions[label])
-            self._nfas[label] = nfa
+            production = self.productions[label]
+            nfa = self._nfas.get(production)
+            if nfa is None:
+                nfa = self._nfas[production] = NFA.from_regex(production)
+            self._label_nfas[label] = nfa
         return nfa
 
     def __repr__(self) -> str:
@@ -163,6 +172,7 @@ class DTD:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_nfas"] = {}
+        state["_label_nfas"] = {}
         for name in self._MEMOS:
             state.pop(name, None)
         return state
@@ -504,6 +514,7 @@ def parse_dtd(text: str, root: str | None = None) -> DTD:
     * blank lines and ``#`` comments are ignored.
     """
     productions: dict[str, Regex] = {}
+    parsed: dict[str, Regex] = {}  # each distinct right-hand side parses once
     attributes: dict[str, tuple[str, ...]] = {}
     first_label: str | None = None
     declarations = []
@@ -515,7 +526,9 @@ def parse_dtd(text: str, root: str | None = None) -> DTD:
         match = _PRODUCTION_RE.match(declaration)
         if match:
             rhs = match.group("rhs").strip()
-            production = parse_regex(rhs) if rhs else EPSILON
+            production = parsed.get(rhs) if rhs else EPSILON
+            if production is None:
+                production = parsed[rhs] = parse_regex(rhs)
         else:
             match = _LEAF_RE.match(declaration)
             if not match:

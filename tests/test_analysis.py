@@ -226,6 +226,29 @@ class TestFragmentPass:
         assert "SM010" in codes(inequality_mapping())
         assert "SM010" not in CLEAN_CODES
 
+    def test_sm010_names_the_cell_of_the_dtds(self):
+        # nested-relational DTDs on both sides, child-only stds: the
+        # decidable NEXPTIME cell of Theorem 5.5, still a warning since
+        # only the bounded search answers it
+        from repro.workloads.families import distinct_values_family
+
+        nested = lint_mapping(distinct_values_family(2, consistent=False))
+        (warning,) = nested.by_code("SM010")
+        assert warning.severity is Severity.WARNING
+        assert "Theorem 5.5" in warning.message
+        assert "undecidable" not in warning.message
+        (cell,) = nested.by_code("SM002")
+        assert cell.get("exact") is False
+        assert cell.get("complexity") == "NEXPTIME-complete (Theorem 5.5)"
+        # the same comparison over a DTD that is not nested-relational
+        arbitrary = mk(
+            ["r[a(x), a(y)], x != y -> t[b(x)]"], source="r -> (a | c)*\na(x)"
+        )
+        (warning,) = lint_mapping(arbitrary).by_code("SM010")
+        assert warning.severity is Severity.WARNING
+        assert "undecidable" in warning.message
+        assert "Theorem 5.5" not in warning.message
+
     def test_sm011_warns_on_inexact_abscons(self):
         # a wildcard target defeats every exact ABSCONS route while CONS
         # stays decidable — SM011 without SM010

@@ -262,3 +262,48 @@ class TestSatisfiabilityAndMinimalTrees:
                     "r", {l: random_production(rng, labels[1:]) for l in labels}
                 )
             assert dtd.label_costs() == round_based(dtd), dtd
+
+
+class TestSharedProductions:
+    """Labels with equal productions share one compiled NFA and DFA."""
+
+    TEXT = "r -> a, b, c\na -> d?\nb -> d?\nc\nd"
+    TREES = [
+        "r[a, b, c]", "r[a[d], b, c]", "r[a[d], b[d], c]", "r[a, b]",
+        "r[b, a, c]", "r[a[c], b, c]", "r[a, b, c[d]]", "r[a[d, d], b, c]",
+    ]
+
+    def test_one_nfa_and_dfa_per_distinct_production(self):
+        from repro.automata.bitset import BitsetDTDAutomaton
+
+        dtd = parse_dtd(self.TEXT)
+        assert dtd.productions["a"] is dtd.productions["b"]
+        assert dtd.production_nfa("a") is dtd.production_nfa("b")
+        assert dtd.production_nfa("c") is dtd.production_nfa("d")
+        assert dtd.production_nfa("r") is not dtd.production_nfa("c")
+        dfas = BitsetDTDAutomaton(dtd)._dfas
+        assert dfas["a"] is dfas["b"] and dfas["c"] is dfas["d"]
+        assert len({id(dfa) for dfa in dfas.values()}) == 3
+
+    def test_shared_build_equals_the_per_label_build(self):
+        from repro.automata.bitset import BitsetDTDAutomaton
+        from repro.automata.duta import run
+        from repro.regex.nfa import NFA
+
+        shared = parse_dtd(self.TEXT)
+        per_label = parse_dtd(self.TEXT)
+        per_label._label_nfas.update({
+            label: NFA.from_regex(production)
+            for label, production in per_label.productions.items()
+        })
+        assert per_label.production_nfa("a") is not per_label.production_nfa("b")
+        assert shared.label_costs() == per_label.label_costs()
+        assert shared.minimal_tree() == per_label.minimal_tree()
+        automaton = BitsetDTDAutomaton(shared)
+        verdicts = []
+        for text in self.TREES:
+            tree = parse_tree(text)
+            verdicts.append(shared.conforms(tree))
+            assert verdicts[-1] == per_label.conforms(tree), text
+            assert automaton.is_accepting(run(automaton, tree)) == verdicts[-1]
+        assert verdicts == [True, True, True] + [False] * 5

@@ -105,9 +105,7 @@ def test_tables_equal_reference_over_every_pattern_label(seed):
             if not with_arity:
                 patterns = [pattern.strip_values() for pattern in patterns]
             context = ExecutionContext(cache=CompilationCache())
-            production = achievable_sets(
-                dtd, patterns, with_arity=with_arity, context=context
-            )
+            production = achievable_sets(dtd, patterns, context=context)
             reference = achievable_sets_reference(
                 dtd, patterns, _pattern_labels(patterns), with_arity
             )
@@ -140,6 +138,38 @@ def test_one_dtd_automaton_per_dtd_per_check():
                 certify(verdict)
     by_kind = context.cache.stats_by_kind()
     assert by_kind["bitset-dtd-automaton"]["misses"] == 2
+
+
+def test_one_trigger_set_table_per_dtd_per_check(monkeypatch):
+    """CONS (Theorem 5.2), ABSCONS° (Proposition 6.1) and certify() of a
+    value-free mapping on one cache read one achievable table per DTD,
+    built by one conforming-product pass each."""
+    import repro.engine.cache as cache_module
+
+    passes = []
+    reachable = cache_module.reachable_states
+
+    def counted(product, conformance=None, **kwargs):
+        passes.append(conformance.dtd)
+        return reachable(product, conformance=conformance, **kwargs)
+
+    monkeypatch.setattr(cache_module, "reachable_states", counted)
+    mapping = families.cons_arbitrary_family(3, consistent=False)
+    context = ExecutionContext(Budget.default(), cache=CompilationCache())
+    verdicts = [
+        solve(ConsistencyProblem(mapping), context),
+        solve(AbsoluteConsistencyProblem(mapping), context),
+    ]
+    assert [verdict.report.algorithm for verdict in verdicts] == [
+        "cons-automata", "abscons-sm0",
+    ]
+    with context.activate():
+        for verdict in verdicts:
+            certify(verdict)
+    assert context.cache.stats_by_kind()["achievable"]["misses"] == 2
+    assert sorted(map(id, passes)) == sorted(
+        map(id, (mapping.source_dtd, mapping.target_dtd))
+    )
 
 
 def test_undeclared_target_label_is_unsatisfiable():
