@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench-smoke perfbench-smoke stats-smoke serve-smoke watch-smoke lint lint-smoke bench baseline ci
+.PHONY: test smoke bench-smoke perfbench-smoke stats-smoke serve-smoke watch-smoke startup-smoke lint lint-smoke bench baseline ci
 
 # tier-1: the full unit/property suite
 test:
@@ -78,6 +78,15 @@ serve-smoke:
 watch-smoke:
 	$(PYTHON) examples/watch_smoke.py
 
+# import-layering gate: in fresh interpreters, `import repro.cli`,
+# `repro --help` and `repro --version` load no library stack, `repro check`
+# loads neither the worker pool, the HTTP client/server, exchange nor the
+# fix/SARIF modules, every package's lazy re-exports resolve, and a fresh
+# daemon lists every metric family after one /check (deterministic: module
+# sets, not timings; benchmarks/bench_startup.py journals the timings)
+startup-smoke:
+	$(PYTHON) -m pytest -q tests/test_startup.py
+
 # full before/after series (slow; prints the speedup table)
 bench:
 	$(PYTHON) benchmarks/bench_matching_engine.py
@@ -108,4 +117,4 @@ lint:
 lint-smoke:
 	$(PYTHON) examples/lint_gate.py
 
-ci: lint test bench-smoke perfbench-smoke lint-smoke stats-smoke serve-smoke watch-smoke
+ci: lint test bench-smoke perfbench-smoke lint-smoke stats-smoke serve-smoke watch-smoke startup-smoke

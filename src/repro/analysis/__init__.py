@@ -9,98 +9,32 @@ baseline suppression (:mod:`.suppress`) and SARIF export
 (:mod:`.sarif`).
 """
 
-from repro.analysis.diagnostics import (
-    CATALOG,
-    FAMILIES,
-    CatalogEntry,
-    Diagnostic,
-    LintReport,
-    Severity,
-    SourceLocation,
-    family_of,
-    merge_reports,
-)
-from repro.analysis.fixes import (
-    FIXABLE_CODES,
-    Fix,
-    StdEdit,
-    apply_edits_to_text,
-    fix_from_dict,
-    fix_mapping,
-    fixes_for_report,
-    select_compatible,
-    verify_fix,
-)
-from repro.analysis.fragment import (
-    CellPrediction,
-    predict_abscons,
-    predict_composition_consistency,
-    predict_composition_membership,
-    predict_consistency,
-    predict_for_problem,
-    predict_membership,
-)
-from repro.analysis.lint import lint_mapping
-from repro.analysis.passes import (
-    PASSES,
-    composition_pass,
-    diagnostics_for_problem,
-    dtd_pass,
-    fragment_pass,
-    hygiene_pass,
-    redundancy_pass,
-)
-from repro.analysis.redundancy import Subsumption, find_redundancies, subsumes
-from repro.analysis.sarif import sarif_log, validate_sarif
-from repro.analysis.suppress import (
-    apply_baseline,
-    baseline_from_envelope,
-    envelope_exit_code,
-    load_baseline,
-    render_baseline,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CATALOG",
-    "FAMILIES",
-    "FIXABLE_CODES",
-    "PASSES",
-    "CatalogEntry",
-    "CellPrediction",
-    "Diagnostic",
-    "Fix",
-    "LintReport",
-    "Severity",
-    "SourceLocation",
-    "StdEdit",
-    "Subsumption",
-    "apply_baseline",
-    "apply_edits_to_text",
-    "baseline_from_envelope",
-    "composition_pass",
-    "diagnostics_for_problem",
-    "dtd_pass",
-    "envelope_exit_code",
-    "family_of",
-    "find_redundancies",
-    "fix_from_dict",
-    "fix_mapping",
-    "fixes_for_report",
-    "fragment_pass",
-    "hygiene_pass",
-    "lint_mapping",
-    "load_baseline",
-    "merge_reports",
-    "predict_abscons",
-    "predict_composition_consistency",
-    "predict_composition_membership",
-    "predict_consistency",
-    "predict_for_problem",
-    "predict_membership",
-    "redundancy_pass",
-    "sarif_log",
-    "select_compatible",
-    "subsumes",
-    "validate_sarif",
-    "verify_fix",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".diagnostics": (
+        "CATALOG", "FAMILIES", "CatalogEntry", "Diagnostic", "LintReport",
+        "Severity", "SourceLocation", "family_of", "merge_reports",
+    ),
+    ".fixes": (
+        "FIXABLE_CODES", "Fix", "StdEdit", "apply_edits_to_text",
+        "fix_from_dict", "fix_mapping", "fixes_for_report", "select_compatible",
+        "verify_fix",
+    ),
+    ".fragment": (
+        "CellPrediction", "predict_abscons", "predict_composition_consistency",
+        "predict_composition_membership", "predict_consistency",
+        "predict_for_problem", "predict_membership",
+    ),
+    ".lint": ("lint_mapping",),
+    ".passes": (
+        "PASSES", "composition_pass", "diagnostics_for_problem", "dtd_pass",
+        "fragment_pass", "hygiene_pass", "redundancy_pass",
+    ),
+    ".redundancy": ("Subsumption", "find_redundancies", "subsumes"),
+    ".sarif": ("sarif_log", "validate_sarif"),
+    ".suppress": (
+        "apply_baseline", "baseline_from_envelope", "envelope_exit_code",
+        "load_baseline", "render_baseline",
+    ),
+})

@@ -43,7 +43,12 @@ from repro.analysis.diagnostics import (
     LintReport,
     SourceLocation,
 )
-from repro.analysis.lint import lint_mapping
+from repro.analysis.lint import (
+    _FIXES_PROPOSED,
+    _FIXES_REJECTED,
+    _FIXES_VERIFIED,
+    lint_mapping,
+)
 from repro.analysis.passes import satisfiability_pattern
 from repro.engine import (
     CertificationError,
@@ -56,7 +61,7 @@ from repro.engine.problems import ConsistencyProblem
 from repro.engine.verdicts import Verdict
 from repro.errors import BoundExceededError, XsmError
 from repro.mappings.std import STD, Comparison, parse_std
-from repro.obs import REGISTRY, trace
+from repro.obs import trace
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
 from repro.patterns.satisfiability import satisfying_tree
 from repro.values import SkolemTerm, Term, Var
@@ -65,22 +70,6 @@ from repro.xmlmodel import serialize_tree
 if TYPE_CHECKING:
     from repro.mappings.mapping import SchemaMapping
     from repro.xmlmodel.dtd import DTD
-
-_FIXES_PROPOSED = REGISTRY.counter(
-    "repro_fixes_proposed_total",
-    "Candidate quick-fixes built, by diagnostic code",
-    ("code",),
-)
-_FIXES_VERIFIED = REGISTRY.counter(
-    "repro_fixes_verified_total",
-    "Quick-fixes that passed the apply/re-lint/solve verification gate",
-    ("code",),
-)
-_FIXES_REJECTED = REGISTRY.counter(
-    "repro_fixes_rejected_total",
-    "Quick-fixes rejected by the verification gate, by code and reason",
-    ("code", "reason"),
-)
 
 #: Safety classes: a ``preserving`` fix provably keeps the mapping's
 #: semantics; a ``relaxing`` fix changes it (review the diff).

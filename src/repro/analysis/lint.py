@@ -35,6 +35,23 @@ _LINT_DIAGNOSTICS = REGISTRY.counter(
     "Diagnostics emitted, by code and severity",
     ("code", "severity"),
 )
+#: The quick-fix engine's series (:mod:`repro.analysis.fixes`), registered
+#: with the linter's so a process lists them before any fix is built.
+_FIXES_PROPOSED = REGISTRY.counter(
+    "repro_fixes_proposed_total",
+    "Candidate quick-fixes built, by diagnostic code",
+    ("code",),
+)
+_FIXES_VERIFIED = REGISTRY.counter(
+    "repro_fixes_verified_total",
+    "Quick-fixes that passed the apply/re-lint/solve verification gate",
+    ("code",),
+)
+_FIXES_REJECTED = REGISTRY.counter(
+    "repro_fixes_rejected_total",
+    "Quick-fixes rejected by the verification gate, by code and reason",
+    ("code", "reason"),
+)
 
 PassFn = Callable[["SchemaMapping", ExecutionContext | None], Iterable[Diagnostic]]
 

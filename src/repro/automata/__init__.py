@@ -24,28 +24,15 @@ exactly as the paper's EXPTIME bounds predict.
   The plain automata are the reference they are tested against.
 """
 
-from repro.automata.duta import (
-    ProductAutomaton,
-    TreeAutomaton,
-    find_accepted,
-    reachable_states,
-    run,
-)
-from repro.automata.dtd_automaton import DTDAutomaton
-from repro.automata.pattern_automaton import PatternClosureAutomaton
-from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
-from repro.automata.interning import Interner, LabelTable
+from repro import _lazy_exports
 
-__all__ = [
-    "TreeAutomaton",
-    "ProductAutomaton",
-    "run",
-    "reachable_states",
-    "find_accepted",
-    "DTDAutomaton",
-    "PatternClosureAutomaton",
-    "BitsetDTDAutomaton",
-    "BitsetClosureAutomaton",
-    "Interner",
-    "LabelTable",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".duta": (
+        "ProductAutomaton", "TreeAutomaton", "find_accepted",
+        "reachable_states", "run",
+    ),
+    ".dtd_automaton": ("DTDAutomaton",),
+    ".pattern_automaton": ("PatternClosureAutomaton",),
+    ".bitset": ("BitsetClosureAutomaton", "BitsetDTDAutomaton"),
+    ".interning": ("Interner", "LabelTable"),
+})

@@ -59,6 +59,10 @@ destinations); ``--stats`` additionally prints a registry-derived
 ``registry:`` section of every series the command moved.  ``repro
 stats`` runs a built-in self-test batch and fails (exit 1) when the
 exporters regress.  ``REPRO_PROFILE=1`` dumps per-solve cProfile data.
+
+Importing this module loads argparse and nothing of the library: the
+parser is built from names alone, and each ``cmd_*`` handler imports the
+stack its command uses when it runs (see DESIGN.md, "Import layering").
 """
 
 from __future__ import annotations
@@ -68,17 +72,13 @@ import contextlib
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.engine import CompilationCache, DiskCacheTier, ExecutionContext
-from repro.errors import XsmError
-from repro.exchange import canonical_solution
-from repro.mappings.io import parse_mapping
-from repro.obs import REGISTRY, collecting, diff_snapshots, estimate_quantile
-from repro.patterns.matching import find_matches
-from repro.patterns.parser import parse_pattern
-from repro.service import EngineSession, call_service
-from repro.xmlmodel.dtd import parse_dtd
-from repro.xmlmodel.xml_io import from_xml, to_xml
+from repro import __version__
+
+if TYPE_CHECKING:
+    from repro.engine.budget import ExecutionContext
+    from repro.service.session import EngineSession
 
 
 def _read(path: str) -> str:
@@ -100,6 +100,8 @@ def _write_obs(dest: str, text: str) -> None:
 
 def _render_metrics(dest: str) -> str:
     """Registry export: ``.json`` destinations get JSON, else Prometheus."""
+    from repro.obs import REGISTRY
+
     if dest.endswith(".json"):
         return REGISTRY.render_json()
     return REGISTRY.render_prometheus()
@@ -112,7 +114,8 @@ class _Observer:
     engine span of the command lands in one tree, including the merged
     cross-process spans of ``--jobs`` batches), snapshots the registry
     around the handler for the ``--stats`` registry section, and flushes
-    the requested exports even when the handler raises.
+    the requested exports even when the handler raises.  A command run
+    with none of the three options never loads :mod:`repro.obs`.
     """
 
     def __init__(self, args):
@@ -125,8 +128,13 @@ class _Observer:
         self._collector = None
 
     def __enter__(self):
-        self._before = REGISTRY.snapshot()
+        if self.stats:
+            from repro.obs import REGISTRY
+
+            self._before = REGISTRY.snapshot()
         if self.trace_dest is not None:
+            from repro.obs import collecting
+
             self._collector = collecting("repro", command=self.command)
             self.tree = self._collector.__enter__()
         return self
@@ -143,6 +151,8 @@ class _Observer:
         return False
 
     def _print_registry_section(self) -> None:
+        from repro.obs import REGISTRY, diff_snapshots
+
         delta = diff_snapshots(self._before, REGISTRY.snapshot())
         lines = _registry_lines(delta)
         if lines:
@@ -181,17 +191,29 @@ def _resolved_cache_dir(args) -> str | None:
 
 def _batch_context(args) -> ExecutionContext:
     """An execution context honouring ``--cache-size`` / ``--cache-dir``."""
+    from repro.engine.budget import ExecutionContext
+    from repro.engine.cache import CompilationCache
+
     cache_dir = _resolved_cache_dir(args)
-    disk = DiskCacheTier(cache_dir) if cache_dir else None
+    disk = None
+    if cache_dir:
+        from repro.engine.diskcache import DiskCacheTier
+
+        disk = DiskCacheTier(cache_dir)
     cache = CompilationCache(max_entries=getattr(args, "cache_size", None), disk=disk)
     return ExecutionContext(cache=cache)
 
 
-def _session_from_args(args) -> EngineSession:
+def _session_from_args(args, preload: bool = False) -> EngineSession:
+    """The session behind one command: it imports only what the command
+    uses, unless *preload* asks for every handler's stack (``serve``)."""
+    from repro.service.session import EngineSession
+
     return EngineSession(
         jobs=getattr(args, "jobs", 1) or 1,
         cache_size=getattr(args, "cache_size", None),
         cache_dir=_resolved_cache_dir(args),
+        preload=preload,
     )
 
 
@@ -203,8 +225,12 @@ def _dispatch(args, command: str, request: dict) -> dict:
     :class:`XsmError`, so :func:`main` reports it exactly like the
     pre-service-layer CLI did: ``error: <message>`` on stderr, exit 3.
     """
+    from repro.errors import XsmError
+
     url = getattr(args, "url", None)
     if url:
+        from repro.service.client import call_service
+
         response = call_service(url, command, request)
     else:
         response = _session_from_args(args).handle(command, request)
@@ -226,6 +252,10 @@ def _print_report_lines(payload: dict) -> None:
 
 
 def cmd_validate(args) -> int:
+    from repro.errors import XsmError
+    from repro.xmlmodel.dtd import parse_dtd
+    from repro.xmlmodel.xml_io import from_xml
+
     dtd = parse_dtd(_read(args.dtd))
     document = from_xml(_read(args.document), dtd)
     try:
@@ -238,6 +268,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from repro.patterns.matching import find_matches
+    from repro.patterns.parser import parse_pattern
+    from repro.xmlmodel.xml_io import from_xml
+
     pattern = parse_pattern(args.pattern)
     document = from_xml(_read(args.document))
     matches = find_matches(pattern, document)
@@ -311,6 +345,10 @@ def cmd_member(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from repro.exchange.canonical import canonical_solution
+    from repro.mappings.io import parse_mapping
+    from repro.xmlmodel.xml_io import from_xml, to_xml
+
     mapping = parse_mapping(_read(args.mapping))
     source = from_xml(_read(args.source), mapping.source_dtd)
     solution = canonical_solution(mapping, source)
@@ -349,8 +387,8 @@ def cmd_stats(args) -> int:
 
 def _stats_pull(url: str) -> int:
     """``repro stats --url``: report a running daemon's accounting."""
-    from repro.obs import parse_prometheus
-    from repro.service import fetch_json, fetch_text
+    from repro.obs.metrics import parse_prometheus
+    from repro.service.client import fetch_json, fetch_text
 
     stats = fetch_json(url, "stats")
     text = fetch_text(url, "metrics")
@@ -447,7 +485,9 @@ def _lint_watch(args) -> int:
             "strict": args.strict,
             "quiet": args.quiet,
         }
-        if url:
+        if session is None:
+            from repro.service.client import call_service
+
             return call_service(url, "delta", request)
         return session.delta(request)
 
@@ -489,15 +529,6 @@ def cmd_lint(args) -> int:
         return _lint_watch(args)
     import json as json_module
 
-    from repro.analysis import (
-        apply_baseline,
-        baseline_from_envelope,
-        envelope_exit_code,
-        load_baseline,
-        render_baseline,
-        sarif_log,
-    )
-
     texts = {path: _read(path) for path in args.mappings}
     request = {
         "mappings": [{"name": path, "text": texts[path]} for path in args.mappings],
@@ -514,6 +545,14 @@ def cmd_lint(args) -> int:
 
     suppressed_only: dict[str, object] | None = None
     if args.baseline:
+        from repro.analysis.suppress import (
+            apply_baseline,
+            baseline_from_envelope,
+            envelope_exit_code,
+            load_baseline,
+            render_baseline,
+        )
+
         baseline_path = Path(args.baseline)
         if args.update_baseline or not baseline_path.exists():
             baseline = baseline_from_envelope(envelope)
@@ -540,6 +579,8 @@ def cmd_lint(args) -> int:
         exit_code = envelope_exit_code(envelope, strict=args.strict)
 
     if args.sarif is not None:
+        from repro.analysis.sarif import sarif_log
+
         fixes_by_name = {
             entry["name"]: entry["fixes"]
             for entry in response.get("fixes", [])
@@ -612,7 +653,11 @@ def cmd_fix(args) -> int:
     """
     import difflib
 
-    from repro.analysis import apply_edits_to_text, fix_from_dict, select_compatible
+    from repro.analysis.fixes import (
+        apply_edits_to_text,
+        fix_from_dict,
+        select_compatible,
+    )
 
     only_codes = None
     if args.only:
@@ -672,10 +717,10 @@ def cmd_compose(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the JSON-over-HTTP daemon over one warm engine session."""
-    from repro.obs import FlightRecorder
-    from repro.service import ServiceServer
+    from repro.obs.flight import FlightRecorder
+    from repro.service.server import ServiceServer
 
-    session = _session_from_args(args)
+    session = _session_from_args(args, preload=True)
     if args.slow_log:
         session.flight = FlightRecorder(slow_log=args.slow_log)
     server = ServiceServer(
@@ -706,6 +751,8 @@ def _quantile_rows(metrics: dict) -> list[str]:
     bucket counts (see :func:`repro.obs.estimate_quantile`), so they are
     as coarse as the bucket grid — good enough to spot a regressing op.
     """
+    from repro.obs.metrics import estimate_quantile
+
     family = metrics.get("repro_request_latency_seconds")
     if not family:
         return []
@@ -798,7 +845,7 @@ def cmd_top(args) -> int:
     import json as json_module
     import time as time_module
 
-    from repro.service import fetch_json, fetch_text
+    from repro.service.client import fetch_json, fetch_text
 
     remaining = args.count
     clear = not args.plain and sys.stdout.isatty()
@@ -826,6 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="XML schema mappings (PODS 2009 reproduction) — "
         "validation, matching, static analysis, exchange, composition",
     )
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     validate = commands.add_parser("validate", help="conformance of a document")
@@ -1026,6 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    from repro.errors import XsmError
+
     try:
         with _Observer(args):
             return args.handler(args)

@@ -13,22 +13,13 @@
   showing which features break closure.
 """
 
-from repro.composition.semantics import (
-    composition_contains,
-    composition_contains_exact,
-    composition_value_domain,
-)
-from repro.composition.conscomp import (
-    is_composition_consistent,
-    is_composition_consistent_bounded,
-)
-from repro.composition.compose import compose
+from repro import _lazy_exports
 
-__all__ = [
-    "composition_contains",
-    "composition_contains_exact",
-    "composition_value_domain",
-    "is_composition_consistent",
-    "is_composition_consistent_bounded",
-    "compose",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".semantics": (
+        "composition_contains", "composition_contains_exact",
+        "composition_value_domain",
+    ),
+    ".conscomp": ("is_composition_consistent", "is_composition_consistent_bounded"),
+    ".compose": ("compose",),
+})

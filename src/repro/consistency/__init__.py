@@ -17,47 +17,20 @@
 :func:`is_consistent` dispatches to the strongest applicable algorithm.
 """
 
-from repro.consistency.cons_automata import (
-    consistency_witness_automata,
-    is_consistent_automata,
-)
-from repro.consistency.cons_nested import (
-    is_consistent_nested,
-    nested_consistency_witness,
-)
-from repro.consistency.bounded import (
-    find_consistency_witness_bounded,
-    is_consistent_bounded,
-)
-from repro.consistency.dispatch import consistency_witness, is_consistent
-from repro.consistency.expansion import (
-    expand_mapping_sources,
-    expand_source_pattern,
-    is_absolutely_consistent_expanded,
-)
-from repro.consistency.abscons import (
-    abscons_counterexample,
-    abscons_ptime_analysis,
-    is_absolutely_consistent,
-    is_absolutely_consistent_sm0,
-    is_absolutely_consistent_ptime,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "is_consistent",
-    "consistency_witness",
-    "is_consistent_automata",
-    "consistency_witness_automata",
-    "is_consistent_nested",
-    "nested_consistency_witness",
-    "is_consistent_bounded",
-    "find_consistency_witness_bounded",
-    "is_absolutely_consistent",
-    "is_absolutely_consistent_sm0",
-    "is_absolutely_consistent_ptime",
-    "abscons_counterexample",
-    "abscons_ptime_analysis",
-    "expand_source_pattern",
-    "expand_mapping_sources",
-    "is_absolutely_consistent_expanded",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".cons_automata": ("consistency_witness_automata", "is_consistent_automata"),
+    ".cons_nested": ("is_consistent_nested", "nested_consistency_witness"),
+    ".bounded": ("find_consistency_witness_bounded", "is_consistent_bounded"),
+    ".dispatch": ("consistency_witness", "is_consistent"),
+    ".expansion": (
+        "expand_mapping_sources", "expand_source_pattern",
+        "is_absolutely_consistent_expanded",
+    ),
+    ".abscons": (
+        "abscons_counterexample", "abscons_ptime_analysis",
+        "is_absolutely_consistent", "is_absolutely_consistent_sm0",
+        "is_absolutely_consistent_ptime",
+    ),
+})

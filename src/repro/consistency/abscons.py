@@ -48,7 +48,6 @@ the certificate re-checker.
 from __future__ import annotations
 
 from repro.automata.dtd_automaton import decorate
-from repro.consistency.bounded import decided_sources, default_value_domain
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import dtd_digest, trigger_tables
@@ -332,6 +331,8 @@ def abscons_counterexample(
     to the context's :class:`~repro.engine.budget.Budget`; no target
     bound enters.
     """
+    from repro.consistency.bounded import decided_sources, default_value_domain
+
     if max_source_size is None:
         max_source_size = resolve_budget(context).max_source_size
     if value_domain is None:
@@ -367,6 +368,8 @@ def decide_absolute_consistency(
         return is_absolutely_consistent_expanded(mapping), "abscons-expansion"
     except (SignatureError, BoundExceededError):
         pass
+    from repro.consistency.bounded import decided_sources, default_value_domain
+
     max_source_size = resolve_budget(context).max_source_size
     undecided = None
     for source, decided, solution in decided_sources(

@@ -312,8 +312,11 @@ def is_consistent_bounded(
         "nodes, each decided exactly where an exact test applies, else by "
         f"targets of at most {max_target_size or budget.max_target_size} nodes"
     )
+    from repro.analysis.fragment import predict_consistency
+
+    cell = predict_consistency(mapping, context).complexity
     return Unknown(
-        f"no witness within the search bounds ({bounds}); the class admits "
-        "no complete procedure (Theorem 5.4)",
+        f"no witness within the search bounds ({bounds}); the class's CONS "
+        f"cell is {cell}, and a bounded search cannot refute it",
         bound_exhausted=True,
     )

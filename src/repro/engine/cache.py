@@ -38,10 +38,10 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
 from repro.automata.duta import ProductAutomaton, reachable_states
-from repro.engine.diskcache import MISS, DiskCacheTier
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
+    from repro.engine.diskcache import DiskCacheTier
     from repro.mappings.mapping import SchemaMapping
     from repro.mappings.std import STD
 from repro.obs import REGISTRY, trace
@@ -82,6 +82,11 @@ _DISK_STORES = REGISTRY.counter(
     "repro_cache_disk_stores_total",
     "Artifacts written back to the disk tier",
 )
+
+
+#: Sentinel distinguishing "no entry" from a cached ``None`` (the LRU's
+#: and the disk tier's).
+MISS = object()
 
 
 def cache_kind(key: Hashable) -> str:
@@ -276,8 +281,11 @@ class CompilationCache(LRU):
 def cache_from_env() -> CompilationCache:
     """A cache configured by ``REPRO_CACHE_SIZE`` / ``REPRO_CACHE_DIR``."""
     directory = os.environ.get(CACHE_DIR_ENV)
-    disk = DiskCacheTier(directory) if directory else None
-    return CompilationCache(disk=disk)
+    if not directory:
+        return CompilationCache()
+    from repro.engine.diskcache import DiskCacheTier
+
+    return CompilationCache(disk=DiskCacheTier(directory))
 
 
 #: The process-wide cache used when no :class:`ExecutionContext` overrides it.

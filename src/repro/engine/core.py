@@ -1,4 +1,5 @@
-"""``engine.solve``: the single front door of every decision procedure.
+"""``engine.solve``: the single front door of every decision procedure,
+and ``engine.solve_many``, its batch form.
 
 Routing follows Figures 1–2 of the paper: the problem type plus the
 mapping's ``SM(σ)`` fragment (axes, comparisons, constants) and the
@@ -15,15 +16,23 @@ into ``Unknown(bound_exhausted=True)`` — bound exhaustion never escapes
 
 Solver modules are imported lazily inside the routing functions: they
 import the engine's leaf modules (verdicts, budget, cache) at module
-level, so importing them from here at module level would be circular.
+level, so importing them from here at module level would be circular,
+and each route's module then loads only when the route is taken.
+
+A batch (:func:`solve_many`) with ``jobs=1``, or of one problem, is
+solved serially in-process against the caller's context, which is what
+every CLI command and daemon request does unless it asks for workers.
+A batch over several workers fans out over the process pool of
+:mod:`repro.engine.parallel`, which is imported only then.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.engine.budget import ExecutionContext, current_context
+from repro.engine.budget import Budget, ExecutionContext, current_context, resolve_context
 from repro.engine.problems import (
     AbsoluteConsistencyProblem,
     CompositionConsistencyProblem,
@@ -33,10 +42,10 @@ from repro.engine.problems import (
     SatisfiabilityProblem,
     SeparationProblem,
 )
-from repro.engine.report import SolveReport
+from repro.engine.report import BatchReport, SolveReport
 from repro.engine.verdicts import Unknown, Verdict
 from repro.errors import BoundExceededError, SignatureError, XsmError
-from repro.obs import REGISTRY, ambient_tag, maybe_profile, trace
+from repro.obs import REGISTRY, ambient_tag, bind_tags, current_tags, maybe_profile, trace
 
 #: Always-on operational series (pre-bound families; cheap label lookups).
 _SOLVES = REGISTRY.counter(
@@ -94,17 +103,21 @@ def _solve_consistency(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
     from repro.analysis.fragment import predict_consistency
-    from repro.consistency.bounded import is_consistent_bounded
-    from repro.consistency.cons_automata import is_consistent_automata
-    from repro.consistency.cons_nested import is_consistent_nested
 
+    # each route's module loads only when the route is taken
     mapping = problem.mapping
     prediction = predict_consistency(mapping, context)
     info.update(algorithm=prediction.algorithm, reason=prediction.reason)
     if prediction.algorithm == "cons-nested":
+        from repro.consistency.cons_nested import is_consistent_nested
+
         return is_consistent_nested(mapping, context)
     if prediction.algorithm == "cons-automata":
+        from repro.consistency.cons_automata import is_consistent_automata
+
         return is_consistent_automata(mapping, context)
+    from repro.consistency.bounded import is_consistent_bounded
+
     return is_consistent_bounded(mapping, context=context)
 
 
@@ -336,3 +349,190 @@ def solve(problem: Any, context: ExecutionContext | None = None) -> Verdict:
     if expansions:
         _EXPANSIONS.labels(algorithm=info["algorithm"]).inc(expansions)
     return verdict
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+#: ``Unknown.reason`` prefixes for results the pool had to synthesize.
+WORKER_TIMEOUT = "worker-timeout"
+WORKER_CRASH = "worker-crash"
+
+#: Batch series, the pool's included: they register with the front door,
+#: so a process lists them before (or without) ever starting a pool.
+_BATCH_PROBLEMS = REGISTRY.counter(
+    "repro_batch_problems_total",
+    "Problems submitted through solve_many",
+)
+_QUEUE_WAIT = REGISTRY.histogram(
+    "repro_queue_wait_seconds",
+    "Seconds a chunk waited between driver submission and worker pickup",
+)
+_WORKER_CHUNKS = REGISTRY.counter(
+    "repro_worker_chunks_total",
+    "Chunks completed per worker process (the work-stealing spread)",
+    ("worker",),
+)
+_WORKER_FAILURES = REGISTRY.counter(
+    "repro_worker_failures_total",
+    "Tasks lost to worker failures, by kind (timeout / crash / error)",
+    ("kind",),
+)
+_BATCH_RETRIES = REGISTRY.counter(
+    "repro_batch_retries_total",
+    "Innocent-bystander chunks requeued after a pool failure",
+)
+
+
+def effective_budget(budget: Budget, task_timeout: float | None) -> Budget:
+    """Tighten *budget*'s deadline to the per-task timeout (first line of
+    defense: budget-aware searches give up cooperatively before the
+    watchdog has to kill anything)."""
+    if task_timeout is None:
+        return budget
+    deadline = budget.deadline_seconds
+    if deadline is None or deadline > task_timeout:
+        return budget.with_(deadline_seconds=task_timeout)
+    return budget
+
+
+class BatchResult(Sequence):
+    """Verdicts in problem order plus the aggregated :class:`BatchReport`."""
+
+    def __init__(self, verdicts: list[Verdict], report: BatchReport):
+        self.verdicts = verdicts
+        self.report = report
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.verdicts[index]
+
+    def decisions(self) -> list[bool | None]:
+        return [verdict.decision() for verdict in self.verdicts]
+
+    def __repr__(self) -> str:
+        outcomes = self.report.outcomes
+        return (
+            f"BatchResult({len(self.verdicts)} verdicts: "
+            f"{outcomes.get('proved', 0)} proved, "
+            f"{outcomes.get('refuted', 0)} refuted, "
+            f"{outcomes.get('unknown', 0)} unknown)"
+        )
+
+
+def default_jobs(n_problems: int) -> int:
+    """All cores, but never more workers than problems."""
+    return max(1, min(n_problems, os.cpu_count() or 1))
+
+
+def solve_many(
+    problems: Iterable[object],
+    *,
+    jobs: int | None = None,
+    context: ExecutionContext | None = None,
+    task_timeout: float | None = None,
+    chunk_size: int | None = None,
+    cache_dir: str | os.PathLike | None = None,
+    tags: dict | None = None,
+) -> BatchResult:
+    """Decide every problem of a batch, fanning out over *jobs* processes.
+
+    ``jobs=None`` uses one worker per core (capped by the batch size);
+    ``jobs=1`` solves serially in-process against *context*'s own cache.
+    *task_timeout* bounds each solve in wall-clock seconds — cooperatively
+    through the budget deadline, and by force through the pool watchdog.
+    *cache_dir* attaches a shared on-disk compilation-cache tier to every
+    worker (defaults to ``REPRO_CACHE_DIR`` when set).
+
+    *tags* (merged over the caller's ambient :func:`repro.obs.bind_tags`
+    bindings, so a service request ID propagates with no explicit
+    plumbing) are re-bound inside every worker chunk: chunk spans, solve
+    spans and the truncated spans of crashed/hung workers all carry them.
+
+    Returns a :class:`BatchResult`: ``result[i]`` is the verdict of
+    ``problems[i]``, always — a hung or crashed worker contributes an
+    ``Unknown`` with a ``worker-timeout`` / ``worker-crash`` reason.
+    """
+    problems = list(problems)
+    resolved = resolve_context(context)
+    if resolved is None:
+        resolved = ExecutionContext()
+    if cache_dir is None:
+        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+    if jobs is None:
+        jobs = default_jobs(len(problems))
+    jobs = max(1, jobs)
+
+    report = BatchReport(problems=len(problems), jobs=jobs)
+    _BATCH_PROBLEMS.inc(len(problems))
+    started = time.perf_counter()
+    serial = jobs == 1 or len(problems) <= 1
+    # in-process solves already run under the caller's ambient tags;
+    # pooled workers are handed the merged bindings explicitly
+    tags = dict(tags or {}) if serial else {**current_tags(), **(tags or {})}
+    with bind_tags(**tags), trace(
+        "solve_many", problems=len(problems), jobs=jobs
+    ) as batch_span:
+        if serial:
+            verdicts = _solve_serial(
+                problems, resolved, task_timeout, cache_dir, report
+            )
+        else:
+            from repro.engine.parallel import solve_pooled
+
+            verdicts = solve_pooled(
+                problems, jobs, resolved, task_timeout, chunk_size, cache_dir,
+                report, batch_span, tags,
+            )
+    report.elapsed = time.perf_counter() - started
+    if not batch_span.is_noop:
+        report.trace = batch_span.to_dict()
+    for verdict in verdicts:
+        if verdict.is_proved:
+            report.outcomes["proved"] += 1
+        elif verdict.is_refuted:
+            report.outcomes["refuted"] += 1
+        else:
+            report.outcomes["unknown"] += 1
+            reason = getattr(verdict, "reason", "")
+            if reason.startswith(WORKER_TIMEOUT):
+                report.timeouts += 1
+            elif reason.startswith(WORKER_CRASH):
+                report.crashes += 1
+    return BatchResult(verdicts, report)
+
+
+def _solve_serial(
+    problems: list,
+    context: ExecutionContext,
+    task_timeout: float | None,
+    cache_dir: str | None,
+    report: BatchReport,
+) -> list[Verdict]:
+    budget = effective_budget(context.budget, task_timeout)
+    cache = context.cache
+    if cache_dir is not None and cache.disk is None:
+        # same deal the pooled workers get: a persistent tier under the LRU
+        from repro.engine.cache import CompilationCache
+        from repro.engine.diskcache import DiskCacheTier
+
+        cache = CompilationCache(
+            max_entries=cache.max_entries,
+            enabled=cache.enabled,
+            disk=DiskCacheTier(cache_dir),
+        )
+    run_context = ExecutionContext(budget, cache=cache, memo=context.memo)
+    before = run_context.cache.stats()
+    verdicts = []
+    for problem in problems:
+        run_context.start_clock()
+        verdicts.append(solve(problem, run_context))
+    after = run_context.cache.stats()
+    report.chunks = len(problems)
+    report.merge_cache(
+        {k: after.get(k, 0) - before.get(k, 0) for k in after if k != "entries"}
+    )
+    return verdicts

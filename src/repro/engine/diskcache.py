@@ -38,11 +38,11 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Hashable
 
-#: Bump when the key layout or any pickled artifact's shape changes.
-CACHE_FORMAT_VERSION = 6
+from repro.engine.cache import MISS
 
-#: Sentinel distinguishing "no entry" from a cached ``None``.
-MISS = object()
+#: Bump when the key layout or any pickled artifact's shape changes.
+#: 7: regex nodes pickle through their constructor, without a kept hash.
+CACHE_FORMAT_VERSION = 7
 
 
 def canonical_key(obj: object) -> str:

@@ -1,8 +1,9 @@
-"""``engine.solve_many``: the batch front door over a process pool.
+"""The process pool behind :func:`~repro.engine.core.solve_many`.
 
 The paper's evaluation is sweeps of many independent ``solve()`` calls
-(consistency, membership, composition) over generated workloads.  This
-module fans such a batch out over a :class:`ProcessPoolExecutor` with
+(consistency, membership, composition) over generated workloads.  When
+``solve_many`` is given more than one worker, this module fans the batch
+out over a :class:`ProcessPoolExecutor` with
 
 * **chunked work-stealing** — the batch is cut into small chunks (a few
   per worker) pulled by whichever worker frees up first, so one slow
@@ -39,10 +40,19 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Iterable, Sequence
+from typing import Any
 
-from repro.engine.budget import Budget, ExecutionContext, resolve_context
+from repro.engine.budget import Budget, ExecutionContext
 from repro.engine.cache import CompilationCache
+from repro.engine.core import (
+    _BATCH_RETRIES,
+    _QUEUE_WAIT,
+    _WORKER_CHUNKS,
+    _WORKER_FAILURES,
+    WORKER_CRASH,
+    WORKER_TIMEOUT,
+    effective_budget,
+)
 from repro.engine.diskcache import DiskCacheTier
 from repro.engine.report import BatchReport, SolveReport
 from repro.engine.verdicts import Unknown, Verdict
@@ -51,40 +61,10 @@ from repro.obs import (
     ambient_tag,
     bind_tags,
     collecting,
-    current_tags,
-    trace,
     tracing_active,
     truncated_span,
 )
 from repro.obs.metrics import diff_snapshots
-
-#: ``Unknown.reason`` prefixes for results the pool had to synthesize.
-WORKER_TIMEOUT = "worker-timeout"
-WORKER_CRASH = "worker-crash"
-
-#: Pool-level operational series (driver side unless noted).
-_QUEUE_WAIT = REGISTRY.histogram(
-    "repro_queue_wait_seconds",
-    "Seconds a chunk waited between driver submission and worker pickup",
-)
-_WORKER_CHUNKS = REGISTRY.counter(
-    "repro_worker_chunks_total",
-    "Chunks completed per worker process (the work-stealing spread)",
-    ("worker",),
-)
-_WORKER_FAILURES = REGISTRY.counter(
-    "repro_worker_failures_total",
-    "Tasks lost to worker failures, by kind (timeout / crash / error)",
-    ("kind",),
-)
-_BATCH_PROBLEMS = REGISTRY.counter(
-    "repro_batch_problems_total",
-    "Problems submitted through solve_many",
-)
-_BATCH_RETRIES = REGISTRY.counter(
-    "repro_batch_retries_total",
-    "Innocent-bystander chunks requeued after a pool failure",
-)
 
 #: How often the driver wakes up to collect results and check deadlines.
 _POLL_SECONDS = 0.05
@@ -98,18 +78,6 @@ _TIMEOUT_GRACE = 1.0
 
 _WORKER_CONTEXT: ExecutionContext | None = None
 _WORKER_TRACE = False
-
-
-def _effective_budget(budget: Budget, task_timeout: float | None) -> Budget:
-    """Tighten *budget*'s deadline to the per-task timeout (first line of
-    defense: budget-aware searches give up cooperatively before the
-    watchdog has to kill anything)."""
-    if task_timeout is None:
-        return budget
-    deadline = budget.deadline_seconds
-    if deadline is None or deadline > task_timeout:
-        return budget.with_(deadline_seconds=task_timeout)
-    return budget
 
 
 def _init_worker(
@@ -197,32 +165,6 @@ class _Chunk:
         return task_timeout * len(self.tasks) + _TIMEOUT_GRACE
 
 
-class BatchResult(Sequence):
-    """Verdicts in problem order plus the aggregated :class:`BatchReport`."""
-
-    def __init__(self, verdicts: list[Verdict], report: BatchReport):
-        self.verdicts = verdicts
-        self.report = report
-
-    def __len__(self) -> int:
-        return len(self.verdicts)
-
-    def __getitem__(self, index: Any) -> Any:
-        return self.verdicts[index]
-
-    def decisions(self) -> list[bool | None]:
-        return [verdict.decision() for verdict in self.verdicts]
-
-    def __repr__(self) -> str:
-        outcomes = self.report.outcomes
-        return (
-            f"BatchResult({len(self.verdicts)} verdicts: "
-            f"{outcomes.get('proved', 0)} proved, "
-            f"{outcomes.get('refuted', 0)} refuted, "
-            f"{outcomes.get('unknown', 0)} unknown)"
-        )
-
-
 def _synthetic(
     reason: str, detail: str, problem: object, elapsed: float = 0.0,
     tags: dict | None = None,
@@ -275,118 +217,6 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=True, cancel_futures=True)
 
 
-def default_jobs(n_problems: int) -> int:
-    """All cores, but never more workers than problems."""
-    return max(1, min(n_problems, os.cpu_count() or 1))
-
-
-def solve_many(
-    problems: Iterable[object],
-    *,
-    jobs: int | None = None,
-    context: ExecutionContext | None = None,
-    task_timeout: float | None = None,
-    chunk_size: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-    tags: dict | None = None,
-) -> BatchResult:
-    """Decide every problem of a batch, fanning out over *jobs* processes.
-
-    ``jobs=None`` uses one worker per core (capped by the batch size);
-    ``jobs=1`` solves serially in-process against *context*'s own cache.
-    *task_timeout* bounds each solve in wall-clock seconds — cooperatively
-    through the budget deadline, and by force through the pool watchdog.
-    *cache_dir* attaches a shared on-disk compilation-cache tier to every
-    worker (defaults to ``REPRO_CACHE_DIR`` when set).
-
-    *tags* (merged over the caller's ambient :func:`repro.obs.bind_tags`
-    bindings, so a service request ID propagates with no explicit
-    plumbing) are re-bound inside every worker chunk: chunk spans, solve
-    spans and the truncated spans of crashed/hung workers all carry them.
-
-    Returns a :class:`BatchResult`: ``result[i]`` is the verdict of
-    ``problems[i]``, always — a hung or crashed worker contributes an
-    ``Unknown`` with a ``worker-timeout`` / ``worker-crash`` reason.
-    """
-    problems = list(problems)
-    resolved = resolve_context(context)
-    if resolved is None:
-        resolved = ExecutionContext()
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    if jobs is None:
-        jobs = default_jobs(len(problems))
-    jobs = max(1, jobs)
-
-    report = BatchReport(problems=len(problems), jobs=jobs)
-    _BATCH_PROBLEMS.inc(len(problems))
-    started = time.perf_counter()
-    serial = jobs == 1 or len(problems) <= 1
-    # in-process solves already run under the caller's ambient tags;
-    # pooled workers are handed the merged bindings explicitly
-    tags = dict(tags or {}) if serial else {**current_tags(), **(tags or {})}
-    with bind_tags(**tags), trace(
-        "solve_many", problems=len(problems), jobs=jobs
-    ) as batch_span:
-        if serial:
-            verdicts = _solve_serial(
-                problems, resolved, task_timeout, cache_dir, report
-            )
-        else:
-            verdicts = _solve_pooled(
-                problems, jobs, resolved, task_timeout, chunk_size, cache_dir,
-                report, batch_span, tags,
-            )
-    report.elapsed = time.perf_counter() - started
-    if not batch_span.is_noop:
-        report.trace = batch_span.to_dict()
-    for verdict in verdicts:
-        if verdict.is_proved:
-            report.outcomes["proved"] += 1
-        elif verdict.is_refuted:
-            report.outcomes["refuted"] += 1
-        else:
-            report.outcomes["unknown"] += 1
-            reason = getattr(verdict, "reason", "")
-            if reason.startswith(WORKER_TIMEOUT):
-                report.timeouts += 1
-            elif reason.startswith(WORKER_CRASH):
-                report.crashes += 1
-    return BatchResult(verdicts, report)
-
-
-def _solve_serial(
-    problems: list,
-    context: ExecutionContext,
-    task_timeout: float | None,
-    cache_dir: str | None,
-    report: BatchReport,
-) -> list[Verdict]:
-    from repro.engine.core import solve
-
-    budget = _effective_budget(context.budget, task_timeout)
-    cache = context.cache
-    if cache_dir is not None and cache.disk is None:
-        # same deal the pooled workers get: a persistent tier under the LRU
-        cache = CompilationCache(
-            max_entries=cache.max_entries,
-            enabled=cache.enabled,
-            disk=DiskCacheTier(cache_dir),
-        )
-    run_context = ExecutionContext(budget, cache=cache, memo=context.memo)
-    before = run_context.cache.stats()
-    verdicts = []
-    for problem in problems:
-        run_context.start_clock()
-        verdicts.append(solve(problem, run_context))
-    after = run_context.cache.stats()
-    report.chunks = len(problems)
-    report.merge_cache(
-        {k: after.get(k, 0) - before.get(k, 0) for k in after if k != "entries"}
-    )
-    return verdicts
-
-
 def _absorb_chunk(
     chunk: _Chunk, stats: dict, metrics_delta: dict, meta: dict,
     report: BatchReport, batch_span: Any,
@@ -426,7 +256,7 @@ def _chunk_span(chunk: _Chunk, pairs: list, meta: dict, tags: dict | None = None
     }
 
 
-def _solve_pooled(
+def solve_pooled(
     problems: list,
     jobs: int,
     context: ExecutionContext,
@@ -437,7 +267,7 @@ def _solve_pooled(
     batch_span: Any,
     tags: dict | None = None,
 ) -> list[Verdict]:
-    budget = _effective_budget(context.budget, task_timeout)
+    budget = effective_budget(context.budget, task_timeout)
     cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
     initargs = (
         budget,

@@ -8,6 +8,8 @@ deterministically (rigid positions are forced together, starred positions
 stay apart, missing required structure is filled minimally with nulls).
 """
 
-from repro.exchange.canonical import canonical_solution
+from repro import _lazy_exports
 
-__all__ = ["canonical_solution"]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".canonical": ("canonical_solution",),
+})

@@ -66,13 +66,13 @@ from typing import TYPE_CHECKING, Sequence
 from repro.engine.budget import Budget, ExecutionContext
 from repro.engine.cache import (
     LRU,
+    MISS,
     CompilationCache,
     dtd_digest,
     mapping_digest,
     pattern_digest,
     std_digests,
 )
-from repro.engine.diskcache import MISS
 from repro.engine.problems import (
     AbsoluteConsistencyProblem,
     ConsistencyProblem,

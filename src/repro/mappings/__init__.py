@@ -16,19 +16,11 @@ Section 8's extension with Skolem functions lives in
 mappings (Section 3) in :mod:`repro.mappings.translation`.
 """
 
-from repro.mappings.std import STD, Comparison, parse_std
-from repro.mappings.mapping import SchemaMapping, Signature
-from repro.mappings.membership import is_solution, violations
-from repro.mappings.skolem import SkolemMapping, is_skolem_solution
+from repro import _lazy_exports
 
-__all__ = [
-    "STD",
-    "Comparison",
-    "parse_std",
-    "SchemaMapping",
-    "Signature",
-    "is_solution",
-    "violations",
-    "SkolemMapping",
-    "is_skolem_solution",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".std": ("STD", "Comparison", "parse_std"),
+    ".mapping": ("SchemaMapping", "Signature"),
+    ".membership": ("is_solution", "violations"),
+    ".skolem": ("SkolemMapping", "is_skolem_solution"),
+})

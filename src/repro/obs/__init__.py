@@ -23,74 +23,19 @@ summary, ``repro stats`` is the self-checking exporter smoke test, and
 ``repro top --url`` is the live daemon view.
 """
 
-from repro.obs.flight import (
-    FlightRecorder,
-    new_trace_id,
-    truncate_trace,
-)
-from repro.obs.metrics import (
-    BUCKETS_ENV,
-    REGISTRY,
-    MetricError,
-    MetricsRegistry,
-    default_buckets,
-    diff_snapshots,
-    estimate_quantile,
-    get_registry,
-    observe_seconds,
-    parse_prometheus,
-)
-from repro.obs.profile import (
-    PROFILE_ENV,
-    maybe_profile,
-    profiling_enabled,
-)
-from repro.obs.spans import (
-    NOOP_SPAN,
-    Span,
-    TraceTree,
-    ambient_tag,
-    bind_tags,
-    collecting,
-    current_span,
-    current_tags,
-    jsonl,
-    span_breakdown,
-    trace,
-    tracing_active,
-    truncated_span,
-    walk,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BUCKETS_ENV",
-    "REGISTRY",
-    "FlightRecorder",
-    "MetricError",
-    "MetricsRegistry",
-    "default_buckets",
-    "diff_snapshots",
-    "estimate_quantile",
-    "get_registry",
-    "new_trace_id",
-    "observe_seconds",
-    "parse_prometheus",
-    "truncate_trace",
-    "PROFILE_ENV",
-    "maybe_profile",
-    "profiling_enabled",
-    "NOOP_SPAN",
-    "Span",
-    "TraceTree",
-    "ambient_tag",
-    "bind_tags",
-    "collecting",
-    "current_span",
-    "current_tags",
-    "jsonl",
-    "span_breakdown",
-    "trace",
-    "tracing_active",
-    "truncated_span",
-    "walk",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".flight": ("FlightRecorder", "new_trace_id", "truncate_trace"),
+    ".metrics": (
+        "BUCKETS_ENV", "REGISTRY", "MetricError", "MetricsRegistry",
+        "default_buckets", "diff_snapshots", "estimate_quantile",
+        "get_registry", "observe_seconds", "parse_prometheus",
+    ),
+    ".profile": ("PROFILE_ENV", "maybe_profile", "profiling_enabled"),
+    ".spans": (
+        "NOOP_SPAN", "Span", "TraceTree", "ambient_tag", "bind_tags",
+        "collecting", "current_span", "current_tags", "jsonl", "span_breakdown",
+        "trace", "tracing_active", "truncated_span", "walk",
+    ),
+})

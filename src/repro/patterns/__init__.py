@@ -14,66 +14,18 @@ The subpackage provides the AST (:mod:`repro.patterns.ast`), a parser
 analysis (:mod:`repro.patterns.features`).
 """
 
-from repro.patterns.ast import (
-    WILDCARD,
-    Descendant,
-    Pattern,
-    Sequence,
-    node,
-    seq,
-)
-from repro.patterns.parser import parse_pattern
-from repro.patterns.index import CompactTreeIndex, EngineStats, TreeIndex
-from repro.patterns.compact import CompactPatternEngine
-from repro.patterns.matching import (
-    PatternEngine,
-    engine_for,
-    evaluate,
-    find_matches,
-    find_matches_anywhere,
-    holds,
-    matches_anywhere,
-    matches_at_root,
-)
-from repro.patterns.features import Axes, axes_of, is_fully_specified
-from repro.patterns.satisfiability import (
-    is_satisfiable,
-    satisfying_tree,
-    structural_witness,
-)
-from repro.patterns.separation import (
-    find_separating_tree,
-    pattern_contained,
-    patterns_equivalent,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "WILDCARD",
-    "Pattern",
-    "Descendant",
-    "Sequence",
-    "node",
-    "seq",
-    "parse_pattern",
-    "EngineStats",
-    "TreeIndex",
-    "CompactTreeIndex",
-    "PatternEngine",
-    "CompactPatternEngine",
-    "engine_for",
-    "evaluate",
-    "find_matches",
-    "find_matches_anywhere",
-    "holds",
-    "matches_anywhere",
-    "matches_at_root",
-    "Axes",
-    "axes_of",
-    "is_fully_specified",
-    "is_satisfiable",
-    "satisfying_tree",
-    "structural_witness",
-    "find_separating_tree",
-    "pattern_contained",
-    "patterns_equivalent",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".ast": ("WILDCARD", "Descendant", "Pattern", "Sequence", "node", "seq"),
+    ".parser": ("parse_pattern",),
+    ".index": ("CompactTreeIndex", "EngineStats", "TreeIndex"),
+    ".compact": ("CompactPatternEngine",),
+    ".matching": (
+        "PatternEngine", "engine_for", "evaluate", "find_matches",
+        "find_matches_anywhere", "holds", "matches_anywhere", "matches_at_root",
+    ),
+    ".features": ("Axes", "axes_of", "is_fully_specified"),
+    ".satisfiability": ("is_satisfiable", "satisfying_tree", "structural_witness"),
+    ".separation": ("find_separating_tree", "pattern_contained", "patterns_equivalent"),
+})

@@ -13,38 +13,13 @@ states.  It provides
 * the bitset DFAs that encoding determinizes into (:mod:`repro.regex.dfa`).
 """
 
-from repro.regex.ast import (
-    Regex,
-    Epsilon,
-    Empty,
-    Symbol,
-    Concat,
-    Union,
-    Star,
-    Plus,
-    Optional,
-    EPSILON,
-    EMPTY,
-    concat,
-    union,
-)
-from repro.regex.parser import parse_regex
-from repro.regex.nfa import NFA
+from repro import _lazy_exports
 
-__all__ = [
-    "Regex",
-    "Epsilon",
-    "Empty",
-    "Symbol",
-    "Concat",
-    "Union",
-    "Star",
-    "Plus",
-    "Optional",
-    "EPSILON",
-    "EMPTY",
-    "concat",
-    "union",
-    "parse_regex",
-    "NFA",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".ast": (
+        "Regex", "Epsilon", "Empty", "Symbol", "Concat", "Union", "Star",
+        "Plus", "Optional", "EPSILON", "EMPTY", "concat", "union",
+    ),
+    ".parser": ("parse_regex",),
+    ".nfa": ("NFA",),
+})

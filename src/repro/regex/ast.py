@@ -11,12 +11,36 @@ programmatically assembled expressions stay readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
 class Regex:
-    """Base class for regular expressions."""
+    """Base class for regular expressions.
+
+    A node hashes its structure once: the first ``hash()`` is kept in
+    its ``_hash`` field, so a dict probe keyed by a production (the
+    DTD's per-production NFAs, the bitset automaton's DFA table) reads
+    one cached int instead of walking the tree.  String hashes differ
+    from process to process, so pickling rebuilds a node through its
+    constructor (``__reduce__``) and never carries the kept hash along.
+    """
+
+    __slots__ = ()
+    # set by the dataclass subclasses
+    _hash: int | None
+    __match_args__: tuple[str, ...]
+
+    def _cached_hash(self) -> int:
+        cached = self._hash
+        if cached is None:
+            # a node's type and first field: equal nodes agree on both
+            cached = hash((type(self), getattr(self, self.__match_args__[0])))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def symbols(self) -> frozenset:
         """The set of alphabet symbols occurring in the expression."""
@@ -71,6 +95,8 @@ class Symbol(Regex):
     """A single alphabet symbol."""
 
     symbol: object
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         yield self.symbol
@@ -90,6 +116,8 @@ class Concat(Regex):
     """Concatenation of two or more expressions."""
 
     parts: tuple[Regex, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         for part in self.parts:
@@ -112,6 +140,8 @@ class Union(Regex):
     """Union (alternation) of two or more expressions."""
 
     parts: tuple[Regex, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         for part in self.parts:
@@ -142,6 +172,8 @@ class Star(Regex):
     """Zero or more repetitions."""
 
     inner: Regex
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         yield from self.inner._symbols()
@@ -161,6 +193,8 @@ class Plus(Regex):
     """One or more repetitions."""
 
     inner: Regex
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         yield from self.inner._symbols()
@@ -180,6 +214,8 @@ class Optional(Regex):
     """Zero or one occurrence."""
 
     inner: Regex
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = Regex._cached_hash
 
     def _symbols(self) -> Iterator[object]:
         yield from self.inner._symbols()
@@ -216,15 +252,13 @@ def concat(parts: Iterable[Regex]) -> Regex:
 def union(parts: Iterable[Regex]) -> Regex:
     """Smart union: flattens, drops empty languages, dedups."""
     flat: list[Regex] = []
-    seen: set[Regex] = set()
     for part in parts:
         if isinstance(part, Empty):
             continue
-        candidates = part.parts if isinstance(part, Union) else (part,)
-        for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
-                flat.append(candidate)
+        flat.extend(part.parts if isinstance(part, Union) else (part,))
+    if len(flat) > 1:
+        # first occurrence wins; a lone alternative is never hashed
+        flat = list(dict.fromkeys(flat))
     if not flat:
         return EMPTY
     if len(flat) == 1:

@@ -23,21 +23,10 @@ Two frontends share that one code path:
 See DESIGN.md §8 ("Service layer").
 """
 
-from repro.service.client import (
-    ServiceUnavailable,
-    call_service,
-    fetch_json,
-    fetch_text,
-)
-from repro.service.server import ServiceServer
-from repro.service.session import EngineSession, RequestError
+from repro import _lazy_exports
 
-__all__ = [
-    "EngineSession",
-    "RequestError",
-    "ServiceServer",
-    "ServiceUnavailable",
-    "call_service",
-    "fetch_json",
-    "fetch_text",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".client": ("ServiceUnavailable", "call_service", "fetch_json", "fetch_text"),
+    ".server": ("ServiceServer",),
+    ".session": ("EngineSession", "RequestError"),
+})

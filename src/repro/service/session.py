@@ -47,6 +47,7 @@ a second error path.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import os
 import threading
@@ -61,11 +62,9 @@ from repro.engine import (
     CompilationCache,
     ConsistencyProblem,
     Counterexample,
-    DiskCacheTier,
     ExecutionContext,
     MembershipProblem,
     RigidityExplanation,
-    certify,
     solve_many,
 )
 from repro.errors import XsmError
@@ -76,11 +75,40 @@ from repro.obs import (
     bind_tags,
     collecting,
     new_trace_id,
-    parse_prometheus,
     trace,
     walk,
 )
 from repro.xmlmodel.xml_io import from_xml, to_xml
+
+#: The modules the check, member, lint, delta, stats and selftest
+#: handlers import on first use (with what those import): the solve
+#: routes, the lint passes and the member engines.  A serving session
+#: imports them when it is built, so concurrent first requests never
+#: race to import them; a one-shot session (the CLI's) imports only
+#: what its request uses.  Opt-in work loads on first use: composition
+#: (``compose``), the fix engine (``lint`` with ``fixes``) and, unless
+#: the session fans out by default, the worker pool (a request with
+#: ``jobs`` over 1).  Metric families register with the modules every
+#: session loads, so ``/metrics`` lists all of them from the first
+#: request on.
+HANDLER_MODULES = (
+    "repro.mappings.io",
+    "repro.consistency.dispatch",
+    "repro.consistency.cons_nested",
+    "repro.consistency.cons_automata",
+    "repro.consistency.bounded",
+    "repro.consistency.abscons",
+    "repro.consistency.expansion",
+    "repro.patterns.satisfiability",
+    "repro.patterns.compact",
+    "repro.automata.pattern_automaton",
+    "repro.regex.dfa",
+    "repro.kernel",
+    "repro.analysis.fragment",
+    "repro.analysis.passes",
+    "repro.analysis.redundancy",
+    "repro.analysis.lint",
+)
 
 _REQUESTS = REGISTRY.counter(
     "repro_requests_total",
@@ -243,6 +271,9 @@ class EngineSession:
     *jobs* is the default ``solve_many`` fanout (requests may override),
     *cache_size* / *cache_dir* configure the shared compilation cache
     and its optional disk tier, *budget* the per-request default limits.
+    *preload* imports the handlers' modules (:data:`HANDLER_MODULES`)
+    up front, as a daemon wants; a session built for one request passes
+    ``preload=False``.
     Handlers are safe to call concurrently: the cache is thread-safe,
     contexts are per-request, and the counters mutate under a lock.
     """
@@ -256,10 +287,20 @@ class EngineSession:
         budget: Budget | None = None,
         registry=REGISTRY,
         flight: FlightRecorder | None = None,
+        preload: bool = True,
     ):
         self.jobs = max(1, int(jobs))
+        if preload:
+            for module in HANDLER_MODULES:
+                importlib.import_module(module)
+            if self.jobs > 1:
+                importlib.import_module("repro.engine.parallel")
         self.cache_dir = os.fspath(cache_dir) if cache_dir else None
-        disk = DiskCacheTier(self.cache_dir) if self.cache_dir else None
+        disk = None
+        if self.cache_dir:
+            from repro.engine.diskcache import DiskCacheTier
+
+            disk = DiskCacheTier(self.cache_dir)
         self.cache = CompilationCache(max_entries=cache_size, disk=disk)
         self.budget = budget if budget is not None else Budget.default()
         #: Per-revision incremental state (the ``delta`` handler).  It
@@ -516,12 +557,7 @@ class EngineSession:
         return self._run("lint", request, self._lint_body)
 
     def _lint_body(self, request: dict) -> dict:
-        from repro.analysis import (
-            Severity,
-            fixes_for_report,
-            lint_mapping,
-            merge_reports,
-        )
+        from repro.analysis import Severity, lint_mapping, merge_reports
         from repro.mappings.io import parse_mapping
 
         named = _named_texts(request, "mappings")
@@ -546,6 +582,8 @@ class EngineSession:
             "exit_code": max(r.exit_code(strict=strict) for r in reports),
         }
         if request.get("fixes"):
+            from repro.analysis import fixes_for_report
+
             only_codes = request.get("only_codes")
             if only_codes is not None and not isinstance(only_codes, list):
                 raise RequestError(
@@ -656,8 +694,9 @@ class EngineSession:
     def _selftest_body(self, request: dict) -> dict:
         import json as json_module
 
+        from repro.engine import certify
         from repro.mappings.io import parse_mapping
-        from repro.obs import walk as walk_spans
+        from repro.obs import parse_prometheus
 
         jobs = self._jobs(request)
         run = next(self._selftests)
@@ -699,7 +738,7 @@ class EngineSession:
 
         trace_dict = tree.to_dict()
         solves = sum(
-            1 for span in walk_spans(trace_dict) if span["name"] == "solve"
+            1 for span in walk(trace_dict) if span["name"] == "solve"
         )
         if report.trace is None:
             failures.append("batch report carries no merged trace")

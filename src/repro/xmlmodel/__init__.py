@@ -12,18 +12,11 @@ which this package does not import: it needs the tree automata, and
 loading a tree should not load them.
 """
 
-from repro.xmlmodel.tree import TreeNode, tree
-from repro.xmlmodel.parser import parse_tree, serialize_tree
-from repro.xmlmodel.dtd import DTD, parse_dtd
-from repro.xmlmodel.xml_io import from_xml, to_xml
+from repro import _lazy_exports
 
-__all__ = [
-    "TreeNode",
-    "tree",
-    "parse_tree",
-    "serialize_tree",
-    "DTD",
-    "parse_dtd",
-    "from_xml",
-    "to_xml",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    ".tree": ("TreeNode", "tree"),
+    ".parser": ("parse_tree", "serialize_tree"),
+    ".dtd": ("DTD", "parse_dtd"),
+    ".xml_io": ("from_xml", "to_xml"),
+})

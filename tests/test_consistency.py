@@ -256,6 +256,26 @@ class TestBoundedSearchWithComparisons:
         # pick a value other than 5: std never triggers
         assert is_consistent_bounded(m, 2, 1)
 
+    def test_unknown_names_the_cell_of_the_dtds(self):
+        # over nested-relational DTDs the cell is Theorem 5.5's decidable
+        # one, even though only the bounded search answers it here
+        from repro.workloads.families import distinct_values_family
+
+        nested = is_consistent_bounded(distinct_values_family(2, consistent=False))
+        assert nested.is_unknown
+        assert "NEXPTIME-complete (Theorem 5.5)" in nested.reason
+        assert "undecidable" not in nested.reason
+        # the same case split over a source DTD that is not nested-relational
+        arbitrary = mk(
+            "r -> a, b, (a | c)*\na(x)\nb(y)",
+            "t -> c?\nc(u)",
+            ["r[a(x), b(y)], x = y -> t[zzz]", "r[a(x), b(y)], x != y -> t[zzz]"],
+        )
+        verdict = is_consistent_bounded(arbitrary, 3, 2)
+        assert verdict.is_unknown
+        assert "undecidable" in verdict.reason
+        assert "Theorem 5.5)" not in verdict.reason
+
 
 class TestDispatcher:
     def test_uses_exact_algorithms(self):

@@ -307,3 +307,68 @@ class TestSharedProductions:
             assert verdicts[-1] == per_label.conforms(tree), text
             assert automaton.is_accepting(run(automaton, tree)) == verdicts[-1]
         assert verdicts == [True, True, True] + [False] * 5
+
+
+class TestProductionHashes:
+    """Regex nodes keep their hash, but never across processes."""
+
+    TEXT = "r -> (a | b)*, c?\na -> b+\nb\nc -> (a, b)?"
+
+    def test_hash_is_kept_and_structural(self):
+        import pickle
+
+        from repro.regex.ast import Concat, Optional, Star, Symbol, Union
+
+        production = Concat((
+            Star(Union((Symbol("a"), Symbol("b")))), Optional(Symbol("c")),
+        ))
+        assert production._hash is None
+        assert hash(production) == hash(parse_dtd(self.TEXT).productions["r"])
+        assert production._hash is not None
+        assert hash(Star(Symbol("a"))) != hash(Optional(Symbol("a")))
+        copy = pickle.loads(pickle.dumps(production))
+        assert copy == production and copy._hash is None
+
+    def test_disk_cached_dtd_probes_in_another_process(self, tmp_path):
+        # string hashes differ between processes: a DTD pickled by one
+        # hash seed must probe by structure under another
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.engine.cache import CompilationCache, dtd_automaton\n"
+            "from repro.engine.budget import ExecutionContext\n"
+            "from repro.engine.diskcache import DiskCacheTier\n"
+            "from repro.regex.parser import parse_regex\n"
+            "from repro.xmlmodel import parse_dtd, parse_tree\n"
+            "from repro.automata.duta import run\n"
+            f"text = {self.TEXT!r}\n"
+            "cache = CompilationCache(disk=DiskCacheTier(sys.argv[1]))\n"
+            "automaton = dtd_automaton(parse_dtd(text), ExecutionContext(cache=cache))\n"
+            "if sys.argv[2] == 'load':\n"
+            "    assert cache.stats()['disk_hits'] == 1, cache.stats()\n"
+            "    dtd = automaton.dtd\n"
+            "    fresh = parse_dtd(text)\n"
+            "    for label, production in fresh.productions.items():\n"
+            "        assert hash(dtd.productions[label]) == hash(production)\n"
+            "        assert {production: label}[dtd.productions[label]] == label\n"
+            "    assert dtd.production_nfa('a') is not None\n"
+            "    for tree, ok in (('r[a[b], b, c[a[b], b]]', True), ('r[c, a]', False)):\n"
+            "        tree = parse_tree(tree)\n"
+            "        assert automaton.is_accepting(run(automaton, tree)) is ok\n"
+            "        assert dtd.conforms(tree) is ok\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        for seed, step in (("1", "store"), ("2", "load")):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            env.pop("REPRO_CACHE_DIR", None)
+            completed = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path), step],
+                env=env, capture_output=True, text=True,
+            )
+            assert completed.returncode == 0, completed.stderr
