@@ -28,8 +28,8 @@ actually certifying repairs* — one ``solve()`` per candidate — stays
 visible in the trajectory, but it is not gated: certification is
 solver-priced by design.
 
-``--smoke`` runs fewer repeats for the CI gate; run directly for the
-full series.
+``--smoke`` runs fewer repeats for the CI gate and journals nothing;
+run directly for the full series, which ``BENCH_lint.json`` records.
 """
 
 from __future__ import annotations
@@ -261,10 +261,10 @@ def test_lint_faster_than_cold_solve():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fewer repeats for the CI gate")
+                        help="fewer repeats for the CI gate; journals nothing")
     args = parser.parse_args(argv)
     try:
-        return run_guard(smoke=args.smoke)
+        return run_guard(smoke=args.smoke, emit=not args.smoke)
     except AssertionError as error:
         print(f"FAIL: {error}")
         return 1

@@ -9,11 +9,13 @@ override with ``REPRO_OBS_TOLERANCE``).  Timings take the min over
 several runs and the comparison retries before failing, so a loaded CI
 runner gets the benefit of the doubt but a real regression does not.
 
-``--smoke`` runs the guard at reduced size, then a traced ``jobs=2``
-batch whose merged span log is written to ``BENCH_trace_smoke.jsonl``
-(the artifact CI uploads) and whose Prometheus export must parse clean.
+``--smoke`` runs the guards at reduced size without journaling them,
+then a traced ``jobs=2`` batch whose merged span log is written to
+``BENCH_trace_smoke.jsonl`` (the artifact CI uploads) and whose
+Prometheus export must parse clean.
 
-Run directly (``python benchmarks/bench_obs.py``) for the full guard.
+Run directly (``python benchmarks/bench_obs.py``) for the full guards,
+which ``BENCH_obs.json`` records.
 """
 
 from __future__ import annotations
@@ -316,9 +318,10 @@ def test_obs_trace_smoke(tmp_path, monkeypatch):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="reduced-size guard + trace artifact for CI")
+                        help="reduced-size guards, journaling nothing, "
+                        "+ trace artifact for CI")
     args = parser.parse_args(argv)
-    size = {"scale": 2, "repeats": 3} if args.smoke else {}
+    size = {"scale": 2, "repeats": 3, "emit": False} if args.smoke else {}
     # every guard runs even after one fails, so one failing bar does not
     # hide the others' verdicts or leave the trace artifact stale
     failed = False

@@ -7,21 +7,23 @@ one state, horizontal languages are processed left-to-right through
 horizontal states, and acceptance is a predicate on the root state.
 
 Working with deterministic automata makes complementation free (negate the
-acceptance predicate) and products trivial (tuples of states), which is how
+acceptance predicate) and products trivial (pairs of states), which is how
 the consistency algorithms of Section 5 avoid explicit automaton
 complementation: the exponential cost lives in the state spaces themselves,
 exactly as the paper's EXPTIME bounds predict.
 
-* :mod:`repro.automata.duta` — the interface, tree runs, products, and
-  reachability with witness-tree extraction (emptiness testing).
-* :mod:`repro.automata.dtd_automaton` — conformance to a DTD as a DUTA.
-* :mod:`repro.automata.pattern_automaton` — the *closure automaton* of a
-  set of variable-free patterns: its state at a node records which
-  subpatterns are satisfied at / strictly below the node.
-* :mod:`repro.automata.bitset` — integer-encoded twins of the two
-  automata above, the encoding every compiled product search runs on,
-  backed by the interning tables of :mod:`repro.automata.interning`.
-  The plain automata are the reference they are tested against.
+* :mod:`repro.automata.duta` — the interface, products, and the
+  conforming-product reachability with witness-tree extraction
+  (emptiness testing).
+* :mod:`repro.automata.bitset` — the one production encoding: conformance
+  to a DTD and the *closure automaton* of a set of patterns (its state at
+  a node records which subpatterns are satisfied at / strictly below the
+  node), every state one integer, backed by the interning tables of
+  :mod:`repro.automata.interning`; and :func:`~repro.automata.bitset.decorate`,
+  which gives a bare witness its attribute values.
+
+The plain automata the bitset ones re-encode are the differential
+reference, in :mod:`repro.verification.automata`.
 """
 
 from repro import _lazy_exports
@@ -29,10 +31,8 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ".duta": (
         "ProductAutomaton", "TreeAutomaton", "find_accepted",
-        "reachable_states", "run",
+        "reachable_states",
     ),
-    ".dtd_automaton": ("DTDAutomaton",),
-    ".pattern_automaton": ("PatternClosureAutomaton",),
-    ".bitset": ("BitsetClosureAutomaton", "BitsetDTDAutomaton"),
+    ".bitset": ("BitsetClosureAutomaton", "BitsetDTDAutomaton", "decorate"),
     ".interning": ("Interner", "LabelTable"),
 })

@@ -1,10 +1,6 @@
-"""Bitset-encoded tree automata: the production encoding of the automata.
+"""Bitset-encoded tree automata: the one production encoding.
 
-These classes compute exactly the same functions as
-:class:`~repro.automata.dtd_automaton.DTDAutomaton` and
-:class:`~repro.automata.pattern_automaton.PatternClosureAutomaton` — the
-pure implementations remain the differential reference — but every state is
-one machine integer instead of a tuple of frozensets:
+Every state is one machine integer:
 
 * **DTD conformance** — labels are interned through a
   :class:`~repro.automata.interning.LabelTable`; the production NFAs are
@@ -18,34 +14,41 @@ one machine integer instead of a tuple of frozensets:
   bit-fields of one int (``sat | below << n``); each horizontal sequence
   NFA occupies a ``k+1``-bit field of the horizontal int, and one
   child step is two mask-and-shift operations over *all* sequences at
-  once (precomputed keep- and advance-masks), replacing the per-sequence
-  frozenset scan that dominates the pure profile.
+  once (precomputed keep- and advance-masks).
 
 Both automata speak the generic :class:`~repro.automata.duta.TreeAutomaton`
-protocol over plain string labels, so :func:`~repro.automata.duta.run`,
-:func:`~repro.automata.duta.reachable_states` and witness extraction work
-unchanged; only the opaque state values differ.  Instances are built per
-alphabet with deterministically sorted label tables and pickle cleanly
-into the disk cache tier.
+protocol, so :func:`~repro.automata.duta.reachable_states` and witness
+extraction work on them unchanged; only the opaque state values differ.
+Instances are built per alphabet with deterministically sorted label
+tables and pickle cleanly into the disk cache tier.  The plain automata
+they re-encode (``sat`` / ``below`` as frozensets, NFA subsets as
+horizontal states) live in :mod:`repro.verification.automata`, the
+differential reference the tests hold these to.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.automata.dtd_automaton import DTDAutomaton
 from repro.automata.duta import TreeAutomaton
 from repro.automata.interning import LabelTable
 from repro.errors import XsmError
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
 from repro.xmlmodel.dtd import DTD
+from repro.xmlmodel.tree import TreeNode
 
 
-class BitsetDTDAutomaton(DTDAutomaton):
-    """DTD conformance over interned labels and compiled bitset DFAs."""
+class BitsetDTDAutomaton(TreeAutomaton):
+    """Accepts exactly the label-trees conforming to *dtd* (values ignored).
 
-    def __init__(self, dtd: DTD, extra_labels: Iterable[str] = ()):
-        super().__init__(dtd, extra_labels)
+    It is the ``conformance=`` component of every product search: besides
+    the automaton interface it answers :meth:`state_ok`,
+    :meth:`horizontal_dead` and :meth:`child_labels`.
+    """
+
+    def __init__(self, dtd: DTD):
+        self.dtd = dtd
+        self._labels = dtd.labels
         self.table = LabelTable(self._labels)
         n_symbols = len(self.table)
         # one DFA per distinct production; labels with equal productions
@@ -61,8 +64,25 @@ class BitsetDTDAutomaton(DTDAutomaton):
                     .determinize()
                 )
             self._dfas[label] = dfa
+        self._child_labels = {
+            label: tuple(sorted(dtd.child_labels(label) & self._labels))
+            for label in dtd.productions
+        }
         #: the accepting vertical state (the root is always a DTD label)
         self._root_state = (self.table.id_of(dtd.root) << 1) | 1
+
+    def labels(self) -> Iterable[str]:
+        return self._labels
+
+    def child_labels(self, label: str) -> tuple[str, ...]:
+        """The labels a child of a conforming *label* node may carry.
+
+        The production's alphabet within the automaton's labels; ``()``
+        for labels without a production.  Stepping a *label* row with a
+        child of any other label lands in a dead row, which is what lets
+        :func:`~repro.automata.duta.reachable_states` skip those steps.
+        """
+        return self._child_labels.get(label, ())
 
     # -- DUTA interface (integer states) ------------------------------------
 
@@ -80,6 +100,7 @@ class BitsetDTDAutomaton(DTDAutomaton):
         ) | (hstate & child_state & 1)
 
     def horizontal_dead(self, hstate) -> bool:
+        """No extension of this child sequence can yield a conforming node."""
         # dead DFA state is id 0 in every BitsetDFA by construction
         return hstate < 0 or not (hstate & 1) or (hstate >> 1) == 0
 
@@ -94,23 +115,56 @@ class BitsetDTDAutomaton(DTDAutomaton):
         return state == self._root_state
 
     def state_ok(self, state) -> bool:
+        """Does the vertical *state* record a conforming subtree?"""
         return bool(state & 1)
 
 
-class BitsetClosureAutomaton(TreeAutomaton):
-    """The pattern closure automaton over bit-packed subpattern sets.
+def decorate(
+    dtd: DTD,
+    witness: TreeNode,
+    value_factory: Callable[[str, str], object] | None = None,
+) -> TreeNode:
+    """Attach attribute values to a bare witness tree, per *dtd*'s arities.
 
-    Mirrors :class:`PatternClosureAutomaton` exactly: same subpattern
-    enumeration order, same sequence-NFA semantics, same arity handling.
+    ``value_factory(label, attribute_name)`` defaults to the constant 0
+    (all data values equal).
+    """
+    if value_factory is None:
+        value_factory = lambda label, attribute: 0
+
+    def build(node: TreeNode) -> TreeNode:
+        attrs = tuple(
+            value_factory(node.label, attribute)
+            for attribute in dtd.attributes.get(node.label, ())
+        )
+        return TreeNode(node.label, attrs, tuple(build(c) for c in node.children))
+
+    return build(witness)
+
+
+class BitsetClosureAutomaton(TreeAutomaton):
+    """The closure automaton of a set of tree patterns (Section 5).
+
+    At every node it computes which subpatterns are satisfied
+    *structurally* (labels, arities, axes; variables match any value) at
+    the node, and which at the node or a proper descendant, so the root
+    state gives every input pattern's trigger bit at once.  *labels* is
+    the alphabet: every search pairs the automaton with a DTD automaton,
+    which never realizes a label outside its DTD.  *arity_of* (the
+    DTD's) gates the subpatterns that bind attributes.
+
     Vertical state: ``sat | (below << n)`` over ``n`` subpattern bits.
     Horizontal state: the concatenated sequence bit-fields with the
-    running ``below`` union above them.
+    running ``below`` union above them.  Sequence ``k`` elements long
+    run a ``k+1``-state NFA: state ``i`` advances on a child satisfying
+    element ``i``, and self-loops sit at 0, at ``k`` and where a ``->*``
+    connector allows a gap.
     """
 
     def __init__(
         self,
         patterns: Iterable[Pattern],
-        extra_labels: Iterable[str] = (),
+        labels: Iterable,
         arity_of: Callable[[str], int] | None = None,
     ):
         self.patterns = tuple(patterns)
@@ -164,15 +218,10 @@ class BitsetClosureAutomaton(TreeAutomaton):
         self._keep_all = keep_all
         self._advance = advance
 
-        labels: set[str] = set(extra_labels)
-        for pattern in self.patterns:
-            labels.update(pattern.labels_used())
         self._labels = frozenset(labels)
 
         #: per label: bitmask of subpatterns whose node formula holds
-        self._formula_ok = {
-            label: self._formula_mask(label) for label in self._labels
-        }
+        self._formula_ok = self._formula_masks(self._labels)
         #: (bit, descendant requirement mask, sequence accept-bit mask)
         #: for every subpattern with list items
         self._checked = tuple(
@@ -190,6 +239,9 @@ class BitsetClosureAutomaton(TreeAutomaton):
         self._accept_mask = accept
 
     # -- precomputation helpers ---------------------------------------------
+
+    def _formula_masks(self, labels: Iterable) -> dict:
+        return {label: self._formula_mask(label) for label in labels}
 
     def _formula_mask(self, label: str) -> int:
         mask = 0

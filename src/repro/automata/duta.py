@@ -10,15 +10,17 @@ deterministic left-to-right scan through *horizontal* states:
 
 Both state spaces must be finite (and hashable) for the reachability
 algorithm to terminate; they are finite for every automaton in this
-library (subsets of NFA states, sets of subpatterns, and tuples thereof).
+library (bit-packed DFA states and subpattern sets, and pairs of them).
 
 :func:`reachable_states` computes the set of vertical states realized by
-*some* tree, with a witness tree per state built when read — emptiness
-testing with counterexample extraction, the engine behind the consistency
-algorithms of Section 5.  Most of those searches run over a product whose
-first component is a DTD automaton; passed as ``conformance=``, it lets the
-worklist prune non-conforming states and step a child only under parents
-whose content model can read its label.
+*some* conforming tree, with a witness tree per state built when read —
+emptiness testing with counterexample extraction, the engine behind the
+consistency algorithms of Section 5.  Every search runs over a product
+whose first component is the DTD automaton; passed as ``conformance=``,
+it lets the worklist drop non-conforming states and step a child only
+under parents whose content model can read its label.  Running one
+automaton over a given tree (``run``) is the tests' business and lives
+in :mod:`repro.verification.automata`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.obs.spans import current_span
 from repro.xmlmodel.tree import TreeNode
 
 if TYPE_CHECKING:
-    from repro.automata.dtd_automaton import DTDAutomaton
+    from repro.automata.bitset import BitsetDTDAutomaton
 
 State = Hashable
 HState = Hashable
@@ -59,37 +61,6 @@ class TreeAutomaton:
     def is_accepting(self, state: State) -> bool:
         """Acceptance predicate on the root state."""
         raise NotImplementedError
-
-
-def run(automaton: TreeAutomaton, node: TreeNode) -> State:
-    """The unique state the automaton assigns to the subtree *node*.
-
-    Attribute values are ignored: tree automata see only labels and shape.
-    Implemented iteratively (explicit stack) so deep trees cannot overflow
-    the Python recursion limit.
-    """
-    # post-order evaluation with an explicit stack
-    result: dict[int, State] = {}
-    stack: list[tuple[TreeNode, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if expanded:
-            hstate = automaton.initial_horizontal(current.label)
-            for child in current.children:
-                hstate = automaton.step_horizontal(
-                    current.label, hstate, result[id(child)]
-                )
-            result[id(current)] = automaton.finish(current.label, hstate)
-        else:
-            stack.append((current, True))
-            for child in reversed(current.children):
-                stack.append((child, False))
-    return result[id(node)]
-
-
-def accepts(automaton: TreeAutomaton, node: TreeNode) -> bool:
-    """True iff the automaton accepts the tree rooted at *node*."""
-    return automaton.is_accepting(run(automaton, node))
 
 
 class ProductAutomaton(TreeAutomaton):
@@ -151,30 +122,6 @@ class _Stop(Exception):
     """Internal: raised to unwind the worklist once *stop* fires."""
 
 
-def _conformance_hooks(
-    automaton: TreeAutomaton,
-    prune: Callable[[State], bool] | None,
-    conformance: "DTDAutomaton",
-) -> tuple[Callable[[State], bool], Callable[[HState], bool]]:
-    """The vertical and horizontal prune tests a *conformance* component implies.
-
-    Checks the contract (component 0 of a :class:`ProductAutomaton`) and
-    folds the caller's own *prune*, if any, into the vertical test.
-    """
-    components = getattr(automaton, "components", ())
-    if not components or components[0] is not conformance:
-        raise ValueError(
-            "conformance= must be component 0 of the product being searched"
-        )
-    state_ok = conformance.state_ok
-    dead = conformance.horizontal_dead
-    if prune is None:
-        vertical = lambda state: not state_ok(state[0])
-    else:
-        vertical = lambda state: not state_ok(state[0]) or prune(state)
-    return vertical, lambda hstate: dead(hstate[0])
-
-
 class Witnesses(Mapping):
     """The states a search realized, each with a witness tree built when read.
 
@@ -230,14 +177,13 @@ class Witnesses(Mapping):
 
 
 def reachable_states(
-    automaton: TreeAutomaton,
+    automaton: ProductAutomaton,
+    *,
+    conformance: "BitsetDTDAutomaton",
     stop: Callable[[State], bool] | None = None,
-    max_states: int | None = None,
-    prune: Callable[[State], bool] | None = None,
-    conformance: "DTDAutomaton | None" = None,
     charge: Callable[[], None] | None = None,
 ) -> Witnesses:
-    """All vertical states realized by some tree, with a witness tree each.
+    """All conforming vertical states realized by some tree, with a witness each.
 
     On-the-fly emptiness: the product state space is never materialized.
     A worklist interleaves two kinds of increments — a newly discovered
@@ -249,53 +195,46 @@ def reachable_states(
     returned :class:`Witnesses` builds a state's witness tree only when
     it is read.  Terminates because the state spaces are finite.
 
+    *conformance* is the DTD automaton that is component 0 of the
+    :class:`ProductAutomaton` *automaton*.  States whose DTD component
+    records a non-conforming subtree are dropped, and so are horizontal
+    states whose DTD row is dead (no extension of the child sequence can
+    recover): neither can occur inside a conforming tree.  Realized
+    states are indexed by the label they were finished under, and a
+    horizontal state of label ``L`` is stepped only with children whose
+    label is in ``conformance.child_labels(L)`` — every other step lands
+    in a dead DTD row.  A label without a production starts in a dead
+    row, so the search never realizes it.
+    :func:`repro.verification.reachability.reachable_states_naive` is
+    the unindexed round-based reference it is tested against.
+
     *stop* aborts the search as soon as a state satisfying it is found
-    (the state is included in the result).  *max_states* caps the number
-    of realized states, guarding callers against runaway products.
-
-    *prune* discards useless states: a state satisfying it is neither
-    recorded nor offered as a child later.  Sound whenever pruned states
-    can never occur inside an accepted tree.
-
-    *conformance* is the DTD automaton (either encoding) that is component 0
-    of the :class:`ProductAutomaton` *automaton*; it makes the search a
-    conforming-product search.  States whose DTD component records a
-    non-conforming subtree are pruned, and so are horizontal states whose
-    DTD row is dead (no extension of the child sequence can recover).
-    Realized states are indexed by the label they were finished under,
-    and a horizontal state of label ``L`` is stepped only with children
-    whose label is in ``conformance.child_labels(L)`` — every other step
-    lands in a dead DTD row.  The skipped steps are exactly the ones the
-    pruning would discard, so the realized states, their discovery order
-    and their witnesses are those of the unindexed search with the same
-    pruning.  A label without a production starts in a dead row, so a
-    conforming search never realizes it.
-
-    *charge* is called once per newly realized state — the engine layer's
-    budget accounting hook (it may raise to abort the saturation).
+    (the state is included in the result).  *charge* is called once per
+    newly realized state — the engine layer's budget accounting hook (it
+    may raise to abort the saturation).
 
     The current span is annotated with the number of ``realized`` states
     and of ``horizontal`` states discovered, aborted searches included.
     """
+    components = getattr(automaton, "components", ())
+    if not components or components[0] is not conformance:
+        raise ValueError(
+            "conformance= must be component 0 of the product being searched"
+        )
+    state_ok = conformance.state_ok
+    dead = conformance.horizontal_dead
     labels = sorted(automaton.labels(), key=repr)
-    dead = None
-    if conformance is not None:
-        prune, dead = _conformance_hooks(automaton, prune, conformance)
     #: realized state -> (label it was finished under, its hstate)
     origins: dict[State, tuple[str, HState]] = {}
-    pruned: set[State] = set()
     #: per label: hstate -> (previous hstate, child read), None at the start
     paths: dict[str, dict[HState, tuple[HState, State] | None]] = {
         label: {} for label in labels
     }
     #: per child label: the labels of the parents that may read it
-    if conformance is None:
-        readers = dict.fromkeys(labels, labels)
-    else:
-        readers = {label: [] for label in labels}
-        for parent in labels:
-            for child in conformance.child_labels(parent):
-                readers[child].append(parent)
+    readers: dict[str, list[str]] = {label: [] for label in labels}
+    for parent in labels:
+        for child in conformance.child_labels(parent):
+            readers[child].append(parent)
     #: per parent label: the realized states it may read, in discovery order
     children_of: dict[str, list[State]] = {label: [] for label in labels}
     #: ("h", label, hstate) — a new horizontal state to extend and finish;
@@ -311,18 +250,13 @@ def reachable_states(
         for hstate in hstates:
             for child in children:
                 successor = step(label, hstate, child)
-                if successor in label_paths:
-                    continue
-                if dead is not None and dead(successor):
+                if successor in label_paths or dead(successor[0]):
                     continue
                 label_paths[successor] = (hstate, child)
                 worklist.append(("h", label, successor))
 
     def add_state(state: State, label: str, hstate: HState) -> None:
-        if state in origins or state in pruned:
-            return
-        if prune is not None and prune(state):
-            pruned.add(state)
+        if state in origins or not state_ok(state[0]):
             return
         if charge is not None:
             charge()
@@ -332,14 +266,12 @@ def reachable_states(
         worklist.append(("s", state, label))
         if stop is not None and stop(state):
             raise _Stop
-        if max_states is not None and len(origins) > max_states:
-            raise RuntimeError(f"reachability exceeded {max_states} states")
 
     step = automaton.step_horizontal
     try:
         for label in labels:
             initial = automaton.initial_horizontal(label)
-            if dead is None or not dead(initial):
+            if not dead(initial[0]):
                 paths[label][initial] = None
                 worklist.append(("h", label, initial))
         while worklist:
@@ -367,33 +299,25 @@ def reachable_states(
 
 
 def find_accepted(
-    automaton: TreeAutomaton,
+    automaton: ProductAutomaton,
     predicate: Callable[[State], bool] | None = None,
-    prune: Callable[[State], bool] | None = None,
-    conformance: "DTDAutomaton | None" = None,
+    *,
+    conformance: "BitsetDTDAutomaton",
     charge: Callable[[], None] | None = None,
 ) -> tuple[State, TreeNode] | None:
-    """Find some tree whose root state satisfies *predicate* (default: accepting).
+    """Find some conforming tree whose root state satisfies *predicate*.
 
-    Returns ``(state, witness_tree)`` or None when no tree qualifies —
-    i.e., emptiness testing with counterexample extraction.  *prune*,
-    *conformance* and *charge* are passed on to :func:`reachable_states`.
+    *predicate* defaults to the product's acceptance.  Returns
+    ``(state, witness_tree)`` or None when no tree qualifies — i.e.,
+    emptiness testing with counterexample extraction.  *conformance* and
+    *charge* are passed on to :func:`reachable_states`.
     """
     if predicate is None:
         predicate = automaton.is_accepting
     realized = reachable_states(
-        automaton,
-        stop=predicate,
-        prune=prune,
-        conformance=conformance,
-        charge=charge,
+        automaton, conformance=conformance, stop=predicate, charge=charge
     )
     for state in realized:
         if predicate(state):
             return state, realized[state]
     return None
-
-
-def language_is_empty(automaton: TreeAutomaton) -> bool:
-    """True iff the automaton accepts no tree at all."""
-    return find_accepted(automaton) is None

@@ -25,7 +25,7 @@ variant searches for an explicit witness chain, each stage over
 
 from __future__ import annotations
 
-from repro.automata.dtd_automaton import decorate
+from repro.automata.bitset import decorate
 from repro.consistency.bounded import bounded_solutions, mapping_constants
 from repro.consistency.enumeration import enumerate_reduced_trees
 from repro.engine.budget import ExecutionContext, resolve_budget

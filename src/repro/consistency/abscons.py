@@ -47,7 +47,7 @@ the certificate re-checker.
 
 from __future__ import annotations
 
-from repro.automata.dtd_automaton import decorate
+from repro.automata.bitset import decorate
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import dtd_digest, trigger_tables

@@ -26,7 +26,7 @@ matching the EXPTIME-completeness of the problem.
 from __future__ import annotations
 
 from repro.engine.budget import ExecutionContext
-from repro.automata.dtd_automaton import decorate
+from repro.automata.bitset import decorate
 from repro.engine.cache import trigger_tables
 from repro.engine.verdicts import (
     AnalysisCertificate,

@@ -408,17 +408,17 @@ def closure_automaton(
     dtd: DTD,
     context: "ExecutionContext | None" = None,
 ) -> BitsetClosureAutomaton:
-    """A cached pattern closure automaton over *dtd*'s labels and the patterns'.
+    """A cached pattern closure automaton over *dtd*'s labels.
 
-    Arities come from *dtd*; they only gate subpatterns that bind attributes.
+    Arities come from *dtd*; they only gate subpatterns that bind
+    attributes.  A pattern label the DTD lacks needs no letter: the
+    conforming searches the automaton runs in never realize it.
     """
     cache = resolve_cache(context)
     patterns = tuple(patterns)
     return cache.lookup(
         ("bitset-closure", dtd_key(dtd), patterns),
-        lambda: BitsetClosureAutomaton(
-            patterns, extra_labels=dtd.labels, arity_of=dtd.arity
-        ),
+        lambda: BitsetClosureAutomaton(patterns, dtd.labels, dtd.arity),
     )
 
 

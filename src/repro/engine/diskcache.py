@@ -42,7 +42,9 @@ from repro.engine.cache import MISS
 
 #: Bump when the key layout or any pickled artifact's shape changes.
 #: 7: regex nodes pickle through their constructor, without a kept hash.
-CACHE_FORMAT_VERSION = 7
+#: 8: DTD automata own their child-label table; closure automata carry
+#: the DTD's alphabet only.
+CACHE_FORMAT_VERSION = 8
 
 
 def canonical_key(obj: object) -> str:

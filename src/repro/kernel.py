@@ -11,9 +11,9 @@ the other.  Every decision increments ``repro_kernel_selected_total`` so
 ``--stats`` shows which engine actually ran.
 
 The automata have one production encoding, the bitset automata of
-:mod:`repro.automata.bitset`; the plain automata they mirror are the
-reference :func:`repro.verification.reachability.achievable_sets_reference`
-builds on.
+:mod:`repro.automata.bitset`, so no kernel is selected for them; the
+plain automata they re-encode live in :mod:`repro.verification.automata`,
+the reference the differential tests hold them to.
 """
 
 from __future__ import annotations

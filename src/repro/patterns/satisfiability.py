@@ -27,19 +27,25 @@ module decides it *exactly*, in two layers.
    variables are eliminated first by enumerating their tag assignment
    (at most ``(|C|+1)^r`` cases), after which satisfaction is purely
    letter-local and the closure-automaton machinery applies unchanged.
+
+Both layers run on the bitset automata of :mod:`repro.automata.bitset`:
+the lifted DTD automaton wraps the DTD's cached one, and the lifted
+closure automaton decides its node formulas per letter.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections import Counter
 
+from repro.automata.bitset import BitsetClosureAutomaton, decorate
+from repro.automata.duta import ProductAutomaton, find_accepted
 from repro.errors import XsmError
-from repro.patterns.ast import WILDCARD, Pattern
+from repro.patterns.ast import Pattern
 from repro.patterns.matching import matches_at_root
 from repro.values import Const, Null, SkolemTerm, Var
 from repro.xmlmodel.dtd import DTD
-from repro.xmlmodel.tree import TreeNode
+from repro.xmlmodel.tree import TreeNode, tree_from_rows
 
 #: The single fresh value used by the tag lifting (distinct from any
 #: user-supplied constant by construction of :class:`~repro.values.Null`).
@@ -60,13 +66,10 @@ def structural_witness(
     stepped with children whose labels ``L``'s production reads.  That
     finds a witness exactly when the plain search that merely prunes
     non-conforming states does (``tests/test_satisfiability.py`` checks
-    it against that search over the plain automata).  The witness
-    carries labels only; :func:`~repro.automata.dtd_automaton.decorate`
-    adds values.
+    it against that search over the plain automata of
+    :mod:`repro.verification.automata`).  The witness carries labels
+    only; :func:`~repro.automata.bitset.decorate` adds values.
     """
-    # imported here: repro.automata (which the engine cache compiles)
-    # depends on repro.patterns.ast, so top-level imports would be circular
-    from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
     from repro.engine.cache import closure_automaton, dtd_automaton
 
@@ -92,18 +95,33 @@ def structural_witness(
 
 
 class _LiftedDTDAutomaton:
-    """DTD conformance over the lifted alphabet of (label, tags) letters."""
+    """DTD conformance over the lifted alphabet of ``(label, tags)`` letters.
 
-    def __init__(self, dtd: DTD, letters: Iterable[tuple]):
-        from repro.automata.dtd_automaton import DTDAutomaton
+    Wraps *base*, the DTD's automaton over its plain labels: a letter
+    reads and finishes as its label, so vertical states stay the base
+    ones.
+    """
 
-        self.dtd = dtd
+    def __init__(self, base, letters: list[tuple]):
         self._letters = frozenset(letters)
-        #: base label -> its letters (what child_labels expands to)
-        self._by_label: dict[str, list[tuple]] = {}
-        for letter in self._letters:
-            self._by_label.setdefault(letter[0], []).append(letter)
-        self._base = DTDAutomaton(dtd)
+        by_label: dict[str, list[tuple]] = {}
+        for letter in letters:
+            by_label.setdefault(letter[0], []).append(letter)
+        #: base label -> the letters its children may carry
+        self._children = {
+            label: tuple(
+                child
+                for child_label in base.child_labels(label)
+                for child in by_label.get(child_label, ())
+            )
+            for label in by_label
+        }
+        self._base = base
+        self._step = base.step_horizontal
+        # the conformance= contract of reachable_states, on base states
+        self.is_accepting = base.is_accepting
+        self.state_ok = base.state_ok
+        self.horizontal_dead = base.horizontal_dead
 
     def labels(self):
         return self._letters
@@ -112,102 +130,84 @@ class _LiftedDTDAutomaton:
         return self._base.initial_horizontal(letter[0])
 
     def step_horizontal(self, letter, hstate, child_state):
-        # child_state is (child_letter_base_label, ok)
-        return self._base.step_horizontal(letter[0], hstate, child_state)
+        return self._step(letter[0], hstate, child_state)
 
     def finish(self, letter, hstate):
         return self._base.finish(letter[0], hstate)
 
-    def is_accepting(self, state) -> bool:
-        return self._base.is_accepting(state)
-
-    # -- the conformance= contract of reachable_states ------------------------
-
-    def state_ok(self, state) -> bool:
-        return self._base.state_ok(state)
-
-    def horizontal_dead(self, hstate) -> bool:
-        return self._base.horizontal_dead(hstate)
-
     def child_labels(self, letter) -> tuple:
-        return tuple(
-            child
-            for label in self._base.child_labels(letter[0])
-            for child in self._by_label.get(label, ())
-        )
+        return self._children.get(letter[0], ())
+
+
+class _LiftedClosureAutomaton(BitsetClosureAutomaton):
+    """The closure automaton over ``(label, tags)`` letters: a node formula
+    holds at a letter where it holds at the letter's label and every
+    constant it names is the letter's tag at that position."""
+
+    def _formula_masks(self, letters) -> dict:
+        masks = {}
+        #: per label: its mask, and (bit, [(position, constant)]) per
+        #: subpattern the label satisfies that names a constant
+        by_label: dict[str, tuple[int, list]] = {}
+        for letter in letters:
+            label, tags = letter
+            if label not in by_label:
+                mask = self._formula_mask(label)
+                constrained = []
+                for bit, sub in enumerate(self.subpatterns):
+                    constants = [
+                        (position, term.value)
+                        for position, term in enumerate(sub.vars or ())
+                        if isinstance(term, Const)
+                    ]
+                    if (mask >> bit) & 1 and constants:
+                        constrained.append((bit, constants))
+                by_label[label] = (mask, constrained)
+            mask, constrained = by_label[label]
+            for bit, constants in constrained:
+                if any(tags[position] != value for position, value in constants):
+                    mask &= ~(1 << bit)
+            masks[letter] = mask
+        return masks
 
 
 def _lifted_letters(dtd: DTD, domain: tuple) -> list[tuple]:
-    letters = []
-    for label in dtd.labels:
-        for tags in itertools.product(domain, repeat=dtd.arity(label)):
-            letters.append((label, tags))
-    return letters
-
-
-def _lift_closure_automaton(dtd: DTD, pattern: Pattern, letters):
-    """Closure automaton over lifted letters; constants constrain tags."""
-    from repro.automata.pattern_automaton import PatternClosureAutomaton
-
-    class _Lifted(PatternClosureAutomaton):
-        def _node_formula_ok(self, sub: Pattern, letter) -> bool:
-            base_label, tags = letter
-            if sub.label != WILDCARD and sub.label != base_label:
-                return False
-            if sub.vars is None:
-                return True
-            if len(sub.vars) != len(tags):
-                return False
-            for term, tag in zip(sub.vars, tags):
-                if isinstance(term, Const) and term.value != tag:
-                    return False
-            return True
-
-    # arity_of is satisfied through the letters themselves; pass a dummy
-    automaton = _Lifted([pattern], extra_labels=(), arity_of=lambda label: -1)
-    automaton._labels = frozenset(letters)
-    return automaton
+    return [
+        (label, tags)
+        for label in sorted(dtd.labels)
+        for tags in itertools.product(domain, repeat=dtd.arity(label))
+    ]
 
 
 def _unlift(witness: TreeNode) -> TreeNode:
-    """Turn a tree over lifted letters back into a valued tree."""
-    label, tags = witness.label
-    return TreeNode(
-        label, tags, tuple(_unlift(child) for child in witness.children)
+    """Turn a tree over lifted letters back into a valued tree, without
+    recursion: a witness may be deeper than the recursion limit."""
+    return tree_from_rows(
+        [(*node.label, len(node.children)) for node in witness.nodes()]
     )
 
 
-def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
-    """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable."""
-    from repro.automata.dtd_automaton import decorate
-    from repro.automata.duta import ProductAutomaton, find_accepted
-    from repro.engine.budget import resolve_context
+def lifted_witness(
+    dtd: DTD, pattern: Pattern, base, closure_kind, charge=None
+) -> TreeNode | None:
+    """The tag-lifting search: a valued witness for *pattern*, or None.
 
-    if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
-        raise XsmError("satisfiability is defined for patterns without Skolem terms")
-    skeleton = structural_witness(dtd, pattern, context)
-    if skeleton is None:
-        return None
+    Searches over the value domain ``C ∪ {FRESH}`` once per tag
+    assignment of the repeated variables.  *base* is *dtd*'s automaton
+    over its plain labels, and ``closure_kind(patterns, letters,
+    arity_of)`` builds the lifted closure automaton: production passes
+    the bitset encoding, the reference in
+    :mod:`repro.verification.reachability` the plain one.
+    """
     constants = [t.value for t in pattern.terms() if isinstance(t, Const)]
-    if not constants:
-        witness = decorate(dtd, skeleton)
-        assert matches_at_root(pattern, witness), "structural witness must match"
-        return witness
-
-    # tag lifting: finite value domain C ∪ {FRESH}
     domain = tuple(dict.fromkeys(constants)) + (FRESH,)
-    counts: dict[Var, int] = {}
-    for term in pattern.terms():
-        if isinstance(term, Var):
-            counts[term] = counts.get(term, 0) + 1
+    counts = Counter(term for term in pattern.terms() if isinstance(term, Var))
     repeated = [var for var, count in counts.items() if count > 1]
     letters = _lifted_letters(dtd, domain)
-    lifted_dtd = _LiftedDTDAutomaton(dtd, letters)
-    resolved = resolve_context(context)
-    charge = resolved.charge if resolved is not None else None
+    lifted_dtd = _LiftedDTDAutomaton(base, letters)
     for tags in itertools.product(domain, repeat=len(repeated)):
         ground = pattern.substitute(dict(zip(repeated, tags)))
-        closure = _lift_closure_automaton(dtd, ground, letters)
+        closure = closure_kind([ground], letters, dtd.arity)
         product = ProductAutomaton(
             [lifted_dtd, closure],
             predicate=lambda state: (
@@ -222,6 +222,30 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
             assert matches_at_root(pattern, witness), "lifted witness must match"
             return witness
     return None
+
+
+def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
+    """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable."""
+    from repro.engine.budget import resolve_context
+    from repro.engine.cache import dtd_automaton
+
+    if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
+        raise XsmError("satisfiability is defined for patterns without Skolem terms")
+    skeleton = structural_witness(dtd, pattern, context)
+    if skeleton is None:
+        return None
+    if not any(isinstance(term, Const) for term in pattern.terms()):
+        witness = decorate(dtd, skeleton)
+        assert matches_at_root(pattern, witness), "structural witness must match"
+        return witness
+    resolved = resolve_context(context)
+    return lifted_witness(
+        dtd,
+        pattern,
+        dtd_automaton(dtd, context),
+        _LiftedClosureAutomaton,
+        charge=resolved.charge if resolved is not None else None,
+    )
 
 
 def is_satisfiable(dtd: DTD, pattern: Pattern, context=None):

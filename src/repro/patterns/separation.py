@@ -44,7 +44,7 @@ def find_separating_tree(
     """
     # imported here: repro.automata (which the engine cache compiles)
     # depends on repro.patterns.ast, so top-level imports would be circular
-    from repro.automata.dtd_automaton import decorate
+    from repro.automata.bitset import decorate
     from repro.automata.duta import ProductAutomaton, find_accepted
     from repro.engine.budget import resolve_context
     from repro.engine.cache import closure_automaton, dtd_automaton

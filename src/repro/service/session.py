@@ -101,7 +101,6 @@ HANDLER_MODULES = (
     "repro.consistency.expansion",
     "repro.patterns.satisfiability",
     "repro.patterns.compact",
-    "repro.automata.pattern_automaton",
     "repro.regex.dfa",
     "repro.kernel",
     "repro.analysis.fragment",

@@ -5,8 +5,11 @@ conforming to a DTD up to a size bound over a small data-value domain and
 decides consistency / membership / composition questions by exhaustive
 search.  The test suite compares every polished algorithm against these
 oracles on small random instances — which is how a reproduction of a
-theory paper earns trust in its decision procedures.  Production code
-never imports this package.
+theory paper earns trust in its decision procedures.  It also keeps the
+reference implementations the production code was rewritten from: the
+plain tree automata (:mod:`repro.verification.automata`) and the
+round-based reachability over them (:mod:`repro.verification.reachability`).
+Production code never imports this package.
 """
 
 from repro.verification.enumeration import (

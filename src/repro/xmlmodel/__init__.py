@@ -7,9 +7,9 @@ This package implements the paper's document model (Section 2): trees
 as :class:`~repro.xmlmodel.tree.TreeNode` structures, a compact text syntax
 for writing them down, and DTDs with regular-expression productions,
 conformance checking and the nested-relational classification.
-DTD inclusion and equivalence live in :mod:`repro.xmlmodel.dtd_ops`,
-which this package does not import: it needs the tree automata, and
-loading a tree should not load them.
+Conformance as a tree automaton (the DTD automaton every product search
+pairs with) lives in :mod:`repro.automata.bitset`; this package does not
+import it, so loading a tree does not load the automata.
 """
 
 from repro import _lazy_exports

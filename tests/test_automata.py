@@ -1,23 +1,25 @@
-"""Tests for tree automata (repro.automata): DUTA runs, products,
-reachability, the DTD automaton and the pattern closure automaton."""
+"""Tests for tree automata: products, the conforming-product search of
+repro.automata.duta, and the plain DTD and pattern closure automata of
+repro.verification.automata (the reference the bitset encoding is held
+to), with runs and the generic search of repro.verification."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dtd_automaton import DTDAutomaton, decorate
-from repro.automata.duta import (
-    ProductAutomaton,
-    accepts,
-    find_accepted,
-    language_is_empty,
-    reachable_states,
-    run,
-)
-from repro.automata.pattern_automaton import PatternClosureAutomaton
+from repro.automata.bitset import decorate
+from repro.automata.duta import ProductAutomaton, find_accepted, reachable_states
 from repro.errors import XsmError
 from repro.patterns.ast import Descendant, Pattern, Sequence, node
 from repro.patterns.matching import matches_at_root
 from repro.patterns.parser import parse_pattern
+from repro.verification.automata import (
+    DTDAutomaton,
+    PatternClosureAutomaton,
+    accepts,
+    language_is_empty,
+    run,
+)
+from repro.verification.reachability import reachable_states_naive
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.parser import parse_tree
 from repro.xmlmodel.tree import tree
@@ -89,46 +91,64 @@ class TestReachability:
 
     def test_witness_is_conforming(self):
         dtd = parse_dtd("r -> a+, b\na -> c?")
-        found = find_accepted(DTDAutomaton(dtd))
+        product = conforming(DTDAutomaton(dtd))
+        found = find_accepted(product, conformance=product.components[0])
         assert found is not None
         __, witness = found
         assert dtd.conforms(witness)
 
     def test_reachable_states_all_witnessed(self):
         dtd = parse_dtd("r -> a | b")
-        automaton = DTDAutomaton(dtd)
-        realized = reachable_states(automaton)
+        automaton = conforming(DTDAutomaton(dtd))
+        realized = reachable_states(
+            automaton, conformance=automaton.components[0]
+        )
+        assert {state[0][0] for state in realized} == {"r", "a", "b"}
         for state, witness in realized.items():
             assert run(automaton, witness) == state
 
     def test_max_states_guard(self):
         dtd = parse_dtd("r -> a | b")
         with pytest.raises(RuntimeError):
-            reachable_states(DTDAutomaton(dtd), max_states=1)
+            reachable_states_naive(DTDAutomaton(dtd), max_states=1)
+
+
+def conforming(conformance: DTDAutomaton) -> ProductAutomaton:
+    """*conformance* alone, as a product the production search accepts:
+    the second component, a closure automaton of no patterns, has one
+    state and accepts every tree."""
+    return ProductAutomaton([conformance, PatternClosureAutomaton([])])
 
 
 class TestReachabilityHooks:
-    """Direct contracts of the worklist ``reachable_states`` hooks."""
+    """Direct contracts of the worklist ``reachable_states`` hooks, and
+    of the generic knobs only the reference ``reachable_states_naive``
+    keeps."""
 
     DTD = "r -> a, b\na -> c?\nb -> c*"
 
     def automaton(self):
-        return DTDAutomaton(parse_dtd(self.DTD))
+        return conforming(DTDAutomaton(parse_dtd(self.DTD)))
+
+    def search(self, automaton, **hooks):
+        return reachable_states(
+            automaton, conformance=automaton.components[0], **hooks
+        )
 
     def test_stop_early_exit_includes_state_with_valid_witness(self):
         automaton = self.automaton()
-        realized = reachable_states(automaton, stop=lambda s: s[0] == "b")
-        hits = [s for s in realized if s[0] == "b"]
+        realized = self.search(automaton, stop=lambda s: s[0][0] == "b")
+        hits = [s for s in realized if s[0][0] == "b"]
         assert len(hits) == 1
         # the early exit must not skip recording the stop state's witness
         witness = realized[hits[0]]
         assert run(automaton, witness) == hits[0]
         # and the search genuinely stopped: a full run realizes more
-        assert len(realized) < len(reachable_states(automaton))
+        assert len(realized) < len(self.search(automaton))
 
     def test_stop_on_accepting_state_yields_conforming_witness(self):
         automaton = self.automaton()
-        realized = reachable_states(automaton, stop=automaton.is_accepting)
+        realized = self.search(automaton, stop=automaton.is_accepting)
         accepted = [s for s in realized if automaton.is_accepting(s)]
         assert len(accepted) == 1
         witness = realized[accepted[0]]
@@ -137,17 +157,17 @@ class TestReachabilityHooks:
 
     def test_stop_never_hit_returns_full_set(self):
         automaton = self.automaton()
-        full = reachable_states(automaton)
-        stopped = reachable_states(automaton, stop=lambda s: False)
+        full = self.search(automaton)
+        stopped = self.search(automaton, stop=lambda s: False)
         assert stopped.keys() == full.keys()
 
     def test_prune_removes_state_and_everything_built_on_it(self):
-        automaton = self.automaton()
-        full = reachable_states(automaton)
+        automaton = DTDAutomaton(parse_dtd(self.DTD))
+        full = reachable_states_naive(automaton)
         # pruning every c-subtree state removes c, and with it any a/b
         # state whose witness needed a c child — but a (c?) and b (c*)
         # still realize through the empty word
-        pruned = reachable_states(
+        pruned = reachable_states_naive(
             automaton, prune=lambda state: state[0] == "c"
         )
         assert all(state[0] != "c" for state in pruned)
@@ -184,7 +204,7 @@ class TestReachabilityHooks:
         assert conformance.child_labels("x") == ()
 
     def test_conformance_must_be_component_zero(self):
-        conformance = self.automaton()
+        conformance = DTDAutomaton(parse_dtd(self.DTD))
         product = ProductAutomaton([DTDAutomaton(parse_dtd(self.DTD)), conformance])
         with pytest.raises(ValueError):
             reachable_states(product, conformance=conformance)
@@ -194,7 +214,7 @@ class TestReachabilityHooks:
     def test_charge_called_once_per_realized_state(self):
         automaton = self.automaton()
         calls = []
-        realized = reachable_states(automaton, charge=lambda: calls.append(1))
+        realized = self.search(automaton, charge=lambda: calls.append(1))
         assert len(calls) == len(realized)
 
     def test_charge_can_abort(self):
@@ -205,23 +225,22 @@ class TestReachabilityHooks:
             raise Budget
 
         with pytest.raises(Budget):
-            reachable_states(self.automaton(), charge=charge)
+            self.search(self.automaton(), charge=charge)
 
     def test_max_states_boundary_allows_exact_count(self):
-        automaton = self.automaton()
-        full = reachable_states(automaton)
-        assert reachable_states(automaton, max_states=len(full)).keys() == (
+        automaton = DTDAutomaton(parse_dtd(self.DTD))
+        full = reachable_states_naive(automaton)
+        assert reachable_states_naive(automaton, max_states=len(full)).keys() == (
             full.keys()
         )
         with pytest.raises(RuntimeError):
-            reachable_states(automaton, max_states=len(full) - 1)
+            reachable_states_naive(automaton, max_states=len(full) - 1)
 
     def test_worklist_agrees_with_naive_saturation(self):
-        from repro.verification.reachability import reachable_states_naive
-
         automaton = self.automaton()
-        fast = reachable_states(automaton)
-        slow = reachable_states_naive(automaton)
+        conformance = automaton.components[0]
+        fast = self.search(automaton)
+        slow = reachable_states_naive(automaton, conformance=conformance)
         assert fast.keys() == slow.keys()
         for state, witness in fast.items():
             assert run(automaton, witness) == state
@@ -252,7 +271,7 @@ class TestProduct:
             [a1, a2],
             predicate=lambda s: a1.is_accepting(s[0]) and not a2.is_accepting(s[1]),
         )
-        found = find_accepted(product)
+        found = find_accepted(product, conformance=a1)
         assert found is not None
         __, witness = found
         assert witness == parse_tree("r")

@@ -3,22 +3,19 @@
 Determinism makes boolean structure trivial *by construction*; these tests
 confirm the construction: a product accepts iff all components do, a
 negated predicate accepts the complement, and `run` is consistent with
-`reachable_states` witnesses.
+the witnesses of the production `reachable_states`.  The laws are stated
+over the plain reference automata of `repro.verification.automata`, the
+replay over the production bitset automata.
 """
 
 import random
 
 import pytest
 
-from repro.automata.dtd_automaton import DTDAutomaton
-from repro.automata.duta import (
-    ProductAutomaton,
-    accepts,
-    reachable_states,
-    run,
-)
-from repro.automata.pattern_automaton import PatternClosureAutomaton
+from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
+from repro.automata.duta import ProductAutomaton, reachable_states
 from repro.patterns.matching import matches_at_root
+from repro.verification.automata import DTDAutomaton, accepts, run
 from repro.workloads.random_instances import (
     abstract_pattern_from_tree,
     random_arbitrary_dtd,
@@ -71,12 +68,14 @@ def test_reachability_witnesses_replay(seed):
     rng, dtd_a, __, ___ = setup_case(seed)
     tree = random_tree_from_dtd(dtd_a, rng, max_nodes=6)
     pattern = abstract_pattern_from_tree(rng, tree).strip_values()
-    closure = PatternClosureAutomaton([pattern], extra_labels=dtd_a.labels)
-    realized = reachable_states(closure)
-    assert realized, "some state must be realizable"
+    conformance = BitsetDTDAutomaton(dtd_a)
+    closure = BitsetClosureAutomaton([pattern], dtd_a.labels)
+    product = ProductAutomaton([conformance, closure])
+    realized = reachable_states(product, conformance=conformance)
+    assert any(closure.satisfies(state[1], pattern) for state in realized)
     for state, witness in realized.items():
-        assert run(closure, witness) == state
+        assert run(product, witness) == state
         # and the closure component's verdict matches the direct matcher
-        assert closure.satisfies(state, pattern) == matches_at_root(
+        assert closure.satisfies(state[1], pattern) == matches_at_root(
             pattern, witness
         )

@@ -287,8 +287,8 @@ class TestSharedProductions:
 
     def test_shared_build_equals_the_per_label_build(self):
         from repro.automata.bitset import BitsetDTDAutomaton
-        from repro.automata.duta import run
         from repro.regex.nfa import NFA
+        from repro.verification.automata import run
 
         shared = parse_dtd(self.TEXT)
         per_label = parse_dtd(self.TEXT)
@@ -346,7 +346,7 @@ class TestProductionHashes:
             "from repro.engine.diskcache import DiskCacheTier\n"
             "from repro.regex.parser import parse_regex\n"
             "from repro.xmlmodel import parse_dtd, parse_tree\n"
-            "from repro.automata.duta import run\n"
+            "from repro.verification.automata import run\n"
             f"text = {self.TEXT!r}\n"
             "cache = CompilationCache(disk=DiskCacheTier(sys.argv[1]))\n"
             "automaton = dtd_automaton(parse_dtd(text), ExecutionContext(cache=cache))\n"

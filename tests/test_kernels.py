@@ -20,7 +20,8 @@ encoding (bitset), held to the plain automata it re-encodes:
 * the worklist ``reachable_states`` must realize the same states as the
   round-based ``reachable_states_naive`` it replaced, and its label
   index (``conformance=``) must realize exactly what plain conformance
-  pruning does, on random DTD x closure products in both encodings.
+  pruning does, on random DTD x closure products in both encodings
+  (the plain one from ``repro.verification.automata``).
 """
 
 import json
@@ -188,7 +189,7 @@ def test_satisfiability_agrees_across_kernels(seed):
             )
     # the pattern matches its own source tree, so both must prove it
     assert answers[PURE].is_proved and answers[BITSET].is_proved
-    from repro.automata.dtd_automaton import decorate
+    from repro.automata.bitset import decorate
 
     for kernel, witness in witnesses.items():
         assert witness is not None, f"{kernel} found no witness"
@@ -273,14 +274,19 @@ def test_compact_engine_matches_object_engine(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_worklist_reachability_matches_naive(seed):
-    from repro.automata.dtd_automaton import DTDAutomaton
-    from repro.automata.duta import reachable_states, run
+    from repro.automata.duta import ProductAutomaton, reachable_states
+    from repro.verification.automata import (
+        DTDAutomaton,
+        PatternClosureAutomaton,
+        run,
+    )
     from repro.verification.reachability import reachable_states_naive
 
     rng = random.Random(4000 + seed)
-    automaton = DTDAutomaton(random_arbitrary_dtd(rng, n_labels=5))
-    fast = reachable_states(automaton)
-    slow = reachable_states_naive(automaton)
+    conformance = DTDAutomaton(random_arbitrary_dtd(rng, n_labels=5))
+    automaton = ProductAutomaton([conformance, PatternClosureAutomaton([])])
+    fast = reachable_states(automaton, conformance=conformance)
+    slow = reachable_states_naive(automaton, conformance=conformance)
     assert fast.keys() == slow.keys()
     for state, witness in fast.items():
         assert run(automaton, witness) == state
@@ -303,9 +309,7 @@ def random_recursive_dtd(rng: random.Random) -> DTD:
 def _conforming_product(rng: random.Random, variant: str):
     """A DTD automaton, a random closure automaton and its patterns."""
     from repro.automata.bitset import BitsetClosureAutomaton, BitsetDTDAutomaton
-    from repro.automata.dtd_automaton import DTDAutomaton
-    from repro.automata.duta import ProductAutomaton
-    from repro.automata.pattern_automaton import PatternClosureAutomaton
+    from repro.verification.automata import DTDAutomaton, PatternClosureAutomaton
 
     dtd = random_recursive_dtd(rng)
     patterns = [
@@ -319,8 +323,8 @@ def _conforming_product(rng: random.Random, variant: str):
         "pure": (PatternClosureAutomaton, DTDAutomaton),
         "bitset": (BitsetClosureAutomaton, BitsetDTDAutomaton),
     }[variant]
-    conformance = dtd_kind(dtd, extra)
-    closure = closure_kind(patterns, extra_labels=dtd.labels | extra)
+    conformance = dtd_kind(dtd)
+    closure = closure_kind(patterns, dtd.labels | extra)
     return conformance, closure, patterns
 
 
@@ -328,7 +332,8 @@ def _conforming_product(rng: random.Random, variant: str):
 @pytest.mark.parametrize("seed", range(20))
 def test_conformance_index_matches_pruning_oracle(seed, variant):
     """The label-indexed search realizes exactly what plain pruning does."""
-    from repro.automata.duta import ProductAutomaton, reachable_states, run
+    from repro.automata.duta import ProductAutomaton, reachable_states
+    from repro.verification.automata import run
     from repro.verification.reachability import reachable_states_naive
 
     rng = random.Random(5000 + seed)
@@ -443,7 +448,7 @@ def test_achievable_sets_match_reference():
     own labels.  Witnesses may differ between the encodings, but each
     must conform and match exactly its trigger set.
     """
-    from repro.automata.dtd_automaton import decorate
+    from repro.automata.bitset import decorate
     from repro.engine.cache import achievable_sets
     from repro.patterns.matching import matches_at_root
     from repro.verification.reachability import achievable_sets_reference

@@ -24,8 +24,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.automata.dtd_automaton import DTDAutomaton, decorate
-from repro.automata.duta import ProductAutomaton, reachable_states, run
+from repro.automata.bitset import (
+    BitsetClosureAutomaton,
+    BitsetDTDAutomaton,
+    decorate,
+)
+from repro.automata.duta import ProductAutomaton, reachable_states
 from repro.engine import (
     AbsoluteConsistencyProblem,
     Budget,
@@ -43,6 +47,7 @@ from repro.patterns.ast import Descendant, Pattern, Sequence
 from repro.patterns.matching import matches_at_root
 from repro.patterns.parser import parse_pattern
 from repro.patterns.satisfiability import structural_witness
+from repro.verification.automata import run
 from repro.verification.reachability import achievable_sets_reference
 from repro.workloads import families
 from repro.workloads.random_instances import (
@@ -198,7 +203,7 @@ def test_undeclared_target_label_is_unsatisfiable():
 def test_product_has_two_components(arity):
     dtd = DTD("r", {"r": "eps"})
     with pytest.raises(ValueError):
-        ProductAutomaton([DTDAutomaton(dtd) for __ in range(arity)])
+        ProductAutomaton([BitsetDTDAutomaton(dtd) for __ in range(arity)])
 
 
 def test_chain_witness_height_without_recursion():
@@ -214,10 +219,19 @@ def test_chain_witness_height_without_recursion():
     assert dtd.conforms(witness)
 
 
+def _conforming_search(dtd: DTD):
+    """The conforming search of *dtd* paired with a closure automaton of
+    no patterns (one state, accepts every tree): its product and result."""
+    conformance = BitsetDTDAutomaton(dtd)
+    automaton = ProductAutomaton(
+        [conformance, BitsetClosureAutomaton([], dtd.labels)]
+    )
+    return automaton, reachable_states(automaton, conformance=conformance)
+
+
 def test_witnesses_are_built_only_when_read():
     dtd = DTD("r", {"r": "a*, b?", "a": "c?", "b": "eps", "c": "eps"})
-    automaton = DTDAutomaton(dtd)
-    realized = reachable_states(automaton)
+    automaton, realized = _conforming_search(dtd)
     assert realized._built == {}
     accepted = [state for state in realized if automaton.is_accepting(state)]
     witness = realized[accepted[0]]
@@ -231,9 +245,8 @@ def test_witnesses_are_built_only_when_read():
 
 def test_search_annotates_span_with_state_counts():
     dtd = DTD("r", {"r": "a*, b?", "a": "c?", "b": "eps", "c": "eps"})
-    automaton = DTDAutomaton(dtd)
     with collecting("probe") as trace_tree:
-        realized = reachable_states(automaton)
+        __, realized = _conforming_search(dtd)
     attrs = trace_tree.to_dict()["attrs"]
     assert attrs["realized"] == len(realized)
     assert attrs["horizontal"] == sum(
@@ -300,8 +313,8 @@ _WRITER = textwrap.dedent("""
 
 _READER = textwrap.dedent("""
     import pickle, sys
-    from repro.automata.duta import run
     from repro.engine import CompilationCache, DiskCacheTier, ExecutionContext
+    from repro.verification.automata import run
     from repro.engine.cache import achievable_sets, closure_automaton
     from repro.mappings.io import parse_mapping, render_mapping
     from repro.workloads.random_instances import random_tree_from_dtd

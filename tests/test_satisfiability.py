@@ -138,6 +138,19 @@ class TestWithConstants:
             structural.expansions
         )
 
+    def test_lifted_witness_deeper_than_the_recursion_limit(self):
+        import sys
+
+        from repro.xmlmodel.dtd import DTD
+
+        n = sys.getrecursionlimit() + 500
+        productions = {f"l{i}": f"l{i + 1}" for i in range(n - 1)}
+        productions[f"l{n - 1}"] = "eps"
+        dtd = DTD("l0", productions, {f"l{n - 1}": ("a",)})
+        witness = satisfying_tree(dtd, parse_pattern(f"l0[//l{n - 1}(5)]"))
+        assert witness is not None and witness.height == n
+        assert list(witness.leaves())[0].attrs == (5,)
+
 
 # -- cross-validation against exhaustive enumeration -------------------------
 
@@ -206,9 +219,9 @@ def _prune_only_witness(dtd, pattern):
     production bitset automata re-encode, no label index, no dead-row
     pruning.
     """
-    from repro.automata.dtd_automaton import DTDAutomaton
-    from repro.automata.duta import ProductAutomaton, find_accepted
-    from repro.automata.pattern_automaton import PatternClosureAutomaton
+    from repro.automata.duta import ProductAutomaton
+    from repro.verification.automata import DTDAutomaton, PatternClosureAutomaton
+    from repro.verification.reachability import reachable_states_naive
 
     extra = frozenset(pattern.labels_used())
     closure = PatternClosureAutomaton(
@@ -222,10 +235,15 @@ def _prune_only_witness(dtd, pattern):
             and closure.satisfies(state[1], pattern)
         ),
     )
-    found = find_accepted(
-        product, prune=lambda state: not conformance.state_ok(state[0])
+    realized = reachable_states_naive(
+        product,
+        stop=product.is_accepting,
+        prune=lambda state: not conformance.state_ok(state[0]),
     )
-    return None if found is None else found[1]
+    for state, witness in realized.items():
+        if product.is_accepting(state):
+            return witness
+    return None
 
 
 def _random_dtd(rng, recursive: bool):
@@ -276,7 +294,7 @@ def _random_pairs(seed: int, count: int):
 def test_structural_witness_agrees_with_prune_only_search(kernel):
     """The automata have one encoding; *kernel* pins the pattern engine
     that checks each decorated witness against its pattern."""
-    from repro.automata.dtd_automaton import decorate
+    from repro.automata.bitset import decorate
     from repro.engine import CompilationCache
     from repro.engine.budget import ExecutionContext
     from repro.kernel import force_kernel
@@ -297,3 +315,87 @@ def test_structural_witness_agrees_with_prune_only_search(kernel):
             assert matches_at_root(pattern, decorated), (dtd, pattern, witness)
     # the seeded pairs exercise both answers
     assert found >= 20 and empty >= 20, (found, empty)
+
+
+# ---------------------------------------------------------------------------
+# tag lifting against enumeration and the plain-automata lifting
+# ---------------------------------------------------------------------------
+
+#: Non-recursive DTDs without ``*``/``+``: every tree has at most 4 nodes,
+#: so enumeration up to 4 nodes over the pattern's constants plus one
+#: fresh value is a complete oracle (values outside the constants can be
+#: collapsed to one without losing a match).
+LIFTING_DTDS = [
+    "r -> a, b?\na(x) -> b?\nb(y)",
+    "r -> a | (b, b)\na(x, y)\nb(x)",
+    "r -> c, c?, d\nc(w, z)\nd(w, z)",
+]
+
+
+def _valued_pattern(rng, dtd):
+    """A random pattern with constants and (mostly) repeated variables.
+
+    The items of three patterns abstracted from three trees of *dtd*,
+    every attribute term redrawn from two constants and one variable.
+    Each part matches its tree; together they often need two pattern
+    nodes on one tree node, where only the values decide.
+    """
+    from repro.values import Const, Var
+    from repro.workloads.random_instances import (
+        abstract_pattern_from_tree,
+        random_tree_from_dtd,
+    )
+
+    terms = [Const(0), Const(1), Var("x")]
+
+    def redraw(node: Pattern) -> Pattern:
+        if node.vars is None:
+            return node
+        values = tuple(rng.choice(terms) for __ in node.vars)
+        return Pattern(node.label, values, node.items)
+
+    while True:
+        parts = [
+            abstract_pattern_from_tree(
+                rng, random_tree_from_dtd(dtd, rng, max_nodes=8)
+            ).map_patterns(redraw)
+            for __ in range(3)
+        ]
+        pattern = Pattern(dtd.root, None, sum((p.items for p in parts), ()))
+        if any(isinstance(term, Const) for term in pattern.terms()):
+            return pattern
+
+
+def test_tag_lifting_agrees_with_enumeration_and_reference():
+    """Patterns with constants and repeated variables: the bitset tag
+    lifting, the plain-automata lifting and enumeration agree."""
+    import random
+
+    from repro.values import Const, Null
+    from repro.verification.reachability import satisfying_tree_reference
+
+    rng = random.Random(2900)
+    answers = {True: 0, False: 0}
+    refuted_by_values = 0
+    for index in range(90):
+        dtd = parse_dtd(LIFTING_DTDS[index % len(LIFTING_DTDS)])
+        pattern = _valued_pattern(rng, dtd)
+        constants = {t.value for t in pattern.terms() if isinstance(t, Const)}
+        domain = sorted(constants) + [Null("oracle-fresh")]
+        expected = any(
+            matches_at_root(pattern, tree)
+            for tree in enumerate_trees(dtd, 4, domain=domain)
+        )
+        witness = satisfying_tree(dtd, pattern)
+        assert (witness is not None) == expected, (dtd, pattern)
+        reference = satisfying_tree_reference(dtd, pattern)
+        assert (reference is not None) == expected, (dtd, pattern)
+        if witness is not None:
+            assert dtd.conforms(witness) and matches_at_root(pattern, witness)
+        elif structural_witness(dtd, pattern) is not None:
+            refuted_by_values += 1
+        answers[expected] += 1
+    # the seeded patterns exercise both answers, and tag lifting refutes
+    # patterns whose structure alone is satisfiable
+    assert answers[True] >= 30 and answers[False] >= 15, answers
+    assert refuted_by_values >= 8, refuted_by_values

@@ -1,9 +1,18 @@
 """Tests for pattern separation (the paper's Section 9 problem) and DTD
-language operations, cross-validated against exhaustive enumeration."""
+language operations, cross-validated against exhaustive enumeration.
+
+DTD inclusion, equivalence and disjointness have no module in the
+library: the tests decide them over two reference DTD automata, where
+determinism makes the complement of the second DTD a negated acceptance
+predicate.  That checks the reference automata against enumeration on
+products no library search builds.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.bitset import decorate
+from repro.automata.duta import ProductAutomaton, find_accepted
 from repro.patterns.matching import matches_at_root
 from repro.patterns.parser import parse_pattern
 from repro.patterns.separation import (
@@ -11,14 +20,57 @@ from repro.patterns.separation import (
     pattern_contained,
     patterns_equivalent,
 )
+from repro.verification.automata import DTDAutomaton
 from repro.verification.enumeration import enumerate_label_trees, enumerate_trees
 from repro.xmlmodel.dtd import parse_dtd
-from repro.xmlmodel.dtd_ops import (
-    dtd_common_tree,
-    dtd_equivalent,
-    dtd_included,
-    dtd_inclusion_counterexample,
-)
+
+
+def _product_witness(first, second, accept_second):
+    """A tree conforming to *first* whose *second*-automaton state passes
+    *accept_second*, decorated per *first*; None if there is none."""
+    conformance = DTDAutomaton(first)
+    other = DTDAutomaton(second, first.labels)
+    product = ProductAutomaton(
+        [conformance, other],
+        predicate=lambda state: conformance.is_accepting(state[0])
+        and accept_second(other, state[1]),
+    )
+    found = find_accepted(product, conformance=conformance)
+    return None if found is None else decorate(first, found[1])
+
+
+def _arity_compatible(first, second) -> bool:
+    return all(
+        first.arity(label) == second.arity(label)
+        for label in first.labels & second.labels
+    )
+
+
+def dtd_inclusion_counterexample(smaller, larger):
+    """A tree conforming to *smaller* but not *larger*, or None.  A shared
+    label of another arity makes any tree using it a counterexample."""
+    arity_ok = _arity_compatible(smaller, larger)
+    return _product_witness(
+        smaller, larger,
+        lambda other, state: not (arity_ok and other.is_accepting(state)),
+    )
+
+
+def dtd_included(smaller, larger) -> bool:
+    return dtd_inclusion_counterexample(smaller, larger) is None
+
+
+def dtd_equivalent(first, second) -> bool:
+    return dtd_included(first, second) and dtd_included(second, first)
+
+
+def dtd_common_tree(first, second):
+    """A tree conforming to both DTDs, or None if they are disjoint."""
+    if not _arity_compatible(first, second):
+        return None
+    return _product_witness(
+        first, second, lambda other, state: other.is_accepting(state)
+    )
 
 
 class TestSeparation:

@@ -34,10 +34,12 @@ NOT_FOR_THE_PARSER = (
     "repro.exchange",
 )
 
-#: What ``repro check`` of a mapping must not load.
+#: What ``repro check`` of a mapping must not load.  ``repro.verification``
+#: holds the reference oracles, the plain tree automata among them.
 NOT_FOR_CHECK = (
     "repro.engine.parallel", "repro.service.client", "repro.service.server",
     "repro.exchange", "repro.analysis.fixes", "repro.analysis.sarif",
+    "repro.verification",
 )
 
 
