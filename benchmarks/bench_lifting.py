@@ -131,7 +131,9 @@ def main(argv: list[str] | None = None) -> int:
         "(unsat) and without d(1, 2, 99) (sat)",
         "cache": "cold: every sample decides on a fresh CompilationCache",
         "arms": "after: this checkout, whose tag lifting runs on the bitset "
-        "automata; before: the checkout given with --before",
+        "automata and builds the search's label order and reader table "
+        "once per lifted DTD automaton; before: the checkout given with "
+        "--before",
         "samples": f"{ROUNDS} per case and arm; one fresh interpreter "
         "per round and arm after an untimed warm-up case, the arm order "
         "alternating from round to round",

@@ -7,27 +7,33 @@ that selection *static*: :func:`predict_for_problem` (and the per-problem
 algorithm the engine will route to, the paper's complexity cell for it,
 and whether the route is exact or a sound-but-bounded approximation.
 
-The predicates here are the single source of truth — the engine's
-routing functions consult them (see ``repro.engine.core``), so the
-linter's predictions cannot drift from the solver's behaviour.  The only
-divergence left is dynamic: a route that *starts* exact can still
-overflow a budget at run time and fall back (e.g. ``abscons-expansion``
-exceeding its expansion limit), which no static analysis can foresee.
+This is the one place a cell's class is decided.  Each class test
+returns the first condition a mapping violates, as a message, or None
+inside the class; the boolean predicates read it, the engine routes
+every problem from the prediction alone, and each route's guard raises
+the same message through :func:`require`, so a direct call outside the
+class gets a typed error.  Prediction and routing therefore agree by
+construction, with one run-time exception: ``abscons-expansion`` can
+overflow its expansion limit, and the engine then falls back to
+``abscons-bounded``, which no static analysis can foresee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from functools import wraps
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.engine.cache import dtd_classification
-from repro.patterns.ast import Descendant, Pattern, Sequence
+from repro.errors import SignatureError, XsmError
+from repro.patterns.ast import Pattern, Sequence
 from repro.patterns.features import HORIZONTAL, INEQUALITY, is_fully_specified
 from repro.values import Const
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
     from repro.mappings.mapping import SchemaMapping
+    from repro.xmlmodel.dtd import DTD
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class CellPrediction:
 
 
 # ---------------------------------------------------------------------------
-# fragment predicates (Figure 1's row labels)
+# fragment facts (Figure 1's row labels)
 # ---------------------------------------------------------------------------
 
 
@@ -83,120 +89,252 @@ def uses_skolem_functions(mapping: "SchemaMapping") -> bool:
     return mapping.uses_skolem_functions()
 
 
-def nested_ptime_applicable(
+def _nested_downward_violation(
     mapping: "SchemaMapping", context: "ExecutionContext | None" = None
-) -> bool:
-    """Is the Fact-5.1 PTIME consistency route applicable?
-
-    Requires ``SM(⇓)`` (no horizontal axes, comparisons or constants)
-    over nested-relational DTDs; the DTD classification is read through
-    the compilation cache.
-    """
-    if mapping.uses_data_comparisons() or uses_constants(mapping):
-        return False
-    return _nested_downward(mapping, context)
-
-
-def _nested_downward(
-    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
-) -> bool:
+) -> str | None:
     """No horizontal axes, and both DTDs nested-relational (classification
     read through the compilation cache)."""
     if mapping.signature().features & HORIZONTAL:
-        return False
-    return (
-        dtd_classification(mapping.source_dtd, context).nested_relational
-        and dtd_classification(mapping.target_dtd, context).nested_relational
+        return "horizontal axes are outside CONS(⇓)"
+    for side, dtd in (("source", mapping.source_dtd), ("target", mapping.target_dtd)):
+        if not dtd_classification(dtd, context).nested_relational:
+            return f"{side} DTD is not nested-relational"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# class tests: one per Figure 1–2 cell
+# ---------------------------------------------------------------------------
+
+
+def require(
+    violation: str | None, error: type[XsmError] = SignatureError
+) -> None:
+    """A route's class guard: raise *error* naming the violated condition."""
+    if violation is not None:
+        raise error(violation)
+
+
+def _class_test(
+    test: Callable[["SchemaMapping"], str | None],
+) -> Callable[["SchemaMapping"], str | None]:
+    """Memoize a mapping's class test on the mapping ("" = in the class):
+    the prediction, the route guard and the linter all ask it."""
+    name = f"_{test.__name__}"
+
+    @wraps(test)
+    def memoized(mapping: "SchemaMapping") -> str | None:
+        return mapping._memo(name, lambda: test(mapping) or "") or None
+
+    return memoized
+
+
+@_class_test
+def comparison_free_violation(mapping: "SchemaMapping") -> str | None:
+    """``SM(⇓,⇒)`` (Theorem 5.2, and every stage of Theorem 7.1(1)):
+    no data comparisons and no constants."""
+    if mapping.uses_data_comparisons():
+        return (
+            "data comparisons are outside SM(⇓,⇒); the bounded procedures "
+            "handle SM(..,∼)"
+        )
+    if uses_constants(mapping):
+        return "constants in patterns are outside SM(⇓,⇒)"
+    return None
+
+
+def nested_ptime_violation(
+    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> str | None:
+    """Fact 5.1's class: ``SM(⇓)`` (no horizontal axes, comparisons or
+    constants) over nested-relational DTDs.  Not memoized: the DTD
+    classification is read through *context*'s compilation cache."""
+    return comparison_free_violation(mapping) or _nested_downward_violation(
+        mapping, context
     )
+
+
+def _attribute_free(std: Any) -> bool:
+    return std._memo("attribute-free", lambda: all(
+        sub.vars is None
+        for pattern in (std.source, std.target)
+        for sub in pattern.subpatterns()
+    ))
+
+
+@_class_test
+def sm0_violation(mapping: "SchemaMapping") -> str | None:
+    """Proposition 6.1's value-free ``SM°``: no comparison formulae and no
+    attribute formulae at all."""
+    for std in mapping.stds:
+        if std.source_conditions or std.target_conditions:
+            return "SM° mappings have no comparison formulae"
+        if not _attribute_free(std):
+            return "SM° mappings mention no attributes; call .strip_values()"
+    return None
+
+
+@_class_test
+def abscons_ptime_violation(mapping: "SchemaMapping") -> str | None:
+    """Theorem 6.3's class: ``SM(↓)``, fully specified, nested-relational."""
+    if mapping.uses_data_comparisons():
+        return "the PTIME ABSCONS algorithm handles SM(↓) without ∼"
+    if not mapping.is_fully_specified():
+        return "stds must be fully specified (Theorem 6.3)"
+    if not mapping.is_nested_relational():
+        return "both DTDs must be nested-relational (Theorem 6.3)"
+    if uses_constants(mapping):
+        return "constants are outside SM(↓)"
+    return None
+
+
+def expansion_violation(dtd: "DTD", pattern: Pattern) -> str | None:
+    """Can *pattern* expand over *dtd* into fully-specified patterns?
+
+    Wildcard and descendant expand; horizontal sibling order does not
+    (every sequence must be a singleton), and a recursive DTD has
+    infinitely many label paths.
+    """
+    if dtd.is_recursive():
+        return "expansion requires a non-recursive DTD"
+    if any(
+        isinstance(item, Sequence) and len(item.elements) != 1
+        for sub in pattern.subpatterns()
+        for item in sub.items
+    ):
+        return "expansion handles the ⇓ fragment only (no → / →*)"
+    return None
+
+
+@_class_test
+def abscons_expansion_violation(mapping: "SchemaMapping") -> str | None:
+    """The source-expansion route: ⇓-sources over nested-relational DTDs.
+
+    Targets must be fully specified; sources may use wildcard and
+    descendant (expanded away), but no horizontal order.
+    """
+    if mapping.uses_data_comparisons():
+        return "source expansion handles SM(⇓) without ∼"
+    if uses_constants(mapping):
+        return "constants are outside SM(⇓)"
+    if not mapping.is_nested_relational():
+        return "both DTDs must be nested-relational (Theorem 6.3)"
+    if not all(is_fully_specified(std.target) for std in mapping.stds):
+        return "targets must be fully specified; only sources expand"
+    return next(
+        filter(None, (
+            expansion_violation(mapping.source_dtd, std.source)
+            for std in mapping.stds
+        )),
+        None,
+    )
+
+
+@_class_test
+def composable_violation(mapping: "SchemaMapping") -> str | None:
+    """The Theorem 8.2 composition-closed class: strictly
+    nested-relational DTDs, fully-specified stds, equality only."""
+    if not mapping.source_dtd.is_strictly_nested_relational():
+        return "source DTD is not strictly nested-relational"
+    if not mapping.target_dtd.is_strictly_nested_relational():
+        return "target DTD is not strictly nested-relational"
+    if not mapping.is_fully_specified():
+        return "stds must be fully specified (grammar (5))"
+    if INEQUALITY in mapping.signature().features:
+        return "inequalities are not allowed in the composable class"
+    return None
+
+
+def composition_violation(
+    m12: "SchemaMapping", m23: "SchemaMapping"
+) -> str | None:
+    """The class ``compose`` handles: both mappings composable, and a
+    middle DTD whose attribute-carrying elements occur only under ``*``.
+
+    A ``+``-filler or a value on a rigid path would exist in every middle
+    tree without any requirement introducing it, and the composed stds
+    cannot name it.
+    """
+    violation = composable_violation(m12) or composable_violation(m23)
+    if violation is not None:
+        return violation
+    middle = m12.target_dtd
+    for label, row in middle.multiplicities().items():
+        for child, multiplicity in row.items():
+            if multiplicity == "+":
+                return (
+                    "composition does not support '+' in the middle DTD "
+                    "(a forced filler node would carry unnameable values); "
+                    "use '*' with an explicit requirement instead"
+                )
+            if multiplicity in ("1", "?") and middle.arity(child) > 0:
+                return (
+                    f"middle DTD puts the attribute-carrying element "
+                    f"{child!r} at a non-starred position under {label!r}; "
+                    "the composable class requires attribute-carrying "
+                    "elements to occur only under '*'"
+                )
+    return None
+
+
+def chain_violation(mappings: Iterable["SchemaMapping"]) -> str | None:
+    """Theorem 7.1(1)'s class: every mapping of the chain in ``SM(⇓,⇒)``."""
+    return next(filter(None, map(comparison_free_violation, mappings)), None)
+
+
+@_class_test
+def canonical_violation(mapping: "SchemaMapping") -> str | None:
+    """The canonical-solution class of [4]: fully-specified stds, a
+    nested-relational target DTD and no target conditions (source
+    conditions only choose which source matches fire)."""
+    if not mapping.is_fully_specified():
+        return "canonical solutions require fully-specified stds (grammar (5))"
+    if not mapping.target_dtd.is_nested_relational():
+        return "canonical solutions require a nested-relational target DTD"
+    if any(std.target_conditions for std in mapping.stds):
+        return (
+            "canonical solutions are defined for stds without target "
+            "conditions (the tractable class of [4])"
+        )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# predicates: the class tests read as booleans
+# ---------------------------------------------------------------------------
+
+
+def nested_ptime_applicable(
+    mapping: "SchemaMapping", context: "ExecutionContext | None" = None
+) -> bool:
+    """Is the Fact-5.1 PTIME consistency route applicable?"""
+    return nested_ptime_violation(mapping, context) is None
 
 
 def is_sm0(mapping: "SchemaMapping") -> bool:
     """Value-free ``SM°``: no comparisons, no attribute formulae at all."""
-    return all(
-        std._memo("value-free", lambda: (
-            not std.source_conditions
-            and not std.target_conditions
-            and all(sub.vars is None for sub in std.source.subpatterns())
-            and all(sub.vars is None for sub in std.target.subpatterns())
-        ))
-        for std in mapping.stds
-    )
+    return sm0_violation(mapping) is None
 
 
 def in_abscons_ptime_class(mapping: "SchemaMapping") -> bool:
     """The Theorem 6.3 class: SM(↓), fully specified, nested-relational."""
-    return (
-        not mapping.uses_data_comparisons()
-        and mapping.is_fully_specified()
-        and mapping.is_nested_relational()
-        and not uses_constants(mapping)
-    )
-
-
-def _sources_expandable(mapping: "SchemaMapping") -> bool:
-    """Can every source pattern be expanded to fully-specified form?
-
-    Mirrors ``repro.consistency.expansion``: wildcard and descendant are
-    handled, horizontal sibling order is not (every sequence must be a
-    singleton).
-    """
-
-    def expandable(pattern: Pattern) -> bool:
-        for item in pattern.items:
-            if isinstance(item, Descendant):
-                if not expandable(item.pattern):
-                    return False
-            else:
-                assert isinstance(item, Sequence)
-                if len(item.elements) != 1:
-                    return False
-                if not expandable(item.elements[0]):
-                    return False
-        return True
-
-    return mapping._memo(
-        "_sources_expandable",
-        lambda: all(expandable(std.source) for std in mapping.stds),
-    )
+    return abscons_ptime_violation(mapping) is None
 
 
 def in_abscons_expansion_class(mapping: "SchemaMapping") -> bool:
-    """The source-expansion route: ⇓-sources over nested-relational DTDs.
-
-    Targets must be fully specified; sources may use wildcard and
-    descendant (expanded away), but no horizontal order.  The run-time
-    route can additionally overflow its expansion limit, which a static
-    check cannot foresee.
-    """
-    return (
-        not mapping.uses_data_comparisons()
-        and not uses_constants(mapping)
-        and mapping.is_nested_relational()
-        and all(is_fully_specified(std.target) for std in mapping.stds)
-        and _sources_expandable(mapping)
-    )
+    """The source-expansion route's class (see
+    :func:`abscons_expansion_violation`)."""
+    return abscons_expansion_violation(mapping) is None
 
 
 def in_composable_class(mapping: "SchemaMapping") -> bool:
-    """The Theorem 8.2 composition-closed class.
-
-    Strictly nested-relational DTDs, fully-specified stds, equality only
-    (mirrors ``SkolemMapping.check_composable_class``).
-    """
-    return (
-        mapping.source_dtd.is_strictly_nested_relational()
-        and mapping.target_dtd.is_strictly_nested_relational()
-        and mapping.is_fully_specified()
-        and INEQUALITY not in mapping.signature().features
-    )
+    """The Theorem 8.2 composition-closed class."""
+    return composable_violation(mapping) is None
 
 
 def chain_comparison_free(mappings: tuple["SchemaMapping", ...]) -> bool:
     """Is the whole chain inside SM(⇓,⇒) (no comparisons, no constants)?"""
-    return all(
-        not mapping.uses_data_comparisons() and not uses_constants(mapping)
-        for mapping in mappings
-    )
+    return chain_violation(mappings) is None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +347,7 @@ def predict_consistency(
 ) -> CellPrediction:
     """The Figure 1 CONS cell the engine will route to."""
     fragment = str(mapping.signature())
-    if not mapping.uses_data_comparisons() and not uses_constants(mapping):
+    if comparison_free_violation(mapping) is None:
         if nested_ptime_applicable(mapping, context):
             return CellPrediction(
                 "CONS", fragment, "cons-nested", "PTIME (Fact 5.1)", True,
@@ -228,7 +366,7 @@ def predict_consistency(
         "where that is complete, else by a target search up to "
         "max_target_size"
     )
-    if _nested_downward(mapping, context):
+    if _nested_downward_violation(mapping, context) is None:
         return CellPrediction(
             "CONS", fragment, "cons-bounded",
             "NEXPTIME-complete (Theorem 5.5)", False,
@@ -303,7 +441,7 @@ def predict_composition_membership(
 ) -> CellPrediction:
     """The Figure 2 composition-membership cell the engine will route to."""
     fragment = f"{m12.signature()} ∘ {m23.signature()}"
-    if in_composable_class(m12) and in_composable_class(m23):
+    if composition_violation(m12, m23) is None:
         return CellPrediction(
             "COMPOSITION-MEMBERSHIP", fragment, "composition-exact",
             "NP combined complexity via the composed Skolem mapping "

@@ -34,5 +34,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
         "reachable_states",
     ),
     ".bitset": ("BitsetClosureAutomaton", "BitsetDTDAutomaton", "decorate"),
-    ".interning": ("Interner", "LabelTable"),
+    ".interning": ("LabelTable",),
 })

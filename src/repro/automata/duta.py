@@ -118,6 +118,22 @@ class ProductAutomaton(TreeAutomaton):
         )
 
 
+def _search_tables(conformance: "BitsetDTDAutomaton") -> tuple[list, dict]:
+    """The label order (by ``repr``) and reader table (per child label,
+    the parents whose content model may read it) of every search that
+    *conformance* conforms: built once per automaton and kept on it, so
+    tag lifting's one search per tag assignment reuses them."""
+    tables = conformance.__dict__.get("_search_tables")
+    if tables is None:
+        labels = sorted(conformance.labels(), key=repr)
+        readers: dict = {label: [] for label in labels}
+        for parent in labels:
+            for child in conformance.child_labels(parent):
+                readers[child].append(parent)
+        tables = conformance.__dict__["_search_tables"] = (labels, readers)
+    return tables
+
+
 class _Stop(Exception):
     """Internal: raised to unwind the worklist once *stop* fires."""
 
@@ -204,7 +220,9 @@ def reachable_states(
     horizontal state of label ``L`` is stepped only with children whose
     label is in ``conformance.child_labels(L)`` — every other step lands
     in a dead DTD row.  A label without a production starts in a dead
-    row, so the search never realizes it.
+    row, so the search never realizes it, nor any label outside the
+    conformance automaton's alphabet, whose label order and reader
+    table are built once per automaton.
     :func:`repro.verification.reachability.reachable_states_naive` is
     the unindexed round-based reference it is tested against.
 
@@ -223,18 +241,13 @@ def reachable_states(
         )
     state_ok = conformance.state_ok
     dead = conformance.horizontal_dead
-    labels = sorted(automaton.labels(), key=repr)
+    labels, readers = _search_tables(conformance)
     #: realized state -> (label it was finished under, its hstate)
     origins: dict[State, tuple[str, HState]] = {}
     #: per label: hstate -> (previous hstate, child read), None at the start
     paths: dict[str, dict[HState, tuple[HState, State] | None]] = {
         label: {} for label in labels
     }
-    #: per child label: the labels of the parents that may read it
-    readers: dict[str, list[str]] = {label: [] for label in labels}
-    for parent in labels:
-        for child in conformance.child_labels(parent):
-            readers[child].append(parent)
     #: per parent label: the realized states it may read, in discovery order
     children_of: dict[str, list[State]] = {label: [] for label in labels}
     #: ("h", label, hstate) — a new horizontal state to extend and finish;

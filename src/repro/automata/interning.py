@@ -15,37 +15,7 @@ the cache key.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
-
-
-class Interner:
-    """Dense ids for hashable values, in first-seen order."""
-
-    __slots__ = ("_ids", "values")
-
-    def __init__(self, values: Iterable[Hashable] = ()):
-        self._ids: dict[Hashable, int] = {}
-        self.values: list[Hashable] = []
-        for value in values:
-            self.intern(value)
-
-    def intern(self, value: Hashable) -> int:
-        """The id of *value*, assigning the next free id on first sight."""
-        ident = self._ids.get(value)
-        if ident is None:
-            ident = self._ids[value] = len(self.values)
-            self.values.append(value)
-        return ident
-
-    def id_of(self, value: Hashable) -> int | None:
-        """The id of *value*, or None when it was never interned."""
-        return self._ids.get(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self.values)
+from typing import Hashable, Iterable
 
 
 class LabelTable:

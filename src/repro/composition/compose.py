@@ -88,8 +88,7 @@ def index_pattern(pattern: Pattern) -> PNode:
     def build(node: Pattern, parent: PNode | None, path: tuple[str, ...]) -> PNode:
         pnode = PNode(node, parent, path)
         for item in node.items:
-            if not isinstance(item, Sequence) or len(item.elements) != 1:
-                raise NotInClassError("composition requires fully-specified stds")
+            assert isinstance(item, Sequence) and len(item.elements) == 1
             (child,) = item.elements
             pnode.children.append(build(child, pnode, path + (child.label,)))
         return pnode
@@ -103,31 +102,16 @@ def index_pattern(pattern: Pattern) -> PNode:
 
 
 class _MiddleShape:
-    """Rigidity / multiplicity facts about paths of the middle DTD."""
+    """Rigidity / multiplicity facts about paths of the middle DTD, which
+    :func:`~repro.analysis.fragment.composition_violation` has admitted."""
 
     def __init__(self, dtd: DTD):
         self.dtd = dtd
-        self.multiplicity: dict[tuple[str, str], str] = {}
-        for label in dtd.labels:
-            for child, mult in dtd.nested_relational_children(label):
-                if mult == "+":
-                    raise NotInClassError(
-                        "composition does not support '+' in the middle DTD "
-                        "(a forced filler node would carry unnameable values); "
-                        "use '*' with an explicit requirement instead"
-                    )
-                if mult in ("1", "?") and dtd.arity(child) > 0:
-                    # "only starred element types can have attributes" must
-                    # hold per occurrence for the chase's rigid/starred
-                    # dichotomy: a value on a rigid path would be global
-                    # middle state the composed stds cannot name
-                    raise NotInClassError(
-                        f"middle DTD puts the attribute-carrying element "
-                        f"{child!r} at a non-starred position under {label!r}; "
-                        "the composable class requires attribute-carrying "
-                        "elements to occur only under '*'"
-                    )
-                self.multiplicity[(label, child)] = mult
+        self.multiplicity: dict[tuple[str, str], str] = {
+            (label, child): mult
+            for label, row in dtd.multiplicities().items()
+            for child, mult in row.items()
+        }
 
     def step_mult(self, parent: str, child: str) -> str:
         mult = self.multiplicity.get((parent, child))
@@ -333,13 +317,15 @@ def _embeddings(q: PNode, u: PNode) -> list[dict]:
     return partial_maps
 
 
-def compose(
-    m12: SkolemMapping, m23: SkolemMapping, check_class: bool = True
-) -> SkolemMapping:
-    """The composed mapping ``M13`` with ``[[M13]] = [[M12]] ∘ [[M23]]``."""
-    if check_class:
-        m12.check_composable_class()
-        m23.check_composable_class()
+def compose(m12: SkolemMapping, m23: SkolemMapping) -> SkolemMapping:
+    """The composed mapping ``M13`` with ``[[M13]] = [[M12]] ∘ [[M23]]``.
+
+    Raises :class:`~repro.errors.NotInClassError` outside the class of
+    :func:`~repro.analysis.fragment.composition_violation`.
+    """
+    from repro.analysis.fragment import composition_violation, require
+
+    require(composition_violation(m12, m23), NotInClassError)
     shape = _MiddleShape(m12.target_dtd)
     taken = {
         name

@@ -25,6 +25,7 @@ variant searches for an explicit witness chain, each stage over
 
 from __future__ import annotations
 
+from repro.analysis.fragment import chain_violation, require
 from repro.automata.bitset import decorate
 from repro.consistency.bounded import bounded_solutions, mapping_constants
 from repro.consistency.enumeration import enumerate_reduced_trees
@@ -38,26 +39,15 @@ from repro.engine.verdicts import (
     Verdict,
     WitnessChain,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
-from repro.values import Const
 from repro.xmlmodel.tree import TreeNode
 
 
 def _check_chain(mappings: list[SchemaMapping]) -> None:
     if not mappings:
         raise XsmError("composition of zero mappings")
-    for mapping in mappings:
-        if mapping.uses_data_comparisons():
-            raise SignatureError(
-                "exact consistency of composition handles comparison-free "
-                "mappings only (the problem is undecidable with ∼); "
-                "use is_composition_consistent_bounded"
-            )
-        for std in mapping.stds:
-            for pattern in (std.source, std.target):
-                if any(isinstance(t, Const) for t in pattern.terms()):
-                    raise SignatureError("constants are outside SM(⇓,⇒)")
+    require(chain_violation(mappings))
     for left, right in zip(mappings, mappings[1:]):
         if left.target_dtd.labels != right.source_dtd.labels or any(
             str(left.target_dtd.productions[label])

@@ -12,9 +12,15 @@
   generator also serves bounded CONSCOMP and composition membership.
   Trees come one per equality type (:mod:`repro.consistency.enumeration`),
   and sources are decided exactly where an exact test applies.
-* :mod:`repro.consistency.abscons` — absolute consistency (Section 6).
+* :mod:`repro.consistency.abscons` — absolute consistency (Section 6),
+  with :mod:`repro.consistency.expansion` for wildcard/descendant sources.
 
-:func:`is_consistent` dispatches to the strongest applicable algorithm.
+Each route checks its own class with the shared test of
+:mod:`repro.analysis.fragment` and raises a typed error outside it;
+choosing the route is ``engine.solve``'s job, which routes from that
+module's prediction.  :func:`is_consistent` and
+:func:`~repro.consistency.abscons.is_absolutely_consistent` are
+``solve()`` calls.
 """
 
 from repro import _lazy_exports
@@ -30,7 +36,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     ".abscons": (
         "abscons_counterexample", "abscons_ptime_analysis",
-        "is_absolutely_consistent", "is_absolutely_consistent_sm0",
-        "is_absolutely_consistent_ptime",
+        "is_absolutely_consistent", "is_absolutely_consistent_bounded",
+        "is_absolutely_consistent_ptime", "is_absolutely_consistent_sm0",
     ),
 })

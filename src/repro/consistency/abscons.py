@@ -27,30 +27,43 @@ Three procedures, mirroring the paper's results:
     rigid source position) — plus the structural condition that every
     triggerable std has a target embeddable in ``D_t``.
 
-* :func:`abscons_counterexample` — the general case (Theorem 6.2 proves
-  decidability in EXPSPACE; the paper's counting construction is not
-  given — DESIGN.md, substitution 1).  Source trees up to the source
-  bound are tried up to renaming of their non-constant values, and each
-  is decided *exactly* by :func:`~repro.consistency.bounded.decide_source`:
-  the canonical solution where it is complete, else joint satisfiability
-  of the source's grounded obligations under the target DTD (the
-  Lemma 4.1 automata).  A refutation is therefore never a product of a
-  target bound.  Only target conditions or Skolem terms leave a source
+* :func:`is_absolutely_consistent_bounded` — the general case
+  (Theorem 6.2 proves decidability in EXPSPACE; the paper's counting
+  construction is not given — DESIGN.md, substitution 1).  Source trees
+  up to the source bound are tried up to renaming of their non-constant
+  values, and each is decided *exactly* by
+  :func:`~repro.consistency.bounded.decide_source`: the canonical
+  solution where it is complete, else joint satisfiability of the
+  source's grounded obligations under the target DTD (the Lemma 4.1
+  automata).  A refutation is therefore never a product of a target
+  bound.  Only target conditions or Skolem terms leave a source
   undecided; the first such source is named in the ``Unknown``'s reason,
   never refuted.
 
-Every decision entry point returns an
+The source-expansion route (wildcard/descendant sources) lives in
+:mod:`repro.consistency.expansion`.  Which route applies is decided once,
+by :mod:`repro.analysis.fragment`'s class tests, and ``engine.solve``
+routes from that prediction; the exact routes here raise the class
+test's message as a :class:`~repro.errors.SignatureError` when called
+outside their class.  :func:`is_absolutely_consistent` is a ``solve()``
+call.  Every decision entry point returns an
 :class:`~repro.engine.verdicts.Verdict`; the witness extractors
 (:func:`sm0_counterexample`, :func:`abscons_counterexample`) stay raw for
-the certificate re-checker.
+the certificate re-checker and the tests.
 """
 
 from __future__ import annotations
 
+from repro.analysis.fragment import (
+    abscons_ptime_violation,
+    require,
+    sm0_violation,
+)
 from repro.automata.bitset import decorate
 from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import dtd_digest, trigger_tables
+from repro.engine.problems import AbsoluteConsistencyProblem
 from repro.engine.verdicts import (
     AnalysisCertificate,
     Counterexample,
@@ -60,7 +73,6 @@ from repro.engine.verdicts import (
     Unknown,
     Verdict,
 )
-from repro.errors import BoundExceededError, SignatureError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import Pattern, Sequence
@@ -74,17 +86,6 @@ from repro.xmlmodel.tree import TreeNode
 # ---------------------------------------------------------------------------
 
 
-def _check_sm0(mapping: SchemaMapping) -> None:
-    for std in mapping.stds:
-        if std.source_conditions or std.target_conditions:
-            raise SignatureError("SM° mappings have no comparison formulae")
-        for pattern in (std.source, std.target):
-            if any(sub.vars is not None for sub in pattern.subpatterns()):
-                raise SignatureError(
-                    "SM° mappings mention no attributes; call .strip_values()"
-                )
-
-
 def is_absolutely_consistent_sm0(
     mapping: SchemaMapping, context: ExecutionContext | None = None
 ) -> Verdict:
@@ -92,7 +93,7 @@ def is_absolutely_consistent_sm0(
 
     ``Refuted`` carries a conforming source tree with no solution.
     """
-    _check_sm0(mapping)
+    require(sm0_violation(mapping))
     source_sets, target_sets = trigger_tables(mapping, context)
     maximal_targets = [
         satisfied
@@ -117,7 +118,7 @@ def sm0_counterexample(
     mapping: SchemaMapping, context: ExecutionContext | None = None
 ) -> TreeNode | None:
     """A source tree (values erased) with no solution, for SM° mappings."""
-    _check_sm0(mapping)
+    require(sm0_violation(mapping))
     source_sets, target_sets = trigger_tables(mapping, context)
     for triggered, witness in source_sets.items():
         if not any(triggered <= satisfied for satisfied in target_sets):
@@ -128,19 +129,6 @@ def sm0_counterexample(
 # ---------------------------------------------------------------------------
 # Theorem 6.3: nested-relational DTDs + fully-specified stds (PTIME)
 # ---------------------------------------------------------------------------
-
-
-def _check_ptime_class(mapping: SchemaMapping) -> None:
-    if mapping.uses_data_comparisons():
-        raise SignatureError("the PTIME ABSCONS algorithm handles SM(↓) without ∼")
-    if not mapping.is_fully_specified():
-        raise SignatureError("stds must be fully specified (Theorem 6.3)")
-    if not mapping.is_nested_relational():
-        raise SignatureError("both DTDs must be nested-relational (Theorem 6.3)")
-    from repro.analysis.fragment import uses_constants
-
-    if uses_constants(mapping):
-        raise SignatureError("constants are outside SM(↓)")
 
 
 def _std_cells(std: STD, side: str, dtd: DTD) -> tuple:
@@ -207,7 +195,7 @@ def abscons_ptime_analysis(mapping: SchemaMapping) -> list[str]:
     that has no solution.  :func:`is_absolutely_consistent_ptime` is the
     Verdict view.
     """
-    _check_ptime_class(mapping)
+    require(abscons_ptime_violation(mapping))
     source_embedder = embedder_for(mapping.source_dtd)
     target_embedder = embedder_for(mapping.target_dtd)
     union_find = _UnionFind()
@@ -344,30 +332,16 @@ def abscons_counterexample(
     )
 
 
-def decide_absolute_consistency(
-    mapping: SchemaMapping,
-    context: ExecutionContext | None = None,
-) -> tuple[Verdict, str]:
-    """Run the strongest applicable ABSCONS procedure.
+def is_absolutely_consistent_bounded(
+    mapping: SchemaMapping, context: ExecutionContext | None = None
+) -> Verdict:
+    """The ``abscons-bounded`` route: source trees up to the context's
+    source bound, each decided exactly.
 
-    Returns ``(verdict, algorithm)`` so the engine's solve report can
-    record which route decided (or gave up on) the instance.
+    The first source with no solution refutes; finding none yields
+    ``Unknown`` with ``bound_exhausted=True``, naming the first source
+    that no exact test could decide, if any.
     """
-    from repro.analysis.fragment import is_sm0
-
-    if is_sm0(mapping):
-        return is_absolutely_consistent_sm0(mapping, context), "abscons-sm0"
-    try:
-        return is_absolutely_consistent_ptime(mapping), "abscons-ptime"
-    except SignatureError:
-        pass
-    # exact fallback for wildcard/descendant *sources* via expansion
-    from repro.consistency.expansion import is_absolutely_consistent_expanded
-
-    try:
-        return is_absolutely_consistent_expanded(mapping), "abscons-expansion"
-    except (SignatureError, BoundExceededError):
-        pass
     from repro.consistency.bounded import decided_sources, default_value_domain
 
     max_source_size = resolve_budget(context).max_source_size
@@ -376,7 +350,7 @@ def decide_absolute_consistency(
         mapping, max_source_size, default_value_domain(mapping), context
     ):
         if decided and solution is None:
-            return Refuted(Counterexample(source)), "abscons-bounded"
+            return Refuted(Counterexample(source))
         if not decided and undecided is None:
             undecided = source
     if undecided is not None:
@@ -393,7 +367,7 @@ def decide_absolute_consistency(
             "algorithm (EXPSPACE, Theorem 6.2) is approximated by bounded "
             f"refutation only (source bound {max_source_size})"
         )
-    return Unknown(reason, bound_exhausted=True), "abscons-bounded"
+    return Unknown(reason, bound_exhausted=True)
 
 
 def is_absolutely_consistent(
@@ -401,22 +375,18 @@ def is_absolutely_consistent(
     max_source_size: int | None = None,
     context: ExecutionContext | None = None,
 ) -> Verdict:
-    """Dispatch to the strongest applicable ABSCONS procedure.
+    """Decide ABSCONS with the strongest applicable procedure.
 
     Exact for SM° mappings and for the Theorem 6.3 class (with or without
-    source expansion); otherwise source trees up to the source bound are
-    each decided exactly (:func:`abscons_counterexample`) and finding no
-    counterexample yields ``Unknown`` with ``bound_exhausted=True`` (the
-    honest outcome for a problem whose general algorithm is EXPSPACE with
-    an unpublished construction).
+    source expansion); otherwise :func:`is_absolutely_consistent_bounded`
+    answers, and finding no counterexample yields ``Unknown`` with
+    ``bound_exhausted=True`` (the honest outcome for a problem whose
+    general algorithm is EXPSPACE with an unpublished construction).
     """
-    from repro.engine.budget import Budget
+    from repro.consistency.dispatch import budget_context
+    from repro.engine.core import solve
 
-    if max_source_size is not None:
-        budget = context.budget if context is not None else Budget.default()
-        context = ExecutionContext(
-            budget.with_(max_source_size=max_source_size),
-            cache=context.cache if context is not None else None,
-        )
-    verdict, _ = decide_absolute_consistency(mapping, context)
-    return verdict
+    return solve(
+        AbsoluteConsistencyProblem(mapping),
+        budget_context(context, max_source_size),
+    )

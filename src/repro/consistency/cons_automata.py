@@ -25,8 +25,9 @@ matching the EXPTIME-completeness of the problem.
 
 from __future__ import annotations
 
-from repro.engine.budget import ExecutionContext
+from repro.analysis.fragment import comparison_free_violation, require
 from repro.automata.bitset import decorate
+from repro.engine.budget import ExecutionContext
 from repro.engine.cache import trigger_tables
 from repro.engine.verdicts import (
     AnalysisCertificate,
@@ -36,26 +37,10 @@ from repro.engine.verdicts import (
     Verdict,
     WitnessPair,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import is_solution
 from repro.xmlmodel.tree import TreeNode
-from repro.values import Const
-
-
-def _check_applicable(mapping: SchemaMapping) -> None:
-    if mapping.uses_data_comparisons():
-        raise SignatureError(
-            "the automata algorithm decides CONS only for mappings without "
-            "data comparisons (SM(⇓,⇒)); use the bounded procedures for SM(..,∼)"
-        )
-    for std in mapping.stds:
-        for pattern in (std.source, std.target):
-            if any(isinstance(t, Const) for t in pattern.terms()):
-                raise SignatureError(
-                    "constants in patterns are outside SM(⇓,⇒); "
-                    "use the bounded procedures"
-                )
 
 
 def consistency_witness_automata(
@@ -70,7 +55,7 @@ def consistency_witness_automata(
     independent (and cheap, Boolean-only) cross-check of the automata
     construction, used by the tests.
     """
-    verdict = decide_consistency_automata(mapping, context)
+    verdict = is_consistent_automata(mapping, context)
     if not verdict.is_proved:
         return None
     pair = (verdict.certificate.source, verdict.certificate.target)
@@ -82,11 +67,12 @@ def consistency_witness_automata(
     return pair
 
 
-def decide_consistency_automata(
+def is_consistent_automata(
     mapping: SchemaMapping, context: ExecutionContext | None = None
 ) -> Verdict:
-    """The verdict-level automata decision: witness pair or refutation."""
-    _check_applicable(mapping)
+    """Decide ``CONS`` for mappings without data comparisons (exact):
+    ``Proved`` carries a witness pair, ``Refuted`` a trigger refutation."""
+    require(comparison_free_violation(mapping))
     # one conforming-product pass per side, through the compilation cache
     source_sets, target_sets = trigger_tables(mapping, context)
     # prune: only minimal trigger sets / maximal satisfaction sets matter
@@ -109,9 +95,3 @@ def decide_consistency_automata(
     source = decorate(mapping.source_dtd, source_witness)
     return Refuted(TriggerRefutation(source, tuple(sorted(triggered))))
 
-
-def is_consistent_automata(
-    mapping: SchemaMapping, context: ExecutionContext | None = None
-) -> Verdict:
-    """Decide ``CONS`` for mappings without data comparisons (exact)."""
-    return decide_consistency_automata(mapping, context)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import reduce
 
+from repro.analysis.fragment import nested_ptime_violation, require
 from repro.engine.budget import ExecutionContext
 from repro.engine.verdicts import (
     AnalysisCertificate,
@@ -32,31 +33,13 @@ from repro.engine.verdicts import (
     TriggerRefutation,
     Verdict,
 )
-from repro.errors import SignatureError, XsmError
+from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import WILDCARD, Descendant, Pattern
-from repro.patterns.features import HORIZONTAL
 from repro.patterns.matching import engine_for
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
-
-
-def _check_applicable(mapping: SchemaMapping) -> None:
-    from repro.analysis.fragment import uses_constants
-
-    if mapping.uses_data_comparisons():
-        raise SignatureError("the nested-relational PTIME algorithm handles SM(⇓) only")
-    if mapping.signature().features & HORIZONTAL:
-        raise SignatureError(
-            "horizontal axes are outside CONS(⇓); use the automata algorithm"
-        )
-    if uses_constants(mapping):
-        raise SignatureError("constants are outside SM(⇓)")
-    if not mapping.source_dtd.is_nested_relational():
-        raise SignatureError("source DTD is not nested-relational")
-    if not mapping.target_dtd.is_nested_relational():
-        raise SignatureError("target DTD is not nested-relational")
 
 
 def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
@@ -149,7 +132,7 @@ def is_consistent_nested(
     :func:`nested_consistency_witness`); ``Refuted`` carries ``T_min`` and
     the triggered stds whose targets do not embed into ``D_t``.
     """
-    _check_applicable(mapping)
+    require(nested_ptime_violation(mapping, context))
     embedder = embedder_for(mapping.target_dtd)
     engine = engine_for(mapping.source_dtd.minimal_tree())
     triggered: list[int] = []
@@ -216,7 +199,7 @@ def nested_consistency_witness(
     """A witness pair for the PTIME algorithm: ``(T_min, merged targets)``."""
     from repro.patterns.satisfiability import satisfying_tree
 
-    _check_applicable(mapping)
+    require(nested_ptime_violation(mapping))
     triggered = triggered_by_minimal_tree(mapping)
     witnesses = []
     for std in triggered:

@@ -27,11 +27,12 @@ from repro.mappings.mapping import SchemaMapping
 from repro.xmlmodel.tree import TreeNode
 
 
-def _context_for(
+def budget_context(
     context: ExecutionContext | None,
     max_source_size: int | None,
-    max_target_size: int | None,
+    max_target_size: int | None = None,
 ) -> ExecutionContext | None:
+    """*context* with its budget's size bounds overridden where given."""
     if max_source_size is None and max_target_size is None:
         return context
     budget = context.budget if context is not None else Budget.default()
@@ -62,7 +63,7 @@ def is_consistent(
 
     return solve(
         ConsistencyProblem(mapping),
-        _context_for(context, max_source_size, max_target_size),
+        budget_context(context, max_source_size, max_target_size),
     )
 
 

@@ -27,6 +27,11 @@ from __future__ import annotations
 
 import itertools
 
+from repro.analysis.fragment import (
+    abscons_expansion_violation,
+    expansion_violation,
+    require,
+)
 from repro.engine.budget import resolve_budget
 from repro.engine.verdicts import (
     AnalysisCertificate,
@@ -35,7 +40,7 @@ from repro.engine.verdicts import (
     RigidityExplanation,
     Verdict,
 )
-from repro.errors import BoundExceededError, SignatureError
+from repro.errors import BoundExceededError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
@@ -75,8 +80,7 @@ def expand_source_pattern(
     """
     if limit is None:
         limit = resolve_budget(None).expansion_limit
-    if dtd.is_recursive():
-        raise SignatureError("expansion requires a non-recursive DTD")
+    require(expansion_violation(dtd, pattern))
     paths = _downward_paths(dtd)
     budget = [limit]
 
@@ -115,10 +119,6 @@ def expand_source_pattern(
                                     )
                                 options.append(Sequence((wrapped,)))
                 else:
-                    if len(item.elements) != 1:
-                        raise SignatureError(
-                            "expansion handles the ⇓ fragment only (no → / →*)"
-                        )
                     (child,) = item.elements
                     options = [
                         Sequence((inner,))
@@ -197,13 +197,8 @@ def is_absolutely_consistent_expanded(
     refutation, which reports ``Unknown``).
     """
     from repro.consistency.abscons import abscons_ptime_analysis
-    from repro.patterns.features import is_fully_specified
 
-    for std in mapping.stds:
-        if not is_fully_specified(std.target):
-            raise SignatureError(
-                "targets must be fully specified; only sources expand"
-            )
+    require(abscons_expansion_violation(mapping))
     expanded = expand_mapping_sources(mapping, limit)
     problems = abscons_ptime_analysis(expanded)
     if problems:

@@ -43,7 +43,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     ".certify": ("CertificationError", "certify"),
     ".core": (
-        "nested_ptime_applicable", "register_route", "solve", "uses_constants",
+        "register_route", "solve",
         "WORKER_CRASH", "WORKER_TIMEOUT", "BatchResult", "solve_many",
     ),
     ".diskcache": ("CACHE_FORMAT_VERSION", "DiskCacheTier"),
@@ -55,7 +55,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     ".report": ("BatchReport", "SolveReport"),
     ".verdicts": (
-        "AnalysisCertificate", "ComposedMapping", "ConformanceFailure",
+        "AnalysisCertificate", "ConformanceFailure",
         "Counterexample", "MiddleTree", "ObligationsMet", "Proved", "Refuted",
         "RigidityExplanation", "SatisfyingTree", "SeparatingTree",
         "TriggerRefutation", "Unknown", "Verdict", "ViolationWitness",

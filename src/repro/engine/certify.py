@@ -246,16 +246,18 @@ def _conformance_sides(problem: Any) -> dict:
 
 
 def _certify_rigidity(certificate: RigidityExplanation, problem: Any) -> bool:
+    from repro.analysis.fragment import in_abscons_ptime_class
     from repro.consistency.abscons import abscons_ptime_analysis
-    from repro.consistency.expansion import expand_mapping_sources
-    from repro.errors import SignatureError
 
     if not certificate.problems:
         return _fail("rigidity refutation lists no problems")
-    try:
-        rerun = abscons_ptime_analysis(problem.mapping)
-    except SignatureError:
-        rerun = abscons_ptime_analysis(expand_mapping_sources(problem.mapping))
+    mapping = problem.mapping
+    if not in_abscons_ptime_class(mapping):
+        # the abscons-expansion route: re-analyse the expanded mapping
+        from repro.consistency.expansion import expand_mapping_sources
+
+        mapping = expand_mapping_sources(mapping)
+    rerun = abscons_ptime_analysis(mapping)
     if not rerun:
         return _fail("rigidity re-analysis found no problems")
     return True

@@ -44,7 +44,7 @@ from repro.engine.problems import (
 )
 from repro.engine.report import BatchReport, SolveReport
 from repro.engine.verdicts import Unknown, Verdict
-from repro.errors import BoundExceededError, SignatureError, XsmError
+from repro.errors import BoundExceededError, XsmError
 from repro.obs import REGISTRY, ambient_tag, bind_tags, current_tags, maybe_profile, trace
 
 #: Always-on operational series (pre-bound families; cheap label lookups).
@@ -66,37 +66,17 @@ _EXPANSIONS = REGISTRY.counter(
 
 
 # ---------------------------------------------------------------------------
-# fragment predicates (Figure 1's row labels)
-# ---------------------------------------------------------------------------
-# The predicates themselves live in ``repro.analysis.fragment`` (the
-# static classifier, which the linter and this router share so their
-# answers cannot drift); re-exported here for compatibility.
-
-
-def uses_constants(mapping: Any) -> bool:
-    """Does any pattern of the mapping mention a constant?"""
-    from repro.analysis.fragment import uses_constants as predicate
-
-    return predicate(mapping)
-
-
-def nested_ptime_applicable(
-    mapping: Any, context: ExecutionContext | None = None
-) -> bool:
-    """Is the Fact-5.1 PTIME consistency route applicable?
-
-    Requires ``SM(⇓)`` (no horizontal axes, comparisons or constants) over
-    nested-relational DTDs; the DTD classification is read through the
-    compilation cache.
-    """
-    from repro.analysis.fragment import nested_ptime_applicable as predicate
-
-    return predicate(mapping, context)
-
-
-# ---------------------------------------------------------------------------
 # per-problem routing
 # ---------------------------------------------------------------------------
+# Every route runs the algorithm ``repro.analysis.fragment`` predicted,
+# and nothing else: the one exception is abscons-expansion's run-time
+# fallback.  Each route's module loads only when the route is taken.
+
+
+def _predicted(info: dict[str, str], prediction: Any) -> str:
+    """Record the predicted cell on the solve report; its route name."""
+    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
+    return prediction.algorithm
 
 
 def _solve_consistency(
@@ -104,15 +84,13 @@ def _solve_consistency(
 ) -> Verdict:
     from repro.analysis.fragment import predict_consistency
 
-    # each route's module loads only when the route is taken
     mapping = problem.mapping
-    prediction = predict_consistency(mapping, context)
-    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
-    if prediction.algorithm == "cons-nested":
+    algorithm = _predicted(info, predict_consistency(mapping, context))
+    if algorithm == "cons-nested":
         from repro.consistency.cons_nested import is_consistent_nested
 
         return is_consistent_nested(mapping, context)
-    if prediction.algorithm == "cons-automata":
+    if algorithm == "cons-automata":
         from repro.consistency.cons_automata import is_consistent_automata
 
         return is_consistent_automata(mapping, context)
@@ -125,73 +103,69 @@ def _solve_abscons(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
     from repro.analysis.fragment import predict_abscons
-    from repro.consistency.abscons import decide_absolute_consistency
 
-    prediction = predict_abscons(problem.mapping, context)
-    verdict, algorithm = decide_absolute_consistency(problem.mapping, context)
-    if algorithm == prediction.algorithm:
-        reason = prediction.reason
-    else:
-        # the one static-dynamic divergence: a predicted-exact route
-        # (source expansion) overflowed its budget mid-run
-        reason = (
-            f"predicted {prediction.algorithm} exceeded its budget: "
-            "sound bounded refutation instead"
-        )
-    info.update(algorithm=algorithm, reason=reason)
-    return verdict
+    mapping = problem.mapping
+    algorithm = _predicted(info, predict_abscons(mapping, context))
+    if algorithm == "abscons-sm0":
+        from repro.consistency.abscons import is_absolutely_consistent_sm0
+
+        return is_absolutely_consistent_sm0(mapping, context)
+    if algorithm == "abscons-ptime":
+        from repro.consistency.abscons import is_absolutely_consistent_ptime
+
+        return is_absolutely_consistent_ptime(mapping)
+    if algorithm == "abscons-expansion":
+        from repro.consistency.expansion import is_absolutely_consistent_expanded
+
+        try:
+            return is_absolutely_consistent_expanded(mapping)
+        except BoundExceededError:
+            # the one run-time fallback: the source expansion overflowed
+            # its limit, which no static class test can foresee
+            info.update(
+                algorithm="abscons-bounded",
+                reason=f"predicted {algorithm} exceeded its budget: "
+                "sound bounded refutation instead",
+            )
+    from repro.consistency.abscons import is_absolutely_consistent_bounded
+
+    return is_absolutely_consistent_bounded(mapping, context)
 
 
 def _solve_membership(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
     from repro.analysis.fragment import predict_membership
-    from repro.mappings.membership import is_solution
-    from repro.mappings.skolem import is_skolem_solution
 
-    prediction = predict_membership(problem.mapping)
-    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
-    if prediction.algorithm == "membership-skolem":
+    mapping = problem.mapping
+    if _predicted(info, predict_membership(mapping)) == "membership-skolem":
+        from repro.mappings.skolem import is_skolem_solution
+
         return is_skolem_solution(
-            problem.mapping, problem.source_tree, problem.target_tree
+            mapping, problem.source_tree, problem.target_tree
         )
-    return is_solution(problem.mapping, problem.source_tree, problem.target_tree)
+    from repro.mappings.membership import is_solution
+
+    return is_solution(mapping, problem.source_tree, problem.target_tree)
 
 
 def _solve_composition_membership(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
     from repro.analysis.fragment import predict_composition_membership
-    from repro.composition.semantics import (
-        composition_contains,
-        composition_contains_exact,
-    )
-    from repro.errors import NotInClassError
 
-    prediction = predict_composition_membership(problem.m12, problem.m23)
-    if prediction.algorithm == "composition-exact":
-        try:
-            verdict = composition_contains_exact(
-                problem.m12, problem.m23, problem.source_tree, problem.final_tree
-            )
-        except (NotInClassError, SignatureError):
-            # defensive: the executor found a class violation the static
-            # predicates missed — fall through to the bounded search
-            pass
-        else:
-            info.update(algorithm=prediction.algorithm, reason=prediction.reason)
-            return verdict
-    info.update(
-        algorithm="composition-bounded",
-        reason="outside the Theorem 8.2 class: bounded intermediate-tree "
-        "search with the finite value abstraction (Section 7.2)",
-    )
+    m12, m23 = problem.m12, problem.m23
+    algorithm = _predicted(info, predict_composition_membership(m12, m23))
+    if algorithm == "composition-exact":
+        from repro.composition.semantics import composition_contains_exact
+
+        return composition_contains_exact(
+            m12, m23, problem.source_tree, problem.final_tree
+        )
+    from repro.composition.semantics import composition_contains
+
     return composition_contains(
-        problem.m12,
-        problem.m23,
-        problem.source_tree,
-        problem.final_tree,
-        context=context,
+        m12, m23, problem.source_tree, problem.final_tree, context=context
     )
 
 
@@ -206,8 +180,7 @@ def _solve_composition_consistency(
 
     mappings = list(problem.mappings)
     prediction = predict_composition_consistency(tuple(mappings))
-    info.update(algorithm=prediction.algorithm, reason=prediction.reason)
-    if prediction.algorithm == "conscomp-automata":
+    if _predicted(info, prediction) == "conscomp-automata":
         return is_composition_consistent(mappings, context)
     return is_composition_consistent_bounded(mappings, context=context)
 
@@ -215,25 +188,20 @@ def _solve_composition_consistency(
 def _solve_satisfiability(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
+    from repro.analysis.fragment import predict_satisfiability
     from repro.patterns.satisfiability import is_satisfiable
 
-    info.update(
-        algorithm="pattern-sat",
-        reason="closure-automaton reachability with tag lifting (Lemma 4.1)",
-    )
+    _predicted(info, predict_satisfiability())
     return is_satisfiable(problem.dtd, problem.pattern, context)
 
 
 def _solve_separation(
     problem: Any, context: ExecutionContext, info: dict[str, str]
 ) -> Verdict:
+    from repro.analysis.fragment import predict_separation
     from repro.patterns.separation import separation_verdict
 
-    info.update(
-        algorithm="separation",
-        reason="joint closure automaton over P+ ∪ P-: conforming root state "
-        "containing P+ and avoiding P- (Section 9)",
-    )
+    _predicted(info, predict_separation())
     return separation_verdict(
         problem.dtd, problem.positives, problem.negatives, context
     )

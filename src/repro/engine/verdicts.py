@@ -30,7 +30,6 @@ from repro.errors import UnknownVerdictError
 
 if TYPE_CHECKING:
     from repro.engine.report import SolveReport
-    from repro.mappings.mapping import SchemaMapping
     from repro.xmlmodel.tree import TreeNode
 
 
@@ -135,13 +134,6 @@ class AnalysisCertificate:
 
     algorithm: str
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class ComposedMapping:
-    """The Theorem-8.2 composed mapping deciding membership exactly."""
-
-    mapping: "SchemaMapping"
 
 
 Certificate = object

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.fragment import canonical_violation, require
 from repro.errors import SignatureError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import triggered_requirements
@@ -101,33 +102,13 @@ class _NullUnifier:
         return self._find(value)
 
 
-def _check_applicable(mapping: SchemaMapping) -> None:
-    if not mapping.is_fully_specified():
-        raise SignatureError(
-            "canonical solutions require fully-specified stds (grammar (5))"
-        )
-    if not mapping.target_dtd.is_nested_relational():
-        raise SignatureError("canonical solutions require a nested-relational target DTD")
-    for std in mapping.stds:
-        # source conditions only choose which source matches fire, and
-        # triggered_requirements evaluates them for the fixed source
-        if std.target_conditions:
-            raise SignatureError(
-                "canonical solutions are defined for stds without target "
-                "conditions (the tractable class of [4])"
-            )
-
-
 def decides_solutions(mapping: SchemaMapping) -> bool:
     """Is :func:`canonical_solution` an exact solution-existence test for
     every source tree of *mapping*?  The Skolem-free applicable class."""
-    if mapping.uses_skolem_functions():
-        return False
-    try:
-        _check_applicable(mapping)
-    except SignatureError:
-        return False
-    return True
+    return (
+        not mapping.uses_skolem_functions()
+        and canonical_violation(mapping) is None
+    )
 
 
 def _ground_fragment(
@@ -238,7 +219,7 @@ def canonical_solution(
     Requires fully-specified stds and a nested-relational target DTD; see
     the module docstring for the construction and its completeness.
     """
-    _check_applicable(mapping)
+    require(canonical_violation(mapping))
     return canonical_for_requirements(mapping, triggered_requirements(mapping, source_tree))
 
 

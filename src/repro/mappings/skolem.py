@@ -44,7 +44,6 @@ from repro.mappings.mapping import SchemaMapping
 from repro.mappings.membership import SolutionChecker
 from repro.mappings.std import Comparison
 from repro.patterns.ast import Pattern
-from repro.patterns.features import INEQUALITY
 from repro.patterns.matching import find_matches
 from repro.values import Const, SkolemTerm, Term, Var
 from repro.xmlmodel.tree import TreeNode
@@ -59,14 +58,9 @@ class SkolemMapping(SchemaMapping):
         Requirements: both DTDs strictly nested-relational, all stds
         fully specified, equality only (no inequalities).
         """
-        if not self.source_dtd.is_strictly_nested_relational():
-            raise NotInClassError("source DTD is not strictly nested-relational")
-        if not self.target_dtd.is_strictly_nested_relational():
-            raise NotInClassError("target DTD is not strictly nested-relational")
-        if not self.is_fully_specified():
-            raise NotInClassError("stds must be fully specified (grammar (5))")
-        if INEQUALITY in self.signature().features:
-            raise NotInClassError("inequalities are not allowed in the composable class")
+        from repro.analysis.fragment import composable_violation, require
+
+        require(composable_violation(self), NotInClassError)
 
 
 #: Registry of unknown variables standing for instantiated Skolem

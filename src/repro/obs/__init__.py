@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     ".metrics": (
         "BUCKETS_ENV", "REGISTRY", "MetricError", "MetricsRegistry",
         "default_buckets", "diff_snapshots", "estimate_quantile",
-        "get_registry", "observe_seconds", "parse_prometheus",
+        "observe_seconds", "parse_prometheus",
     ),
     ".profile": ("PROFILE_ENV", "maybe_profile", "profiling_enabled"),
     ".spans": (

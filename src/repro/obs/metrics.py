@@ -603,7 +603,3 @@ def observe_seconds(histogram) -> Iterator[None]:
 
 #: The process-global registry every instrumented module binds against.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY

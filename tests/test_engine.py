@@ -2,6 +2,8 @@
 compilation cache, ``solve``'s Figure-1/2 routing and ``certify``'s
 independent re-validation of certificates."""
 
+import random
+
 import pytest
 
 from repro.engine import (
@@ -28,7 +30,18 @@ from repro.engine import (
 )
 from repro.errors import BoundExceededError, UnknownVerdictError, XsmError
 from repro.mappings.mapping import SchemaMapping
+from repro.mappings.skolem import SkolemMapping
+from repro.mappings.std import STD, Comparison
 from repro.patterns.parser import parse_pattern
+from repro.values import Const, Var
+from repro.workloads.random_instances import (
+    abstract_pattern_from_tree,
+    random_arbitrary_dtd,
+    random_composable_pair,
+    random_conforming_tree,
+    random_fully_specified_mapping,
+    random_tree_from_dtd,
+)
 from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.parser import parse_tree
 
@@ -259,6 +272,19 @@ def _routing_cases():
             "r -> a*\na(x)", "t -> b*\nb(u)", ["r[a(x)] -> t[_(x)]"],
             "abscons-bounded",
         ),
+        # eight wildcard children expand into 8^8 instantiations, past the
+        # expansion limit: predicted abscons-expansion, answered by the one
+        # run-time fallback, abscons-bounded
+        pytest.param(
+            *_abscons_case(
+                "r -> " + ", ".join(f"k{i}?" for i in range(8)) + "\n"
+                + "\n".join(f"k{i}(v)" for i in range(8)),
+                "t -> d*\nd(u)",
+                ["r[" + ", ".join(f"_(x{i})" for i in range(8)) + "] -> t[d(x0)]"],
+                "abscons-bounded",
+            ),
+            id="expansion-overflow-abscons-bounded",
+        ),
         # plain membership
         (
             MembershipProblem(
@@ -318,7 +344,70 @@ def _routing_cases():
             "composition-bounded",
         )
     )
+    # '+' in the middle DTD is outside compose's class: a forced b carries
+    # a value no requirement introduces, so the bounded search answers
+    p12 = mk("r -> a*\na(x)", "m -> b+\nb(u)", ["r[a(x)] -> m[b(x)]"])
+    p23 = mk("m -> b+\nb(u)", "t -> c*\nc(v)", ["m[b(u)] -> t[c(u)]"])
+    cases.append(
+        pytest.param(
+            CompositionMembershipProblem(
+                p12, p23, parse_tree("r[a(1)]"), parse_tree("t[c(1)]")
+            ),
+            "composition-bounded",
+            id="plus-middle-composition-bounded",
+        )
+    )
     return cases
+
+
+def _random_mapping(seed):
+    """A seeded random mapping, varied over the Figure 1 cells by *seed*:
+    fully specified, value-free, with abstracted (wildcard, descendant,
+    sibling-order) sources, over a disjunctive source DTD, or with a
+    source comparison."""
+    rng = random.Random(seed)
+    mapping = random_fully_specified_mapping(rng, n_stds=2)
+    source_dtd, target_dtd = mapping.source_dtd, mapping.target_dtd
+    variant = seed % 5
+    if variant == 1:
+        return mapping.strip_values()
+    if variant in (2, 3):
+        if variant == 3:
+            source_dtd = random_arbitrary_dtd(rng)
+            trees = [random_tree_from_dtd(source_dtd, rng, max_nodes=8)
+                     for __ in mapping.stds]
+        else:
+            trees = [random_conforming_tree(source_dtd, rng, max_repeat=2)
+                     for __ in mapping.stds]
+        stds = [
+            STD(abstract_pattern_from_tree(rng, tree), std.target)
+            for tree, std in zip(trees, mapping.stds)
+        ]
+        return SchemaMapping(source_dtd, target_dtd, stds)
+    if variant == 4:
+        first, *rest = mapping.stds
+        variables = [t for t in first.source.terms() if isinstance(t, Var)]
+        if variables:
+            condition = Comparison(variables[0], "!=", Const(0))
+            first = STD(first.source, first.target, (condition,))
+        return SchemaMapping(source_dtd, target_dtd, [first, *rest])
+    return mapping
+
+
+def _random_composition_problem(seed):
+    """A seeded random_composable_pair chain with conforming end trees;
+    odd seeds give M12 a descendant source, leaving the closed class."""
+    rng = random.Random(seed)
+    m12, m23 = random_composable_pair(rng)
+    source = random_conforming_tree(m12.source_dtd, rng, max_repeat=2)
+    final = random_conforming_tree(m23.target_dtd, rng, max_repeat=2)
+    if seed % 2:
+        first, *rest = m12.stds
+        descendant = parse_pattern(f"{m12.source_dtd.root}//_")
+        m12 = SkolemMapping(
+            m12.source_dtd, m12.target_dtd, [STD(descendant, first.target), *rest]
+        )
+    return CompositionMembershipProblem(m12, m23, source, final)
 
 
 class TestRouting:
@@ -373,10 +462,11 @@ class TestRouting:
 class TestLintAgreesWithRouting:
     """The linter's static cell prediction is the routing oracle.
 
-    ``repro.analysis.fragment`` and ``solve()`` consult the same
-    predicates, so over the full routing matrix the predicted algorithm
-    must be the one the engine actually selects, and a prediction of
-    "exact" must never be contradicted by an Unknown verdict.  The one
+    ``solve()`` routes from ``repro.analysis.fragment``'s prediction
+    alone, so over the full routing matrix, and over seeded random
+    mappings and composition chains, the predicted algorithm must be the
+    one the engine actually selects, and a prediction of "exact" must
+    never be contradicted by an Unknown verdict.  The one
     tolerated divergence is dynamic: a route that starts exact may
     overflow its run-time budget and fall back to a bounded search
     (``abscons-expansion`` -> ``abscons-bounded``), which no static
@@ -409,6 +499,47 @@ class TestLintAgreesWithRouting:
             assert verdict.is_proved or verdict.is_refuted
         if not prediction.exact:
             assert "bounded" in prediction.algorithm
+
+    def _assert_agreement(self, problem):
+        from repro.analysis.fragment import predict_for_problem
+
+        context = ExecutionContext(
+            Budget.default().with_(max_source_size=3, max_target_size=3),
+            cache=CompilationCache(),
+        )
+        prediction = predict_for_problem(problem, context)
+        verdict = solve(problem, context)
+        selected = verdict.report.algorithm
+        if prediction.algorithm == "abscons-expansion" and selected == "abscons-bounded":
+            return  # the expansion overflow, the one run-time fallback
+        assert selected == prediction.algorithm
+        assert verdict.report.reason == prediction.reason
+        if prediction.exact:
+            assert verdict.is_proved or verdict.is_refuted
+
+    @pytest.mark.parametrize("seed", range(0, 100, 10))
+    def test_random_mappings_route_as_predicted(self, seed):
+        for offset in range(10):
+            mapping = _random_mapping(seed + offset)
+            self._assert_agreement(ConsistencyProblem(mapping))
+            self._assert_agreement(AbsoluteConsistencyProblem(mapping))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_composition_chains_route_as_predicted(self, seed):
+        self._assert_agreement(_random_composition_problem(seed))
+
+    def test_random_mappings_cover_the_cells(self):
+        from repro.analysis.fragment import predict_abscons, predict_consistency
+
+        cells = set()
+        for seed in range(100):
+            mapping = _random_mapping(seed)
+            cells.add(predict_consistency(mapping).algorithm)
+            cells.add(predict_abscons(mapping).algorithm)
+        assert cells == {
+            "cons-nested", "cons-automata", "cons-bounded", "abscons-sm0",
+            "abscons-ptime", "abscons-expansion", "abscons-bounded",
+        }
 
     def test_prediction_rejects_unknown_problems(self):
         from repro.analysis.fragment import predict_for_problem

@@ -93,6 +93,11 @@ def test_check_loads_only_its_own_stack():
     modules = loaded_by(["check", str(EXAMPLES / "mappings" / "university.xsm")])
     assert "repro.engine.core" in modules  # it did solve
     assert offending(modules, NOT_FOR_CHECK) == []
+    # university.xsm routes cons-nested and abscons-ptime from the static
+    # prediction, so no fallback route's module loads
+    assert offending(modules, (
+        "repro.consistency.expansion", "repro.consistency.bounded",
+    )) == []
 
 
 def test_version_names_the_package():
