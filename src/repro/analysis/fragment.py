@@ -8,7 +8,8 @@ algorithm the engine will route to, the paper's complexity cell for it,
 and whether the route is exact or a sound-but-bounded approximation.
 
 This is the one place a cell's class is decided.  Each class test
-returns the first condition a mapping violates, as a message, or None
+returns the first condition a mapping (for satisfiability, a DTD and a
+pattern: :func:`nested_sat_violation`) violates, as a message, or None
 inside the class; the boolean predicates read it, the engine routes
 every problem from the prediction alone, and each route's guard raises
 the same message through :func:`require`, so a direct call outside the
@@ -28,7 +29,7 @@ from repro.engine.cache import dtd_classification
 from repro.errors import SignatureError, XsmError
 from repro.patterns.ast import Pattern, Sequence
 from repro.patterns.features import HORIZONTAL, INEQUALITY, is_fully_specified
-from repro.values import Const
+from repro.values import Const, SkolemTerm
 
 if TYPE_CHECKING:
     from repro.engine.budget import ExecutionContext
@@ -203,6 +204,31 @@ def expansion_violation(dtd: "DTD", pattern: Pattern) -> str | None:
         for item in sub.items
     ):
         return "expansion handles the ⇓ fragment only (no → / →*)"
+    return None
+
+
+def nested_sat_violation(dtd: "DTD", pattern: Pattern) -> str | None:
+    """The ``pattern-sat-nested`` class: a nested-relational DTD and a
+    ``⇓`` pattern without constants or Skolem terms.
+
+    Every list item must be a ``//π`` or a one-element sequence (no
+    sibling order); wildcards and repeated variables are allowed.  Not
+    memoized: the DTD keeps its classification on the instance, and the
+    pattern scan is linear.
+    """
+    if not dtd.is_nested_relational():
+        return "the DTD is not nested-relational"
+    for sub in pattern.subpatterns():
+        for term in sub.vars or ():
+            if isinstance(term, Const):
+                return "constants are outside the embedding class (tag lifting)"
+            if isinstance(term, SkolemTerm):
+                return "Skolem terms are outside Lemma 4.1"
+        if any(
+            isinstance(item, Sequence) and len(item.elements) != 1
+            for item in sub.items
+        ):
+            return "sibling order (→ / →*) is outside the embedding class"
     return None
 
 
@@ -477,7 +503,17 @@ def predict_composition_consistency(
     )
 
 
-def predict_satisfiability() -> CellPrediction:
+def predict_satisfiability(dtd: "DTD", pattern: Pattern) -> CellPrediction:
+    """The SAT cell the engine will route to: the embedding pass inside
+    :func:`nested_sat_violation`'s class, Lemma 4.1's automata outside."""
+    if nested_sat_violation(dtd, pattern) is None:
+        return CellPrediction(
+            "SAT", "patterns", "pattern-sat-nested",
+            "PTIME over nested-relational DTDs (Fact 5.1's argument)", True,
+            "constant-free ⇓ pattern over a nested-relational DTD: one "
+            "embedding pass, O(|π|·|D|) (productions never forbid a "
+            "combination of children)",
+        )
     return CellPrediction(
         "SAT", "patterns", "pattern-sat",
         "NP-complete (Lemma 4.1), decided exactly", True,
@@ -519,7 +555,7 @@ def predict_for_problem(
     if isinstance(problem, CompositionConsistencyProblem):
         return predict_composition_consistency(problem.mappings)
     if isinstance(problem, SatisfiabilityProblem):
-        return predict_satisfiability()
+        return predict_satisfiability(problem.dtd, problem.pattern)
     if isinstance(problem, SeparationProblem):
         return predict_separation()
     raise TypeError(f"cannot predict a cell for {type(problem).__name__}")

@@ -35,7 +35,7 @@ from repro.automata.interning import LabelTable
 from repro.errors import XsmError
 from repro.patterns.ast import WILDCARD, Descendant, Pattern, Sequence
 from repro.xmlmodel.dtd import DTD
-from repro.xmlmodel.tree import TreeNode
+from repro.xmlmodel.tree import TreeNode, tree_from_rows
 
 
 class BitsetDTDAutomaton(TreeAutomaton):
@@ -131,15 +131,17 @@ def decorate(
     """
     if value_factory is None:
         value_factory = lambda label, attribute: 0
-
-    def build(node: TreeNode) -> TreeNode:
-        attrs = tuple(
-            value_factory(node.label, attribute)
-            for attribute in dtd.attributes.get(node.label, ())
+    return tree_from_rows([
+        (
+            node.label,
+            tuple(
+                value_factory(node.label, attribute)
+                for attribute in dtd.attributes.get(node.label, ())
+            ),
+            len(node.children),
         )
-        return TreeNode(node.label, attrs, tuple(build(c) for c in node.children))
-
-    return build(witness)
+        for node in witness.nodes()
+    ])
 
 
 class BitsetClosureAutomaton(TreeAutomaton):

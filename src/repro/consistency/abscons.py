@@ -60,7 +60,6 @@ from repro.analysis.fragment import (
     sm0_violation,
 )
 from repro.automata.bitset import decorate
-from repro.consistency.cons_nested import embedder_for
 from repro.engine.budget import ExecutionContext, resolve_budget
 from repro.engine.cache import dtd_digest, trigger_tables
 from repro.engine.problems import AbsoluteConsistencyProblem
@@ -76,6 +75,7 @@ from repro.engine.verdicts import (
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
 from repro.patterns.ast import Pattern, Sequence
+from repro.patterns.embedding import embedder_for
 from repro.values import Var
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode

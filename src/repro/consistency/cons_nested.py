@@ -15,9 +15,9 @@ disjunction**, which buys two structural facts:
    variable reuse).
 
 Hence ``M`` is consistent iff every std triggered by ``T_min`` has a
-target pattern embeddable into ``D_t`` — a quadratic number of
-label-vs-subpattern embeddability checks, each computable by memoized
-recursion, in line with the paper's cubic bound.
+target pattern embeddable into ``D_t``: one embedding pass of
+:mod:`repro.patterns.embedding` per target pattern, ``O(|π|·|D_t|)``,
+in line with the paper's cubic bound.
 """
 
 from __future__ import annotations
@@ -36,82 +36,10 @@ from repro.engine.verdicts import (
 from repro.errors import XsmError
 from repro.mappings.mapping import SchemaMapping
 from repro.mappings.std import STD
-from repro.patterns.ast import WILDCARD, Descendant, Pattern
+from repro.patterns.embedding import embedder_for
 from repro.patterns.matching import engine_for
 from repro.xmlmodel.dtd import DTD
 from repro.xmlmodel.tree import TreeNode
-
-
-def _strict_descendant_labels(dtd: DTD) -> dict[str, frozenset[str]]:
-    """For each label, the labels reachable through >= 1 production step."""
-    children = {label: dtd.child_labels(label) for label in dtd.productions}
-    reach: dict[str, set[str]] = {label: set(kids) for label, kids in children.items()}
-    changed = True
-    while changed:
-        changed = False
-        for label in reach:
-            extended = set(reach[label])
-            for child in list(reach[label]):
-                extended |= reach.get(child, set())
-            if extended != reach[label]:
-                reach[label] = extended
-                changed = True
-    return {label: frozenset(labels) for label, labels in reach.items()}
-
-
-class _Embedder:
-    """Memoized 'pattern embeddable at label' recursion (PTIME).
-
-    One per DTD instance (:func:`embedder_for`), so the memo outlives a
-    single decision: a revision that keeps its DTDs keeps their answers.
-    The memo is cleared when it passes :data:`MEMO_LIMIT` entries, which
-    bounds a long edit stream that keeps introducing new patterns.
-    """
-
-    MEMO_LIMIT = 1 << 14
-
-    def __init__(self, dtd: DTD):
-        self.dtd = dtd
-        self.reach = _strict_descendant_labels(dtd)
-        self._memo: dict[tuple[Pattern, str], bool] = {}
-
-    def embeddable(self, pattern: Pattern, label: str) -> bool:
-        key = (pattern, label)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if len(self._memo) > self.MEMO_LIMIT:
-            self._memo.clear()
-        # recursion descends into strict subpatterns, so it terminates
-        # without a cycle guard, and concurrent callers only ever see
-        # finished answers
-        result = self._embeddable(pattern, label)
-        self._memo[key] = result
-        return result
-
-    def _embeddable(self, pattern: Pattern, label: str) -> bool:
-        if pattern.label != WILDCARD and pattern.label != label:
-            return False
-        if pattern.vars is not None and len(pattern.vars) != self.dtd.arity(label):
-            return False
-        for item in pattern.items:
-            if isinstance(item, Descendant):
-                if not any(
-                    self.embeddable(item.pattern, below)
-                    for below in self.reach.get(label, ())
-                ):
-                    return False
-            else:
-                (element,) = item.elements
-                child_labels = self.dtd.child_labels(label)
-                if not any(self.embeddable(element, child) for child in child_labels):
-                    return False
-        return True
-
-
-def embedder_for(dtd: DTD) -> _Embedder:
-    """The embedder of *dtd*, built once and memoized on the instance."""
-    return dtd._memo("_embedder", lambda: _Embedder(dtd))
 
 
 def triggered_by_minimal_tree(mapping: SchemaMapping) -> list[STD]:

@@ -331,6 +331,17 @@ def _rerun_pattern_sat(verdict: Verdict, problem: Any) -> bool:
     )
 
 
+def _rerun_pattern_sat_nested(verdict: Verdict, problem: Any) -> bool:
+    # re-decided by the automata search, independent of the embedding
+    # pass: inside the class a structural witness decorated with one
+    # value satisfies the pattern
+    from repro.patterns.satisfiability import structural_witness
+
+    return (structural_witness(problem.dtd, problem.pattern) is not None) == (
+        verdict.is_proved
+    )
+
+
 def _rerun_separation(verdict: Verdict, problem: Any) -> bool:
     from repro.patterns.separation import find_separating_tree
 
@@ -356,6 +367,7 @@ _ANALYSIS_RERUNS = {
     "abscons-expansion": _rerun_abscons_expansion,
     "conscomp": _rerun_conscomp,
     "pattern-sat": _rerun_pattern_sat,
+    "pattern-sat-nested": _rerun_pattern_sat_nested,
     "separation": _rerun_separation,
     "skolem-membership": _rerun_skolem_membership,
 }

@@ -191,7 +191,9 @@ def _solve_satisfiability(
     from repro.analysis.fragment import predict_satisfiability
     from repro.patterns.satisfiability import is_satisfiable
 
-    _predicted(info, predict_satisfiability())
+    # is_satisfiable takes the predicted route: both read
+    # fragment.nested_sat_violation
+    _predicted(info, predict_satisfiability(problem.dtd, problem.pattern))
     return is_satisfiable(problem.dtd, problem.pattern, context)
 
 

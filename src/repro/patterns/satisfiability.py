@@ -2,7 +2,16 @@
 
 The problem: given a DTD ``D`` and a pattern ``pi``, is there a tree
 ``T |= D`` with ``pi(T)`` non-empty?  It is NP-complete in general; this
-module decides it *exactly*, in two layers.
+module decides it *exactly*, by one of two routes that
+:func:`~repro.analysis.fragment.predict_satisfiability` chooses.
+
+* ``pattern-sat-nested``: over a nested-relational DTD, a pattern with no
+  constants, no Skolem terms and no sibling order is satisfiable iff it
+  embeds label by label (productions never forbid a combination of
+  children, Fact 5.1's argument).  :mod:`repro.patterns.embedding`
+  decides that in one ``O(|π|·|D|)`` pass and builds the witness.
+* ``pattern-sat``: every other input, by the automata of Lemma 4.1, in
+  two layers.
 
 1. **Structural layer.**  The product of the DTD automaton and the
    pattern's closure automaton has an accepting reachable state iff some
@@ -42,6 +51,7 @@ from repro.automata.bitset import BitsetClosureAutomaton, decorate
 from repro.automata.duta import ProductAutomaton, find_accepted
 from repro.errors import XsmError
 from repro.patterns.ast import Pattern
+from repro.patterns.embedding import embedder_for
 from repro.patterns.matching import matches_at_root
 from repro.values import Const, Null, SkolemTerm, Var
 from repro.xmlmodel.dtd import DTD
@@ -224,13 +234,12 @@ def lifted_witness(
     return None
 
 
-def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
-    """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable."""
+def _lemma41_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
+    """The automata route (Lemma 4.1): the structural search, then tag
+    lifting when the pattern names constants."""
     from repro.engine.budget import resolve_context
     from repro.engine.cache import dtd_automaton
 
-    if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
-        raise XsmError("satisfiability is defined for patterns without Skolem terms")
     skeleton = structural_witness(dtd, pattern, context)
     if skeleton is None:
         return None
@@ -248,11 +257,45 @@ def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None
     )
 
 
+def _decide(dtd: DTD, pattern: Pattern, context=None) -> tuple[str, TreeNode | None]:
+    """The route that decides *pattern* over *dtd*, and its witness."""
+    from repro.analysis.fragment import nested_sat_violation
+
+    if any(isinstance(term, SkolemTerm) for term in pattern.terms()):
+        raise XsmError("satisfiability is defined for patterns without Skolem terms")
+    if nested_sat_violation(dtd, pattern) is None:
+        return "pattern-sat-nested", embedder_for(dtd).witness(pattern)
+    return "pattern-sat", _lemma41_tree(dtd, pattern, context)
+
+
+def satisfying_tree(dtd: DTD, pattern: Pattern, context=None) -> TreeNode | None:
+    """A tree ``T |= D`` with a match for *pattern*, or None if unsatisfiable.
+
+    Inside :func:`~repro.analysis.fragment.nested_sat_violation`'s class
+    the embedding pass of :mod:`repro.patterns.embedding` decides; every
+    other input takes the automata route.
+    """
+    return _decide(dtd, pattern, context)[1]
+
+
+_REFUTATIONS = {
+    "pattern-sat": (
+        "no conforming tree matches the pattern (closure-automaton "
+        "reachability over the tag-lifted alphabet is empty)"
+    ),
+    "pattern-sat-nested": (
+        "the pattern does not embed at the root of the nested-relational "
+        "DTD (embedding pass)"
+    ),
+}
+
+
 def is_satisfiable(dtd: DTD, pattern: Pattern, context=None):
     """Decide (exactly) whether some ``T |= D`` matches *pattern*.
 
     Returns a :class:`~repro.engine.verdicts.Verdict` — ``Proved`` carries
     the satisfying tree, and the decision is exact (never ``Unknown``).
+    ``Refuted`` names the route that decided it.
     """
     from repro.engine.verdicts import (
         AnalysisCertificate,
@@ -261,13 +304,7 @@ def is_satisfiable(dtd: DTD, pattern: Pattern, context=None):
         SatisfyingTree,
     )
 
-    witness = satisfying_tree(dtd, pattern, context)
+    route, witness = _decide(dtd, pattern, context)
     if witness is not None:
         return Proved(SatisfyingTree(witness))
-    return Refuted(
-        AnalysisCertificate(
-            "pattern-sat",
-            "no conforming tree matches the pattern (closure-automaton "
-            "reachability over the tag-lifted alphabet is empty)",
-        )
-    )
+    return Refuted(AnalysisCertificate(route, _REFUTATIONS[route]))

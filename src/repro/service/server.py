@@ -141,6 +141,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ThreadingHTTPServer defaults to HTTP/1.0 per request; 1.1 keeps
     # connections alive so a warm client pays the TCP setup once.
     protocol_version = "HTTP/1.1"
+    # headers and body leave as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms) on every
+    # request of a kept-alive connection
+    disable_nagle_algorithm = True
     server: "ServiceServer"
 
     # -- plumbing -----------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.regex.ast import (
 )
 from repro.regex.nfa import NFA
 from repro.regex.parser import parse_regex
-from repro.xmlmodel.tree import TreeNode
+from repro.xmlmodel.tree import TreeNode, tree_from_rows
 
 #: Multiplicity markers for nested-relational productions.
 MULTIPLICITIES = ("1", "?", "*", "+")
@@ -227,20 +227,21 @@ class DTD:
         return self._memo("_recursive", self._compute_recursive)
 
     def _compute_recursive(self) -> bool:
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {label: WHITE for label in self.productions}
-
-        def visit(label: str) -> bool:
-            colour[label] = GREY
-            for successor in self._child_labels[label]:
-                if colour[successor] == GREY:
-                    return True
-                if colour[successor] == WHITE and visit(successor):
-                    return True
-            colour[label] = BLACK
-            return False
-
-        return any(visit(label) for label in self.productions if colour[label] == WHITE)
+        # Kahn's algorithm: a label on or below a cycle never runs out of
+        # unvisited parents.  No recursion, whatever the DTD's depth.
+        indegree = dict.fromkeys(self._child_labels, 0)
+        for children in self._child_labels.values():
+            for child in children:
+                indegree[child] += 1
+        ready = [label for label, count in indegree.items() if not count]
+        visited = 0
+        while ready:
+            visited += 1
+            for child in self._child_labels[ready.pop()]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    ready.append(child)
+        return visited < len(indegree)
 
     def nested_relational_children(self, label: str) -> list[tuple[str, str]]:
         """Decompose a nested-relational production into (child, multiplicity).
@@ -472,16 +473,23 @@ class DTD:
             raise XsmError("DTD is unsatisfiable: no conforming tree exists")
         if value_factory is None:
             value_factory = lambda label, attribute: 0
-
-        def build(label: str) -> TreeNode:
-            word = self._cheapest_word(label, costs)
-            assert word is not None
+        # preorder rows, built bottom-up by tree_from_rows: no recursion,
+        # so a minimal tree may be deeper than the recursion limit
+        words: dict[str, tuple[str, ...]] = {}
+        rows = []
+        stack = [self.root]
+        while stack:
+            label = stack.pop()
+            word = words.get(label)
+            if word is None:
+                word = words[label] = self._cheapest_word(label, costs)
+                assert word is not None
             attrs = tuple(
                 value_factory(label, attribute) for attribute in self.attributes[label]
             )
-            return TreeNode(label, attrs, tuple(build(symbol) for symbol in word))
-
-        return build(self.root)
+            rows.append((label, attrs, len(word)))
+            stack.extend(reversed(word))
+        return tree_from_rows(rows)
 
 
 _PRODUCTION_RE = re.compile(

@@ -39,7 +39,8 @@ std: f[item(s)] -> w[product(s)]
 
 
 def sat_problem():
-    return SatisfiabilityProblem(parse_dtd("r -> a*"), parse_pattern("r/a"))
+    # a constant keeps it on the automata route, which compiles
+    return SatisfiabilityProblem(parse_dtd("r -> a*\na(x)"), parse_pattern("r/a(1)"))
 
 
 # ---------------------------------------------------------------------------

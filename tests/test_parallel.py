@@ -184,7 +184,7 @@ class TestPickleRoundTrip:
         clone.check_conformance(parse_tree("r[a(1)]"))  # and they rebuild
 
     def test_dtd_sheds_class_facts_and_embedder(self):
-        from repro.consistency.cons_nested import embedder_for
+        from repro.patterns.embedding import embedder_for
         from repro.engine.cache import dtd_digest
         from repro.xmlmodel.dtd import DTD
 

@@ -362,6 +362,34 @@ class TestServiceServer:
                          {"mappings": [MAPPING_TEXT], "timeout": 2.0})
         assert seen == [5.0, 2.0]
 
+    def test_keep_alive_requests_do_not_stall(self, server):
+        # ten POSTs over one HTTP/1.1 connection: headers and body are two
+        # writes, and with Nagle's algorithm on each reply waited ~40 ms
+        # for the client's delayed ACK
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(server.url)
+        body = json.dumps({"mappings": [MAPPING_TEXT]}).encode()
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=30.0
+        )
+
+        def post() -> dict:
+            connection.request("POST", "/check", body, headers)
+            return json.loads(connection.getresponse().read())
+
+        try:
+            assert post()["ok"] is True  # warms the session's memo
+            started = time.perf_counter()
+            for __ in range(10):
+                assert post()["ok"] is True
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, elapsed
+
 
 def _rejected_total() -> float:
     from repro.obs import parse_prometheus
